@@ -4,7 +4,9 @@ The package models operators T(x)_i = sum_j t_ij(x_j) built from scalar
 kernels vanishing at zero, and computes their lattice structure pointwise:
 Riesz-Kantorovich joins/meets, disjointness witnesses, and band projections
 (onto increasing sets, principal bands, rank-one bands, and functionals),
-all by exhaustive fragment/mask enumeration with deterministic tie-breaks.
+by fragment enumeration with deterministic tie-breaks.  The projection
+programs split by output row, so each decides feasibility per (fragment,
+row) over the empty mask and the singleton masks only.
 """
 
 from .calculus import (

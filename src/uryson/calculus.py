@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotDisjoint, NotPositive, NotPositiveUnit
+from .errors import DimensionMismatch, NotDisjoint, NotPositiveUnit
 from .kernels import DEFAULT_TOL
 from .lattice import (
     DEFAULT_SUPPORT_CAP,
@@ -25,7 +25,7 @@ from .lattice import (
     Vector,
     fragments,
 )
-from .operators import KernelOperator, operator_is_positive
+from .operators import KernelOperator, require_positive
 
 RK_KINDS = ("join", "meet", "pos", "neg", "abs")
 _BINARY_KINDS = ("join", "meet")
@@ -157,11 +157,6 @@ class DisjointnessWitness:
     u: Vector
 
 
-def _require_positive(name: str, T: KernelOperator, tol: float) -> None:
-    if not operator_is_positive(T, tol):
-        raise NotPositive(f"operator {name} must be positive")
-
-
 def disjoint_witness(
     S: KernelOperator,
     T: KernelOperator,
@@ -178,8 +173,8 @@ def disjoint_witness(
     groups coordinates by chosen pair.  Raises NotDisjoint when the pointwise
     meet is nonzero; no minimality of the witness is claimed.
     """
-    _require_positive("S", S, tol)
-    _require_positive("T", T, tol)
+    require_positive("S", S, tol)
+    require_positive("T", T, tol)
     _check_pair_dims(T, S, x)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -246,8 +241,8 @@ def check_disjoint_iff(
     verify meet <= eps'*(T(x) + S(x)).  A probe is flagged inconsistent when
     the two directions disagree.
     """
-    _require_positive("S", S, tol)
-    _require_positive("T", T, tol)
+    require_positive("S", S, tol)
+    require_positive("T", T, tol)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if steps < 1:

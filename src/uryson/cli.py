@@ -29,7 +29,14 @@ from .calculus import (
     rk_eval,
     witness_products,
 )
-from .dsl import Model, RankOneOpDef, Settings, build_operator, parse_model
+from .dsl import (
+    Model,
+    RankOneOpDef,
+    Settings,
+    build_operator,
+    override_settings,
+    parse_model,
+)
 from .errors import (
     BadCommand,
     ModelSemanticError,
@@ -39,7 +46,6 @@ from .errors import (
 from .lattice import Vector, vec
 from .operators import KernelOperator, evaluate
 from .projections import (
-    EpsSchedule,
     ProjectionResult,
     masking_oracle,
     project_band_set,
@@ -85,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--factor", type=float, default=None, help="schedule decay factor")
         p.add_argument("--max-steps", type=int, default=None, help="schedule length cap")
         p.add_argument("--cap-support", type=int, default=None, help="fragment enumeration cap")
-        p.add_argument("--cap-masks", type=int, default=None, help="mask enumeration cap")
         p.add_argument("--seed", type=int, default=None, help="suite seed")
         p.add_argument("--json", metavar="OUT", default=None, help="also write the report here")
 
@@ -109,30 +114,10 @@ def _effective_settings(model: Model, ns: argparse.Namespace) -> Settings:
             st = dataclasses.replace(st, seed=int(env_seed))
         except ValueError:
             raise BadCommand(f"URYSON_SEED must be an integer, got {env_seed!r}")
-    overrides = {
-        "tol": ns.tol,
-        "eps0": ns.eps0,
-        "factor": ns.factor,
-        "max_steps": ns.max_steps,
-        "cap_support": ns.cap_support,
-        "cap_masks": ns.cap_masks,
-        "seed": ns.seed,
-    }
-    return dataclasses.replace(
-        st, **{k: v for k, v in overrides.items() if v is not None}
+    flags = {f.name: getattr(ns, f.name) for f in dataclasses.fields(Settings)}
+    return override_settings(
+        st, {k: v for k, v in flags.items() if v is not None}
     )
-
-
-def _settings_json(st: Settings) -> dict:
-    return {
-        "tol": st.tol,
-        "eps0": st.eps0,
-        "factor": st.factor,
-        "max_steps": st.max_steps,
-        "cap_support": st.cap_support,
-        "cap_masks": st.cap_masks,
-        "seed": st.seed,
-    }
 
 
 class _Session:
@@ -141,7 +126,7 @@ class _Session:
     def __init__(self, model: Model, st: Settings):
         self.model = model
         self.st = st
-        self.sched = EpsSchedule(st.eps0, st.factor, st.max_steps)
+        self.sched = st.schedule()
         self.inputs: dict = {}
 
     def op(self, name: str) -> KernelOperator:
@@ -258,10 +243,7 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
         T = sess.op(t_name)
         x = sess.probe(probe)
         fn = project_band_set if verb == "project" else project_band_set_complement
-        res = fn(
-            members, T, x, sess.sched,
-            cap_support=st.cap_support, cap_masks=st.cap_masks, tol=st.tol,
-        )
+        res = fn(members, T, x, sess.sched, cap_support=st.cap_support, tol=st.tol)
         return sess.projection_json(res), None
 
     if verb == "project-rank1":
@@ -358,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
 
         report = {
             "command": {"verb": verb, "args": args},
-            "settings": _settings_json(st),
+            "settings": dataclasses.asdict(st),
             "inputs": sess.inputs,
             "result": result,
         }

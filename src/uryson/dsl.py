@@ -16,7 +16,7 @@ they are used.  The directives:
 
 ``EXPR`` is an arithmetic expression in the variables ``s``, ``t``, ``r``
 with ``+ - * / ^`` and the functions abs, min, max, exp, sin, cos.
-``set`` keys: tol, eps0, factor, max_steps, cap_support, cap_masks, seed.
+``set`` keys: tol, eps0, factor, max_steps, cap_support, seed.
 
 Tokenization failures and malformed lines raise ModelSyntaxError with
 line/column; violations of model invariants (unknown or duplicate names,
@@ -27,6 +27,7 @@ is the identity on models.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .operators import (
     discretize_integral,
     rank_one,
 )
-from .projections import DEFAULT_MASK_CAP, EpsSchedule
+from .projections import EpsSchedule
 
 __all__ = [
     "Settings",
@@ -59,6 +60,7 @@ __all__ = [
     "build_operator",
     "eval_expr",
     "render_expr",
+    "override_settings",
 ]
 
 
@@ -353,7 +355,6 @@ class Settings:
     factor: float = 0.5
     max_steps: int = 40
     cap_support: int = DEFAULT_SUPPORT_CAP
-    cap_masks: int = DEFAULT_MASK_CAP
     seed: int = 0
 
     def schedule(self) -> EpsSchedule:
@@ -460,23 +461,34 @@ def build_operator(model: Model, name: str) -> KernelOperator:
 # --------------------------------------------------------------------------
 # parsing
 
-_SETTING_KEYS = ("tol", "eps0", "factor", "max_steps", "cap_support", "cap_masks", "seed")
-_INT_SETTINGS = ("max_steps", "cap_support", "cap_masks", "seed")
+_SETTING_KEYS = ("tol", "eps0", "factor", "max_steps", "cap_support", "seed")
+_INT_SETTINGS = ("max_steps", "cap_support", "seed")
 
 
-def _check_setting(key: str, value: float, lineno: int) -> float | int:
+def _setting_problem(key: str, value: float) -> str | None:
+    """Why value is not allowed for setting key, or None when it is."""
+    if not math.isfinite(value):
+        return f"setting {key} must be finite"
     if key in _INT_SETTINGS:
         if value != int(value):
-            raise ModelSemanticError(f"setting {key} must be an integer", lineno)
-        iv = int(value)
-        if key != "seed" and iv < 1:
-            raise ModelSemanticError(f"setting {key} must be >= 1", lineno)
-        return iv
+            return f"setting {key} must be an integer"
+        if key != "seed" and value < 1:
+            return f"setting {key} must be >= 1"
     if key in ("tol", "eps0") and value <= 0.0:
-        raise ModelSemanticError(f"setting {key} must be positive", lineno)
+        return f"setting {key} must be positive"
     if key == "factor" and not (0.0 < value < 1.0):
-        raise ModelSemanticError("setting factor must lie strictly in (0,1)", lineno)
-    return value
+        return "setting factor must lie strictly in (0,1)"
+    return None
+
+
+def override_settings(st: Settings, overrides: dict[str, float | int]) -> Settings:
+    """st with the given values replaced, each checked by the ``set`` rules;
+    a value they reject raises BadCommand naming its command-line flag."""
+    for key, value in overrides.items():
+        problem = _setting_problem(key, value)
+        if problem is not None:
+            raise BadCommand(f"--{key.replace('_', '-')} {value}: {problem}")
+    return dataclasses.replace(st, **overrides)
 
 
 def parse_model(text: str) -> Model:
@@ -700,7 +712,10 @@ def parse_model(text: str) -> Model:
                 raise ModelSemanticError(f"duplicate setting {key!r}", lineno)
             value = cur.number()
             cur.require_end()
-            setting_values[key] = _check_setting(key, value, lineno)
+            problem = _setting_problem(key, value)
+            if problem is not None:
+                raise ModelSemanticError(problem, lineno)
+            setting_values[key] = int(value) if key in _INT_SETTINGS else value
             setting_lines[key] = lineno
 
         else:

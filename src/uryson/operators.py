@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import C0Violation, DimensionMismatch, NegativeU
+from .errors import C0Violation, DimensionMismatch, NegativeU, NotPositive
 from .kernels import (
     DEFAULT_TOL,
     FuncKernel,
@@ -231,6 +231,12 @@ def validate(
 def operator_is_positive(T: KernelOperator, tol: float = DEFAULT_TOL) -> bool:
     """Every kernel nonnegative on all of R (exact for pwl/builtin kernels)."""
     return all(k.nonneg_everywhere(tol) for row in T.kernels for k in row)
+
+
+def require_positive(name: str, T: KernelOperator, tol: float = DEFAULT_TOL) -> None:
+    """Raise NotPositive, naming the operator, unless T is positive."""
+    if not operator_is_positive(T, tol):
+        raise NotPositive(f"operator {name} must be positive")
 
 
 def operator_leq(S: KernelOperator, T: KernelOperator, tol: float = DEFAULT_TOL) -> bool:

@@ -6,18 +6,29 @@ Band values are computed from the epsilon-quantified fragment/mask programs:
                           y fragment of x, rho a mask, rho*S(x-y) <= eps*S(x) }
   complement(A, T)(x) = inf_{eps, S in A} sup { rho*T(y) : rho*S(y) <= eps*S(x) }
 
-with rho' the complementary mask.  Feasible sets are finite and shrink as eps
-decreases, so the eps limit is attained: the schedule stops at the first eps
-whose feasible set equals the directly computed eps->0 limit set (from that
-step on the set can never change again), and NoStabilization is raised when
-max_steps halvings are not enough.  Specializations: principal band of a
-single operator (with an alternative complement route through the principal
-mask of S(x)), rank-one bands phi(.)*u, and functional targets.  An
-independent support-masking oracle cross-checks the principal case.
+with rho' the complementary mask.  On F = R^m the order projections rho are
+coordinate masks, and both the constraint and the objective split by output
+row: (y, rho) is feasible iff every row i in rho is feasible for y, and row i
+of the objective depends only on whether i is in rho.  The extremum over all
+2^m masks is therefore attained on the empty mask or a singleton {i}, and the
+programs decide feasibility per (fragment, row) and use only those m + 1
+masks.  Witnesses keep the tie-break of the full enumeration in ascending
+bitmask order: the first fragment attaining the extremum, with the smallest
+mask that does.
+
+Feasible sets are finite and shrink as eps decreases, so the eps limit is
+attained: the schedule stops at the first eps whose feasible set equals the
+directly computed eps->0 limit set (from that step on the set can never
+change again), and NoStabilization is raised when max_steps halvings are not
+enough.  Specializations: principal band of a single operator (with an
+alternative complement route through the principal mask of S(x)), rank-one
+bands phi(.)*u, and functional targets.  An independent support-masking
+oracle cross-checks the principal case.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -28,14 +39,12 @@ from .errors import (
     NoStabilization,
     NotIncreasing,
     NotPositive,
-    SupportTooLarge,
 )
 from .kernels import DEFAULT_TOL
 from .lattice import (
     DEFAULT_SUPPORT_CAP,
     Mask,
     Vector,
-    all_masks,
     fragments,
     principal_mask,
 )
@@ -45,9 +54,8 @@ from .operators import (
     operator_is_positive,
     operator_leq,
     positive_part,
+    require_positive,
 )
-
-DEFAULT_MASK_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -121,20 +129,6 @@ def _as_increasing(A: IncreasingSet | Sequence[KernelOperator]) -> IncreasingSet
     return A if isinstance(A, IncreasingSet) else IncreasingSet(tuple(A))
 
 
-def _require_positive(name: str, T: KernelOperator, tol: float) -> None:
-    if not operator_is_positive(T, tol):
-        raise NotPositive(f"operator {name} must be positive")
-
-
-def _check_caps(x: Vector, m: int, cap_support: int, cap_masks: int, tol: float) -> None:
-    if len(x.support(tol)) > cap_support:
-        raise SupportTooLarge(
-            f"|supp(x)| = {len(x.support(tol))} exceeds cap {cap_support}"
-        )
-    if m > cap_masks:
-        raise SupportTooLarge(f"output dim {m} exceeds mask cap {cap_masks}")
-
-
 def _stabilize(
     feasible_at: Callable[[float], frozenset],
     limit_set: frozenset,
@@ -154,21 +148,16 @@ def _stabilize(
     )
 
 
-def _masked_constraint_ok(
-    values: Vector, mask: Mask, bound: Vector, eps: float, tol: float
-) -> bool:
-    return all(
-        values.coords[i] <= eps * bound.coords[i] + tol for i in mask.indices()
-    )
-
-
 class _MemberProgram:
     """Feasibility/value engine for one member S of the generating set.
 
-    sense "band": constraint rho*S(x-y) <= eps*S(x), objective
-    rho*T(y) + rho'*T(x), inner inf.  sense "complement": constraint
-    rho*S(y) <= eps*S(x), objective rho*T(y), inner sup.  Masks may be
-    restricted (principal-complement route).
+    Feasibility is decided per (fragment y, output row i).  sense "band": row
+    constraint S(x-y)_i <= eps*S(x)_i, row objective T(y)_i when feasible and
+    T(x)_i otherwise, inner inf.  sense "complement": row constraint
+    S(y)_i <= eps*S(x)_i, row objective T(y)_i or 0, inner sup.  Only the
+    given rows may be masked in (the principal-complement route passes the
+    rows of its principal mask).  masks[0] is the empty mask and masks[k + 1]
+    the singleton of rows[k]: the only masks a witness can carry.
     """
 
     def __init__(
@@ -177,12 +166,13 @@ class _MemberProgram:
         T: KernelOperator,
         x: Vector,
         sense: str,
-        masks: list[Mask],
+        rows: Sequence[int],
         frags: list[Vector],
         tol: float,
     ):
         self.sense = sense
-        self.masks = masks
+        self.rows = tuple(rows)
+        self.masks = [Mask.empty(T.m)] + [Mask.from_indices(T.m, (i,)) for i in self.rows]
         self.frags = frags
         self.tol = tol
         self.sx = S(x)
@@ -193,61 +183,82 @@ class _MemberProgram:
         self.m = T.m
 
     def feasible(self, eps: float) -> frozenset:
-        out = []
-        for yi, c in enumerate(self.cons):
-            for mi, mask in enumerate(self.masks):
-                if _masked_constraint_ok(c, mask, self.sx, eps, self.tol):
-                    out.append((yi, mi))
-        return frozenset(out)
-
-    def limit_feasible(self) -> frozenset:
-        out = []
-        for yi, c in enumerate(self.cons):
-            for mi, mask in enumerate(self.masks):
-                if all(c.coords[i] <= self.tol for i in mask.indices()):
-                    out.append((yi, mi))
-        return frozenset(out)
+        """The (fragment, row) pairs whose row constraint holds at eps; at
+        eps = 0 this is the eps->0 limit set."""
+        sx = self.sx.coords
+        return frozenset(
+            (yi, i)
+            for yi, c in enumerate(self.cons)
+            for i in self.rows
+            if c.coords[i] <= eps * sx[i] + self.tol
+        )
 
     def value_on(self, feas: frozenset) -> tuple[list[float], list[tuple[Vector, Mask]], list[int]]:
         """Componentwise extremum over the feasible pairs, with witnesses and
-        per-coordinate feasible-fragment counts."""
+        per-coordinate feasible-fragment counts.
+
+        Every row starts at the empty mask on the first fragment; a feasible
+        row replaces it only when strictly better, fragments in ascending order.
+        """
         minimize = self.sense == "band"
-        vals: list[float] = [math.inf if minimize else -math.inf] * self.m
-        wit: list[tuple[Vector, Mask] | None] = [None] * self.m
-        for yi, mi in sorted(feas):
-            mask = self.masks[mi]
-            ty = self.tys[yi]
-            for i in range(self.m):
-                if self.sense == "band":
-                    v = ty.coords[i] if mask.bits[i] else self.tx.coords[i]
-                else:
-                    v = ty.coords[i] if mask.bits[i] else 0.0
-                better = (v < vals[i]) if minimize else (v > vals[i])
-                if better:
-                    vals[i] = v
-                    wit[i] = (self.frags[yi], mask)
+        vals = list(self.tx.coords) if minimize else [0.0] * self.m
+        wit = [(self.frags[0], self.masks[0])] * self.m
+        singleton = dict(zip(self.rows, self.masks[1:]))
+        for yi, i in sorted(feas):
+            v = self.tys[yi].coords[i]
+            if (v < vals[i]) if minimize else (v > vals[i]):
+                vals[i] = v
+                wit[i] = (self.frags[yi], singleton[i])
         counts = [
             sum(1 for c in self.cons if c.coords[i] <= self.tol)
             for i in range(self.m)
         ]
-        return vals, [w for w in wit], counts
+        return vals, wit, counts
+
+    def run(self, sched: EpsSchedule) -> ProjectionResult:
+        limit = self.feasible(0.0)
+        eps_at = _stabilize(self.feasible, limit, sched)
+        vals, wit, counts = self.value_on(limit)
+        return ProjectionResult(
+            value=Vector(tuple(vals)),
+            stabilized_at=eps_at,
+            feasible_count=tuple(counts),
+            witness=tuple(wit),
+        )
 
 
-def _run_member(
-    S: KernelOperator,
+def _project_set(
+    sense: str,
+    A: IncreasingSet | Sequence[KernelOperator],
     T: KernelOperator,
     x: Vector,
-    sense: str,
-    masks: list[Mask],
-    frags: list[Vector],
     sched: EpsSchedule,
+    cap_support: int,
     tol: float,
-):
-    prog = _MemberProgram(S, T, x, sense, masks, frags, tol)
-    limit = prog.limit_feasible()
-    eps_at = _stabilize(prog.feasible, limit, sched)
-    vals, wit, counts = prog.value_on(limit)
-    return vals, wit, counts, eps_at
+) -> ProjectionResult:
+    """Band (sup over members) or complement (inf over members) program; at
+    each coordinate the first member attaining the outer extremum wins."""
+    A = _as_increasing(A)
+    require_positive("T", T, tol)
+    ref = A.ops[0]
+    if (ref.m, ref.n) != (T.m, T.n):
+        raise DimensionMismatch("generating set must share the target's shape")
+    if T.n != x.dim:
+        raise DimensionMismatch(f"operator expects dim {T.n}, got {x.dim}")
+
+    frags = fragments(x, cap=cap_support, tol=tol)
+    runs = [
+        _MemberProgram(S, T, x, sense, range(T.m), frags, tol).run(sched)
+        for S in A.ops
+    ]
+    outer = max if sense == "band" else min
+    pick = [outer(runs, key=lambda r: r.value.coords[i]) for i in range(T.m)]
+    return ProjectionResult(
+        value=Vector(tuple(r.value.coords[i] for i, r in enumerate(pick))),
+        stabilized_at=min(r.stabilized_at for r in runs),
+        feasible_count=tuple(r.feasible_count[i] for i, r in enumerate(pick)),
+        witness=tuple(r.witness[i] for i, r in enumerate(pick)),
+    )
 
 
 def project_band_set(
@@ -256,44 +267,10 @@ def project_band_set(
     x: Vector,
     sched: EpsSchedule = EpsSchedule(),
     cap_support: int = DEFAULT_SUPPORT_CAP,
-    cap_masks: int = DEFAULT_MASK_CAP,
     tol: float = DEFAULT_TOL,
 ) -> ProjectionResult:
     """Projection of T onto the band generated by the increasing set A, at x."""
-    A = _as_increasing(A)
-    _require_positive("T", T, tol)
-    ref = A.ops[0]
-    if (ref.m, ref.n) != (T.m, T.n):
-        raise DimensionMismatch("generating set must share the target's shape")
-    if T.n != x.dim:
-        raise DimensionMismatch(f"operator expects dim {T.n}, got {x.dim}")
-    _check_caps(x, T.m, cap_support, cap_masks, tol)
-
-    frags = fragments(x, cap=cap_support, tol=tol)
-    masks = all_masks(T.m)
-    best: list[float] | None = None
-    best_wit: list = []
-    best_counts: list[int] = []
-    stab = math.inf
-    for S in A.ops:
-        vals, wit, counts, eps_at = _run_member(
-            S, T, x, "band", masks, frags, sched, tol
-        )
-        stab = min(stab, eps_at)
-        if best is None:
-            best, best_wit, best_counts = list(vals), list(wit), list(counts)
-            continue
-        for i in range(T.m):
-            if vals[i] > best[i]:
-                best[i] = vals[i]
-                best_wit[i] = wit[i]
-                best_counts[i] = counts[i]
-    return ProjectionResult(
-        value=Vector(tuple(best)),
-        stabilized_at=stab,
-        feasible_count=tuple(best_counts),
-        witness=tuple(best_wit),
-    )
+    return _project_set("band", A, T, x, sched, cap_support, tol)
 
 
 def project_band_set_complement(
@@ -302,46 +279,12 @@ def project_band_set_complement(
     x: Vector,
     sched: EpsSchedule = EpsSchedule(),
     cap_support: int = DEFAULT_SUPPORT_CAP,
-    cap_masks: int = DEFAULT_MASK_CAP,
     tol: float = DEFAULT_TOL,
 ) -> ProjectionResult:
     """Disjoint-complement part of T relative to the band of A, at x.
 
     Contract: band + complement reproduces T(x) (within 1e-7 in tests)."""
-    A = _as_increasing(A)
-    _require_positive("T", T, tol)
-    ref = A.ops[0]
-    if (ref.m, ref.n) != (T.m, T.n):
-        raise DimensionMismatch("generating set must share the target's shape")
-    if T.n != x.dim:
-        raise DimensionMismatch(f"operator expects dim {T.n}, got {x.dim}")
-    _check_caps(x, T.m, cap_support, cap_masks, tol)
-
-    frags = fragments(x, cap=cap_support, tol=tol)
-    masks = all_masks(T.m)
-    best: list[float] | None = None
-    best_wit: list = []
-    best_counts: list[int] = []
-    stab = math.inf
-    for S in A.ops:
-        vals, wit, counts, eps_at = _run_member(
-            S, T, x, "complement", masks, frags, sched, tol
-        )
-        stab = min(stab, eps_at)
-        if best is None:
-            best, best_wit, best_counts = list(vals), list(wit), list(counts)
-            continue
-        for i in range(T.m):
-            if vals[i] < best[i]:
-                best[i] = vals[i]
-                best_wit[i] = wit[i]
-                best_counts[i] = counts[i]
-    return ProjectionResult(
-        value=Vector(tuple(best)),
-        stabilized_at=stab,
-        feasible_count=tuple(best_counts),
-        witness=tuple(best_wit),
-    )
+    return _project_set("complement", A, T, x, sched, cap_support, tol)
 
 
 @dataclass(frozen=True)
@@ -357,7 +300,6 @@ def project_principal(
     x: Vector,
     sched: EpsSchedule = EpsSchedule(),
     cap_support: int = DEFAULT_SUPPORT_CAP,
-    cap_masks: int = DEFAULT_MASK_CAP,
     tol: float = DEFAULT_TOL,
 ) -> PrincipalProjection:
     """Projection onto the principal band of a single positive S, at x.
@@ -366,24 +308,16 @@ def project_principal(
     T(x) outside the principal mask of S(x), plus a sup over masks below that
     principal mask.  Contract: complement_alt matches complement within 1e-7.
     """
-    band = project_band_set((S,), T, x, sched, cap_support, cap_masks, tol)
-    complement = project_band_set_complement(
-        (S,), T, x, sched, cap_support, cap_masks, tol
-    )
+    band = project_band_set((S,), T, x, sched, cap_support, tol)
+    complement = project_band_set_complement((S,), T, x, sched, cap_support, tol)
 
     rho_sx = principal_mask(S(x), tol)
     outside = rho_sx.complement().apply(T(x))
     frags = fragments(x, cap=cap_support, tol=tol)
-    sub_masks = [m for m in all_masks(T.m) if m.leq(rho_sx)]
-    vals, wit, counts, eps_at = _run_member(
-        S, T, x, "complement", sub_masks, frags, sched, tol
-    )
-    alt = ProjectionResult(
-        value=outside + Vector(tuple(vals)),
-        stabilized_at=eps_at,
-        feasible_count=tuple(counts),
-        witness=tuple(wit),
-    )
+    inside = _MemberProgram(
+        S, T, x, "complement", rho_sx.indices(), frags, tol
+    ).run(sched)
+    alt = dataclasses.replace(inside, value=outside + inside.value)
     return PrincipalProjection(band=band, complement=complement, complement_alt=alt)
 
 
@@ -393,14 +327,6 @@ class RankOneProjection:
     complement: Vector
     band_stabilized_at: float
     complement_stabilized_at: float
-
-
-def _scalar_stabilize(
-    feasible_at: Callable[[float], frozenset],
-    limit: frozenset,
-    sched: EpsSchedule,
-) -> float:
-    return _stabilize(feasible_at, limit, sched)
 
 
 def project_rank_one(
@@ -421,16 +347,14 @@ def project_rank_one(
     """
     if phi.m != 1:
         raise DimensionMismatch("phi must be a functional (one row)")
-    _require_positive("phi", phi, tol)
-    _require_positive("T", T, tol)
+    require_positive("phi", phi, tol)
+    require_positive("T", T, tol)
     if any(c < -tol for c in u.coords):
         raise NegativeU("direction u must be nonnegative")
     if u.dim != T.m:
         raise DimensionMismatch(f"direction dim {u.dim} vs output dim {T.m}")
     if phi.n != T.n or T.n != x.dim:
         raise DimensionMismatch("phi, T, x must share the input dimension")
-    if len(x.support(tol)) > cap_support:
-        raise SupportTooLarge("probe support exceeds cap")
 
     rho_u = principal_mask(u, tol)
     frags = fragments(x, cap=cap_support, tol=tol)
@@ -445,7 +369,7 @@ def project_rank_one(
         )
 
     limit_band = frozenset(k for k, v in enumerate(phi_xy) if v <= tol)
-    band_eps = _scalar_stabilize(feas_band, limit_band, sched)
+    band_eps = _stabilize(feas_band, limit_band, sched)
     band = Vector(
         tuple(
             min(tys[k].coords[i] for k in sorted(limit_band)) if rho_u.bits[i] else 0.0
@@ -459,7 +383,7 @@ def project_rank_one(
         )
 
     limit_comp = frozenset(k for k, v in enumerate(phi_y) if v <= tol)
-    comp_eps = _scalar_stabilize(feas_comp, limit_comp, sched)
+    comp_eps = _stabilize(feas_comp, limit_comp, sched)
     sup_part = Vector(
         tuple(
             max(tys[k].coords[i] for k in sorted(limit_comp)) if rho_u.bits[i] else 0.0
@@ -490,7 +414,7 @@ def project_functional(
     is the lattice split for kernel operators) and each part projected."""
     if phi.m != 1 or T.m != 1:
         raise DimensionMismatch("phi and T must be functionals (one row)")
-    _require_positive("phi", phi, tol)
+    require_positive("phi", phi, tol)
     if phi.n != T.n or T.n != x.dim:
         raise DimensionMismatch("phi, T, x must share the input dimension")
 
@@ -508,7 +432,7 @@ def project_functional(
         return frozenset(k for k, v in enumerate(phi_xy) if v <= eps * phix + tol)
 
     limit = frozenset(k for k, v in enumerate(phi_xy) if v <= tol)
-    _scalar_stabilize(feas, limit, sched)
+    _stabilize(feas, limit, sched)
     return min(t_y[k] for k in sorted(limit))
 
 
@@ -523,8 +447,8 @@ def masking_oracle(
 
     Agrees with the band formula for positive pairs probed away from kernel
     zero crossings."""
-    _require_positive("S", S, tol)
-    _require_positive("T", T, tol)
+    require_positive("S", S, tol)
+    require_positive("T", T, tol)
     if (S.m, S.n) != (T.m, T.n):
         raise DimensionMismatch("operators must share shape")
     if T.n != x.dim:
@@ -546,7 +470,6 @@ def band_set_profile(
     sched: EpsSchedule = EpsSchedule(),
     sense: str = "band",
     cap_support: int = DEFAULT_SUPPORT_CAP,
-    cap_masks: int = DEFAULT_MASK_CAP,
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, Vector]]:
     """Inner optimum at every schedule eps for a single member (diagnostic).
@@ -555,12 +478,10 @@ def band_set_profile(
     program, nonincreasing for the complement program."""
     if sense not in ("band", "complement"):
         raise ValueError("sense must be 'band' or 'complement'")
-    _require_positive("S", S, tol)
-    _require_positive("T", T, tol)
-    _check_caps(x, T.m, cap_support, cap_masks, tol)
+    require_positive("S", S, tol)
+    require_positive("T", T, tol)
     frags = fragments(x, cap=cap_support, tol=tol)
-    masks = all_masks(T.m)
-    prog = _MemberProgram(S, T, x, sense, masks, frags, tol)
+    prog = _MemberProgram(S, T, x, sense, range(T.m), frags, tol)
     out = []
     for eps in sched.values():
         vals, _, _ = prog.value_on(prog.feasible(eps))

@@ -7,6 +7,7 @@ exit code contract is 0 success / 1 domain error / 2 parse or command error /
 
 import importlib.resources
 import json
+import pathlib
 
 import pytest
 
@@ -14,6 +15,7 @@ import uryson.cli as cli_mod
 from uryson.cli import main
 
 DEMO = str(importlib.resources.files("uryson") / "demo.ury")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +168,39 @@ def test_setting_flags_override_model(capsys):
     assert rep["settings"]["tol"] == 1e-7
     assert rep["settings"]["max_steps"] == 10
     assert rep["settings"]["eps0"] == 1  # untouched
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--eps0", "0"),
+        ("--max-steps", "0"),
+        ("--factor", "2"),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+        ("--cap-support", "0"),
+    ],
+)
+def test_setting_flags_follow_model_rules(capsys, flag, value):
+    code, rep = run_json(capsys, "run", DEMO, "project", "S", "T", "x1", flag, value)
+    assert code == 2
+    assert rep["error"]["code"] == "bad_command"
+    assert rep["error"]["message"].startswith(f"{flag} ")
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("project", "S", "T", "x1"), "project_S_T_x1.json"),
+        (("project-complement", "S", "T", "x1"), "project-complement_S_T_x1.json"),
+        (("project-rank1", "R", "T", "x1"), "project-rank1_R_T_x1.json"),
+        (("witness", "D", "S", "x1"), "witness_D_S_x1.json"),
+    ],
+)
+def test_demo_reports_match_golden_bytes(capsys, argv, golden):
+    code, out = run_cli(capsys, "run", DEMO, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_missing_model_file(capsys, tmp_path):

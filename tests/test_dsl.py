@@ -143,6 +143,10 @@ SEMANTIC_CASES = [
      "setting seed must be an integer"),
     ("kernel k abs\nop T 1x1 [k]\nset tol -1\n", "semantic_error", 3,
      "setting tol must be positive"),
+    ("kernel k abs\nop T 1x1 [k]\nset max_steps 1e999\n", "semantic_error", 3,
+     "setting max_steps must be finite"),
+    ("kernel k abs\nop T 1x1 [k]\nset cap_masks 12\n", "semantic_error", 3,
+     "unknown setting 'cap_masks'"),
     ("space Q 2\n", "semantic_error", 1, "space must be E \\(input\\) or F \\(output\\)"),
     ("space E 2\nspace E 3\n", "semantic_error", 2, "duplicate space E"),
     ("kernel k abs\nop T 2x2 [k k; k k]\nprobe p = (1,2,3)\n",
