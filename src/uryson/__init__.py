@@ -6,7 +6,9 @@ Riesz-Kantorovich joins/meets, disjointness witnesses, and band projections
 (onto increasing sets, principal bands, rank-one bands, and functionals),
 by fragment enumeration with deterministic tie-breaks.  The projection
 programs split by output row, so each decides feasibility per (fragment,
-row) over the empty mask and the singleton masks only.
+row) over the empty mask and the singleton masks only; all five (band,
+complement, principal, rank-one, functional) are instances of one engine
+over per-fragment tables that each call builds once.
 """
 
 from .calculus import (
@@ -42,7 +44,6 @@ from .lattice import (
     IndexedFamily,
     Mask,
     Vector,
-    band_project,
     fragments,
     order_limit_witness,
     principal_projection_sup_form,
@@ -52,7 +53,6 @@ from .operators import (
     IntegralKernelSpec,
     KernelOperator,
     discretize_integral,
-    evaluate,
     functional_value,
     modulus,
     negative_part,

@@ -9,6 +9,7 @@ a cross-check (`rk_eval_separable`).
 Disjointness: two positive operators are disjoint iff their pointwise meet
 vanishes; `disjoint_witness` materializes the mask/fragment certificate and
 `check_disjoint_iff` probes the epsilon-quantified two-sided characterization.
+Both read one meet table, which evaluates T(y) and S(x - y) once per fragment.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .lattice import (
     Vector,
     fragments,
 )
-from .operators import KernelOperator, require_positive
+from .operators import KernelOperator, check_pair_dims, require_positive
 
 RK_KINDS = ("join", "meet", "pos", "neg", "abs")
 _BINARY_KINDS = ("join", "meet")
@@ -38,13 +39,6 @@ class RKResult:
 
     value: Vector
     argwitness: tuple[tuple[Vector, Vector], ...]
-
-
-def _check_pair_dims(T: KernelOperator, S: KernelOperator | None, x: Vector) -> None:
-    if T.n != x.dim:
-        raise DimensionMismatch(f"operator expects dim {T.n}, got {x.dim}")
-    if S is not None and (S.m, S.n) != (T.m, T.n):
-        raise DimensionMismatch("operators must share shape")
 
 
 def rk_eval(
@@ -68,7 +62,7 @@ def rk_eval(
         raise ValueError(f"kind {kind!r} requires a second operator")
     if not binary and S is not None:
         raise ValueError(f"kind {kind!r} takes a single operator")
-    _check_pair_dims(T, S, x)
+    check_pair_dims(T, S, x)
 
     maximize = kind in ("join", "pos", "abs")
     frags = fragments(x, cap=cap_support, tol=tol)
@@ -114,7 +108,7 @@ def rk_eval_separable(
         raise ValueError(f"kind {kind!r} requires a second operator")
     if not binary and S is not None:
         raise ValueError(f"kind {kind!r} takes a single operator")
-    _check_pair_dims(T, S, x)
+    check_pair_dims(T, S, x)
 
     tv = T.kernel_values(x)
     sv = S.kernel_values(x) if S is not None else None
@@ -157,6 +151,35 @@ class DisjointnessWitness:
     u: Vector
 
 
+class _MeetTable:
+    """T(y) and S(x - y) for every fragment y of x, the pointwise meet
+    min_y (T(y) + S(x - y)), and for each output row the first fragment (lowest
+    bitmask) attaining it; shared by the witness and the two-sided check."""
+
+    def __init__(self, S: KernelOperator, T: KernelOperator, x: Vector, cap_support: int, tol: float):
+        self.frags = fragments(x, cap=cap_support, tol=tol)
+        self.tys = [T(y).coords for y in self.frags]
+        self.sxy = [S(x - y).coords for y in self.frags]
+        meet, first = [], []
+        for i in range(T.m):
+            best_k, best = 0, self.tys[0][i] + self.sxy[0][i]
+            for k in range(1, len(self.frags)):
+                v = self.tys[k][i] + self.sxy[k][i]
+                if v < best:
+                    best_k, best = k, v
+            meet.append(best)
+            first.append(best_k)
+        self.meet = tuple(meet)
+        self.first = tuple(first)
+
+    def groups(self) -> list[tuple[int, list[int]]]:
+        """(fragment index, rows whose first minimizer it is), ascending."""
+        return [
+            (k, [i for i, c in enumerate(self.first) if c == k])
+            for k in sorted(set(self.first))
+        ]
+
+
 def disjoint_witness(
     S: KernelOperator,
     T: KernelOperator,
@@ -175,7 +198,7 @@ def disjoint_witness(
     """
     require_positive("S", S, tol)
     require_positive("T", T, tol)
-    _check_pair_dims(T, S, x)
+    check_pair_dims(T, S, x)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if u.dim != T.m:
@@ -183,31 +206,15 @@ def disjoint_witness(
     if any(c <= tol for c in u.coords):
         raise NotPositiveUnit("regulating unit must be strictly positive")
 
-    frags = fragments(x, cap=cap_support, tol=tol)
-    vals = [T(y) + S(x - y) for y in frags]
-    meet = [min(v.coords[i] for v in vals) for i in range(T.m)]
-    if any(v > tol for v in meet):
-        raise NotDisjoint(f"pointwise meet is nonzero: {tuple(meet)}")
+    table = _MeetTable(S, T, x, cap_support, tol)
+    if any(v > tol for v in table.meet):
+        raise NotDisjoint(f"pointwise meet is nonzero: {table.meet}")
 
-    chosen: list[int] = []
-    for i in range(T.m):
-        best_k = 0
-        for k in range(1, len(frags)):
-            if vals[k].coords[i] < vals[best_k].coords[i]:
-                best_k = k
-        chosen.append(best_k)
-
-    labels = []
-    masks = []
-    frag_items = []
-    for k in sorted(set(chosen)):
-        idxs = [i for i, c in enumerate(chosen) if c == k]
-        labels.append(str(k))
-        masks.append(Mask.from_indices(T.m, idxs))
-        frag_items.append(frags[k])
+    groups = table.groups()
+    labels = tuple(str(k) for k, _ in groups)
     return DisjointnessWitness(
-        masks=IndexedFamily(tuple(labels), tuple(masks)),
-        frags=IndexedFamily(tuple(labels), tuple(frag_items)),
+        masks=IndexedFamily(labels, tuple(Mask.from_indices(T.m, rows) for _, rows in groups)),
+        frags=IndexedFamily(labels, tuple(table.frags[k] for k, _ in groups)),
         eps=eps,
         u=u,
     )
@@ -252,35 +259,26 @@ def check_disjoint_iff(
     all_ok = True
     all_disjoint = True
     for x in xs:
-        _check_pair_dims(T, S, x)
-        frags = fragments(x, cap=cap_support, tol=tol)
-        tx, sx = T(x), S(x)
-        tys = [T(y) for y in frags]
-        sxy = [S(x - y) for y in frags]
-        meet = Vector(
-            tuple(
-                min(tys[k].coords[i] + sxy[k].coords[i] for k in range(len(frags)))
-                for i in range(T.m)
-            )
-        )
-        disjoint = all(v <= tol for v in meet.coords)
+        check_pair_dims(T, S, x)
+        table = _MeetTable(S, T, x, cap_support, tol)
+        tx, sx = T(x).coords, S(x).coords
+        tys, sxy, meet = table.tys, table.sxy, table.meet
+        disjoint = all(v <= tol for v in meet)
 
         eps_list = [eps * 0.5**k for k in range(steps)]
         converse = []
         for e in eps_list:
             exists = all(
                 any(
-                    tys[k].coords[i] <= e * tx.coords[i] + tol
-                    and sxy[k].coords[i] <= e * sx.coords[i] + tol
-                    for k in range(len(frags))
+                    ty[i] <= e * tx[i] + tol and sy[i] <= e * sx[i] + tol
+                    for ty, sy in zip(tys, sxy)
                 )
                 for i in range(T.m)
             )
             entry = {"eps": e, "witness_exists": exists}
             if exists:
                 entry["bound_ok"] = all(
-                    meet.coords[i] <= e * (tx.coords[i] + sx.coords[i]) + tol
-                    for i in range(T.m)
+                    meet[i] <= e * (tx[i] + sx[i]) + tol for i in range(T.m)
                 )
             else:
                 entry["bound_ok"] = None
@@ -288,22 +286,20 @@ def check_disjoint_iff(
 
         forward = None
         if disjoint:
-            w = disjoint_witness(S, T, x, eps, Vector.ones(T.m), cap_support, tol)
+            # the witness of disjoint_witness: on its own rows each mask keeps
+            # T(frag) and S(x - frag), elsewhere it gives 0
+            groups = table.groups()
             e_min = eps_list[-1]
-            two_sided = True
-            for (label, mask), frag in zip(w.masks.pairs(), w.frags.items):
-                t_side = mask.apply(T(frag))
-                s_side = mask.apply(S(x - frag))
-                if not all(
-                    t_side.coords[i] <= e_min * tx.coords[i] + tol
-                    and s_side.coords[i] <= e_min * sx.coords[i] + tol
-                    for i in range(T.m)
-                ):
-                    two_sided = False
+            two_sided = all(
+                (tys[k][i] if i in rows else 0.0) <= e_min * tx[i] + tol
+                and (sxy[k][i] if i in rows else 0.0) <= e_min * sx[i] + tol
+                for k, rows in groups
+                for i in range(T.m)
+            )
             forward = {
-                "labels": list(w.masks.labels),
-                "masks": [[1 if b else 0 for b in m.bits] for m in w.masks.items],
-                "fragments": [list(f.coords) for f in w.frags.items],
+                "labels": [str(k) for k, _ in groups],
+                "masks": [[1 if i in rows else 0 for i in range(T.m)] for _, rows in groups],
+                "fragments": [list(table.frags[k].coords) for k, _ in groups],
                 "bounds_ok": two_sided,
             }
 
@@ -322,7 +318,7 @@ def check_disjoint_iff(
         probes.append(
             {
                 "x": list(x.coords),
-                "meet": list(meet.coords),
+                "meet": list(meet),
                 "disjoint": disjoint,
                 "forward": forward,
                 "converse": converse,

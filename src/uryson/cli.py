@@ -44,7 +44,7 @@ from .errors import (
     UrysonError,
 )
 from .lattice import Vector, vec
-from .operators import KernelOperator, evaluate
+from .operators import KernelOperator
 from .projections import (
     ProjectionResult,
     masking_oracle,
@@ -176,7 +176,7 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
             if not model.probes:
                 raise BadCommand("model declares no probes")
             table = [
-                {"probe": name, "value": evaluate(T, x)}
+                {"probe": name, "value": T(x)}
                 for name, x in model.probes
             ]
             header = ["probe"] + [f"y{i + 1}" for i in range(T.m)]
@@ -185,7 +185,7 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
         op_name, probe = _need(args, 2, "eval OP PROBE (or eval OP --all)")
         T = sess.op(op_name)
         x = sess.probe(probe)
-        return {"value": evaluate(T, x)}, None
+        return {"value": T(x)}, None
 
     if ns.csv is not None:
         raise BadCommand("--csv is only available for eval --all")

@@ -163,6 +163,8 @@ class _Cursor:
 
     def integer(self, what: str) -> int:
         v = self.number()
+        if not math.isfinite(v):
+            raise ModelSemanticError(f"{what} must be finite", self.lineno)
         if v != int(v):
             raise ModelSemanticError(f"{what} must be an integer", self.lineno)
         return int(v)
@@ -174,6 +176,8 @@ class _Cursor:
             self.take()
             vals.append(self.number())
         self.expect_punct(")")
+        if not all(math.isfinite(v) for v in vals):
+            raise ModelSemanticError("vector coordinates must be finite", self.lineno)
         return tuple(vals)
 
 

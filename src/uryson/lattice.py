@@ -97,26 +97,6 @@ def vec(*coords: float) -> Vector:
     return Vector(tuple(coords))
 
 
-@dataclass(frozen=True)
-class LatticeOps:
-    join: Vector
-    meet: Vector
-    abs_v: Vector
-    pos_v: Vector
-    neg_v: Vector
-
-
-def lattice_ops(v: Vector, w: Vector) -> LatticeOps:
-    """All coordinatewise lattice values for a pair: join/meet plus |v|, v+, v-."""
-    return LatticeOps(
-        join=v.join(w),
-        meet=v.meet(w),
-        abs_v=v.abs(),
-        pos_v=v.pos_part(),
-        neg_v=v.neg_part(),
-    )
-
-
 def is_disjoint(v: Vector, w: Vector, tol: float = DEFAULT_TOL) -> bool:
     """|v| ^ |w| = 0 within tol."""
     v._check_dim(w)
@@ -149,22 +129,6 @@ def is_fragment(z: Vector, x: Vector, tol: float = DEFAULT_TOL) -> bool:
         min(_abs(zc), _abs(zc - xc)) <= tol
         for zc, xc in zip(z.coords, x.coords)
     )
-
-
-def is_partition_of(x: Vector, parts: Sequence[Vector], tol: float = DEFAULT_TOL) -> bool:
-    """True iff parts are pairwise disjoint fragments of x that sum to x."""
-    if not parts:
-        return False
-    total = Vector.zero(x.dim)
-    for p in parts:
-        if not is_fragment(p, x, tol):
-            return False
-        total = total + p
-    for i, p in enumerate(parts):
-        for q in parts[i + 1:]:
-            if not is_disjoint(p, q, tol):
-                return False
-    return total.isclose(x, tol)
 
 
 @dataclass(frozen=True)
@@ -246,31 +210,9 @@ def all_masks(dim: int) -> list[Mask]:
     ]
 
 
-@dataclass(frozen=True)
-class MaskAlgebra:
-    meet: Mask
-    join: Mask
-    complement_of_first: Mask
-    leq: bool
-
-
-def mask_algebra(rho: Mask, rho2: Mask) -> MaskAlgebra:
-    """Boolean-algebra data for a mask pair (meet = composition, join, complement, order)."""
-    return MaskAlgebra(
-        meet=rho & rho2,
-        join=rho | rho2,
-        complement_of_first=rho.complement(),
-        leq=rho.leq(rho2),
-    )
-
-
 def principal_mask(f: Vector, tol: float = DEFAULT_TOL) -> Mask:
     """Mask of the band generated by f: coordinate i selected iff |f_i| > tol."""
     return Mask(tuple(_abs(c) > tol for c in f.coords))
-
-
-def band_project(rho: Mask, v: Vector) -> Vector:
-    return rho.apply(v)
 
 
 def principal_projection_sup_form(

@@ -75,8 +75,14 @@ class KernelOperator:
         }
 
 
-def evaluate(T: KernelOperator, x: Vector) -> Vector:
-    return T(x)
+def check_pair_dims(T: KernelOperator, S: KernelOperator | None, x: Vector) -> None:
+    """Raise DimensionMismatch unless x fits T's input and S (when given)
+    has T's shape; the one shape rule of the calculus and projection entry
+    points."""
+    if T.n != x.dim:
+        raise DimensionMismatch(f"operator expects dim {T.n}, got {x.dim}")
+    if S is not None and (S.m, S.n) != (T.m, T.n):
+        raise DimensionMismatch("operators must share shape")
 
 
 def functional_value(phi: KernelOperator, x: Vector) -> float:

@@ -20,10 +20,19 @@ Feasible sets are finite and shrink as eps decreases, so the eps limit is
 attained: the schedule stops at the first eps whose feasible set equals the
 directly computed eps->0 limit set (from that step on the set can never
 change again), and NoStabilization is raised when max_steps halvings are not
-enough.  Specializations: principal band of a single operator (with an
-alternative complement route through the principal mask of S(x)), rank-one
-bands phi(.)*u, and functional targets.  An independent support-masking
-oracle cross-checks the principal case.
+enough.
+
+All five programs are instances of one engine, `_MemberProgram`, which reads
+precomputed rows: a constraint value per (fragment, row), the bound it is
+held against, the objective T(y) and the start value T(x).  Each entry point
+builds those tables once and shares them, so every operator is applied at
+most once per fragment: band and complement sets share T(y) across members;
+the principal band (with its alternative complement route through the
+principal mask of S(x)) shares T(y), S(y) and S(x - y) across its three
+programs; a rank-one band phi(.)*u repeats the constraint row phi(x - y) or
+phi(y) on every output row and masks the result by u afterwards; a
+functional target is the one-row band program.  An independent
+support-masking oracle cross-checks the principal case.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .lattice import (
 )
 from .operators import (
     KernelOperator,
+    check_pair_dims,
     negative_part,
     operator_is_positive,
     operator_leq,
@@ -149,48 +159,50 @@ def _stabilize(
 
 
 class _MemberProgram:
-    """Feasibility/value engine for one member S of the generating set.
+    """Feasibility/value engine over precomputed rows, one per fragment.
 
-    Feasibility is decided per (fragment y, output row i).  sense "band": row
-    constraint S(x-y)_i <= eps*S(x)_i, row objective T(y)_i when feasible and
-    T(x)_i otherwise, inner inf.  sense "complement": row constraint
-    S(y)_i <= eps*S(x)_i, row objective T(y)_i or 0, inner sup.  Only the
-    given rows may be masked in (the principal-complement route passes the
-    rows of its principal mask).  masks[0] is the empty mask and masks[k + 1]
-    the singleton of rows[k]: the only masks a witness can carry.
+    cons[k][i] is the constraint value of fragment k at output row i, bound
+    the vector it is held against (S(x), or phi(x) repeated), tys[k] the
+    objective T(frag k), and tx = T(x).  sense "band": row constraint
+    cons_i <= eps*bound_i, row objective T(y)_i when feasible and T(x)_i
+    otherwise, inner inf.  sense "complement": same constraint, row objective
+    T(y)_i or 0, inner sup.  Only the given rows may be masked in (the
+    principal-complement route passes the rows of its principal mask).
+    masks[0] is the empty mask and masks[k + 1] the singleton of rows[k]: the
+    only masks a witness can carry.
     """
 
     def __init__(
         self,
-        S: KernelOperator,
-        T: KernelOperator,
-        x: Vector,
         sense: str,
         rows: Sequence[int],
         frags: list[Vector],
+        cons: list[tuple[float, ...]],
+        bound: tuple[float, ...],
+        tys: list[tuple[float, ...]],
+        tx: tuple[float, ...],
         tol: float,
     ):
         self.sense = sense
         self.rows = tuple(rows)
-        self.masks = [Mask.empty(T.m)] + [Mask.from_indices(T.m, (i,)) for i in self.rows]
+        self.m = len(tx)
+        self.masks = [Mask.empty(self.m)] + [Mask.from_indices(self.m, (i,)) for i in self.rows]
         self.frags = frags
+        self.cons = cons
+        self.bound = bound
+        self.tys = tys
+        self.start = tx if sense == "band" else (0.0,) * self.m
         self.tol = tol
-        self.sx = S(x)
-        self.tx = T(x)
-        cons_arg = (lambda y: S(x - y)) if sense == "band" else (lambda y: S(y))
-        self.cons = [cons_arg(y) for y in frags]
-        self.tys = [T(y) for y in frags]
-        self.m = T.m
 
     def feasible(self, eps: float) -> frozenset:
         """The (fragment, row) pairs whose row constraint holds at eps; at
         eps = 0 this is the eps->0 limit set."""
-        sx = self.sx.coords
+        bound = self.bound
         return frozenset(
             (yi, i)
             for yi, c in enumerate(self.cons)
             for i in self.rows
-            if c.coords[i] <= eps * sx[i] + self.tol
+            if c[i] <= eps * bound[i] + self.tol
         )
 
     def value_on(self, feas: frozenset) -> tuple[list[float], list[tuple[Vector, Mask]], list[int]]:
@@ -201,16 +213,16 @@ class _MemberProgram:
         row replaces it only when strictly better, fragments in ascending order.
         """
         minimize = self.sense == "band"
-        vals = list(self.tx.coords) if minimize else [0.0] * self.m
+        vals = list(self.start)
         wit = [(self.frags[0], self.masks[0])] * self.m
         singleton = dict(zip(self.rows, self.masks[1:]))
         for yi, i in sorted(feas):
-            v = self.tys[yi].coords[i]
+            v = self.tys[yi][i]
             if (v < vals[i]) if minimize else (v > vals[i]):
                 vals[i] = v
                 wit[i] = (self.frags[yi], singleton[i])
         counts = [
-            sum(1 for c in self.cons if c.coords[i] <= self.tol)
+            sum(1 for c in self.cons if c[i] <= self.tol)
             for i in range(self.m)
         ]
         return vals, wit, counts
@@ -227,6 +239,31 @@ class _MemberProgram:
         )
 
 
+def _constraint_rows(
+    sense: str, S: KernelOperator, x: Vector, frags: list[Vector]
+) -> list[tuple[float, ...]]:
+    """S(x - y) per fragment for the band program, S(y) for the complement."""
+    if sense == "band":
+        return [S(x - y).coords for y in frags]
+    return [S(y).coords for y in frags]
+
+
+def _set_tables(
+    A: IncreasingSet | Sequence[KernelOperator],
+    T: KernelOperator,
+    x: Vector,
+    cap_support: int,
+    tol: float,
+) -> tuple[IncreasingSet, list[Vector], list[tuple[float, ...]], tuple[float, ...]]:
+    """Checked generating set, then the rows every member shares: the
+    fragments of x, T(y) per fragment, and T(x)."""
+    A = _as_increasing(A)
+    require_positive("T", T, tol)
+    check_pair_dims(T, A.ops[0], x)
+    frags = fragments(x, cap=cap_support, tol=tol)
+    return A, frags, [T(y).coords for y in frags], T(x).coords
+
+
 def _project_set(
     sense: str,
     A: IncreasingSet | Sequence[KernelOperator],
@@ -238,17 +275,12 @@ def _project_set(
 ) -> ProjectionResult:
     """Band (sup over members) or complement (inf over members) program; at
     each coordinate the first member attaining the outer extremum wins."""
-    A = _as_increasing(A)
-    require_positive("T", T, tol)
-    ref = A.ops[0]
-    if (ref.m, ref.n) != (T.m, T.n):
-        raise DimensionMismatch("generating set must share the target's shape")
-    if T.n != x.dim:
-        raise DimensionMismatch(f"operator expects dim {T.n}, got {x.dim}")
-
-    frags = fragments(x, cap=cap_support, tol=tol)
+    A, frags, tys, tx = _set_tables(A, T, x, cap_support, tol)
     runs = [
-        _MemberProgram(S, T, x, sense, range(T.m), frags, tol).run(sched)
+        _MemberProgram(
+            sense, range(T.m), frags, _constraint_rows(sense, S, x, frags),
+            S(x).coords, tys, tx, tol,
+        ).run(sched)
         for S in A.ops
     ]
     outer = max if sense == "band" else min
@@ -307,16 +339,21 @@ def project_principal(
     complement_alt recomputes the complement by the second route: the part of
     T(x) outside the principal mask of S(x), plus a sup over masks below that
     principal mask.  Contract: complement_alt matches complement within 1e-7.
+    The three programs share the fragments, T(y), S(y), S(x - y) and S(x).
     """
-    band = project_band_set((S,), T, x, sched, cap_support, tol)
-    complement = project_band_set_complement((S,), T, x, sched, cap_support, tol)
+    _, frags, tys, tx = _set_tables((S,), T, x, cap_support, tol)
+    sx = S(x)
+    s_y = _constraint_rows("complement", S, x, frags)
 
-    rho_sx = principal_mask(S(x), tol)
-    outside = rho_sx.complement().apply(T(x))
-    frags = fragments(x, cap=cap_support, tol=tol)
-    inside = _MemberProgram(
-        S, T, x, "complement", rho_sx.indices(), frags, tol
-    ).run(sched)
+    def program(sense, rows, cons):
+        return _MemberProgram(sense, rows, frags, cons, sx.coords, tys, tx, tol)
+
+    all_rows = range(T.m)
+    band = program("band", all_rows, _constraint_rows("band", S, x, frags)).run(sched)
+    complement = program("complement", all_rows, s_y).run(sched)
+    rho_sx = principal_mask(sx, tol)
+    inside = program("complement", rho_sx.indices(), s_y).run(sched)
+    outside = rho_sx.complement().apply(Vector(tx))
     alt = dataclasses.replace(inside, value=outside + inside.value)
     return PrincipalProjection(band=band, complement=complement, complement_alt=alt)
 
@@ -344,6 +381,9 @@ def project_rank_one(
     band       = sup_eps inf { mask_u * T(y) : phi(x - y) <= eps * phi(x) }
     complement = mask_u' * T(x)
                  + inf_eps sup { mask_u * T(y) : phi(y) <= eps * phi(x) }
+
+    Both run on every row and are masked by mask_u afterwards, so the
+    stabilization steps do not depend on u.
     """
     if phi.m != 1:
         raise DimensionMismatch("phi must be a functional (one row)")
@@ -353,49 +393,28 @@ def project_rank_one(
         raise NegativeU("direction u must be nonnegative")
     if u.dim != T.m:
         raise DimensionMismatch(f"direction dim {u.dim} vs output dim {T.m}")
-    if phi.n != T.n or T.n != x.dim:
-        raise DimensionMismatch("phi, T, x must share the input dimension")
+    check_pair_dims(phi, None, x)
+    check_pair_dims(T, None, x)
 
     rho_u = principal_mask(u, tol)
     frags = fragments(x, cap=cap_support, tol=tol)
-    phix = phi(x).coords[0]
-    phi_xy = [phi(x - y).coords[0] for y in frags]
-    phi_y = [phi(y).coords[0] for y in frags]
-    tys = [T(y) for y in frags]
+    tys = [T(y).coords for y in frags]
+    tx = T(x)
+    phix = phi(x).coords * T.m
 
-    def feas_band(eps: float) -> frozenset:
-        return frozenset(
-            k for k, v in enumerate(phi_xy) if v <= eps * phix + tol
-        )
+    def program(sense):
+        # every row carries the one constraint of phi
+        cons = [c * T.m for c in _constraint_rows(sense, phi, x, frags)]
+        return _MemberProgram(
+            sense, range(T.m), frags, cons, phix, tys, tx.coords, tol
+        ).run(sched)
 
-    limit_band = frozenset(k for k, v in enumerate(phi_xy) if v <= tol)
-    band_eps = _stabilize(feas_band, limit_band, sched)
-    band = Vector(
-        tuple(
-            min(tys[k].coords[i] for k in sorted(limit_band)) if rho_u.bits[i] else 0.0
-            for i in range(T.m)
-        )
-    )
-
-    def feas_comp(eps: float) -> frozenset:
-        return frozenset(
-            k for k, v in enumerate(phi_y) if v <= eps * phix + tol
-        )
-
-    limit_comp = frozenset(k for k, v in enumerate(phi_y) if v <= tol)
-    comp_eps = _stabilize(feas_comp, limit_comp, sched)
-    sup_part = Vector(
-        tuple(
-            max(tys[k].coords[i] for k in sorted(limit_comp)) if rho_u.bits[i] else 0.0
-            for i in range(T.m)
-        )
-    )
-    complement = rho_u.complement().apply(T(x)) + sup_part
+    band, comp = program("band"), program("complement")
     return RankOneProjection(
-        band=band,
-        complement=complement,
-        band_stabilized_at=band_eps,
-        complement_stabilized_at=comp_eps,
+        band=rho_u.apply(band.value),
+        complement=rho_u.complement().apply(tx) + rho_u.apply(comp.value),
+        band_stabilized_at=band.stabilized_at,
+        complement_stabilized_at=comp.stabilized_at,
     )
 
 
@@ -415,8 +434,7 @@ def project_functional(
     if phi.m != 1 or T.m != 1:
         raise DimensionMismatch("phi and T must be functionals (one row)")
     require_positive("phi", phi, tol)
-    if phi.n != T.n or T.n != x.dim:
-        raise DimensionMismatch("phi, T, x must share the input dimension")
+    check_pair_dims(T, phi, x)
 
     if not operator_is_positive(T, tol):
         pos = project_functional(phi, positive_part(T), x, sched, cap_support, tol)
@@ -424,16 +442,11 @@ def project_functional(
         return pos - neg
 
     frags = fragments(x, cap=cap_support, tol=tol)
-    phix = phi(x).coords[0]
-    phi_xy = [phi(x - y).coords[0] for y in frags]
-    t_y = [T(y).coords[0] for y in frags]
-
-    def feas(eps: float) -> frozenset:
-        return frozenset(k for k, v in enumerate(phi_xy) if v <= eps * phix + tol)
-
-    limit = frozenset(k for k, v in enumerate(phi_xy) if v <= tol)
-    _stabilize(feas, limit, sched)
-    return min(t_y[k] for k in sorted(limit))
+    band = _MemberProgram(
+        "band", (0,), frags, _constraint_rows("band", phi, x, frags),
+        phi(x).coords, [T(y).coords for y in frags], T(x).coords, tol,
+    )
+    return band.run(sched).value.coords[0]
 
 
 def masking_oracle(
@@ -449,10 +462,7 @@ def masking_oracle(
     zero crossings."""
     require_positive("S", S, tol)
     require_positive("T", T, tol)
-    if (S.m, S.n) != (T.m, T.n):
-        raise DimensionMismatch("operators must share shape")
-    if T.n != x.dim:
-        raise DimensionMismatch(f"operator expects dim {T.n}, got {x.dim}")
+    check_pair_dims(T, S, x)
     sv = S.kernel_values(x)
     tv = T.kernel_values(x)
     return Vector(
@@ -480,8 +490,12 @@ def band_set_profile(
         raise ValueError("sense must be 'band' or 'complement'")
     require_positive("S", S, tol)
     require_positive("T", T, tol)
+    check_pair_dims(T, S, x)
     frags = fragments(x, cap=cap_support, tol=tol)
-    prog = _MemberProgram(S, T, x, sense, range(T.m), frags, tol)
+    prog = _MemberProgram(
+        sense, range(T.m), frags, _constraint_rows(sense, S, x, frags),
+        S(x).coords, [T(y).coords for y in frags], T(x).coords, tol,
+    )
     out = []
     for eps in sched.values():
         vals, _, _ = prog.value_on(prog.feasible(eps))

@@ -29,12 +29,10 @@ from .lattice import (
     Mask,
     Vector,
     all_masks,
-    band_project,
     fragments,
     is_disjoint,
     is_fragment,
     is_partition_of_unity,
-    lattice_ops,
     order_limit_witness,
     principal_mask,
     principal_projection_sup_form,
@@ -44,7 +42,6 @@ from .operators import (
     IntegralKernelSpec,
     KernelOperator,
     discretize_integral,
-    evaluate,
     functional_value,
     operator_add,
     operator_is_positive,
@@ -128,14 +125,14 @@ def _check_lattice_identities(model: Model, seed: int):
     pairs += [(a, b) for a in probes for b in probes]
     for v, w in pairs:
         cases += 1
-        ops = lattice_ops(v, w)
-        if not (ops.join + ops.meet).isclose(v + w, CHECK_TOL):
+        pos, neg = v.pos_part(), v.neg_part()
+        if not (v.join(w) + v.meet(w)).isclose(v + w, CHECK_TOL):
             return cases, _fail(cases, f"join+meet != v+w at v={v.coords}, w={w.coords}")
-        if not ops.abs_v.isclose(ops.pos_v + ops.neg_v, CHECK_TOL):
+        if not v.abs().isclose(pos + neg, CHECK_TOL):
             return cases, _fail(cases, f"|v| != pos+neg at v={v.coords}")
-        if not (ops.pos_v - ops.neg_v).isclose(v, CHECK_TOL):
+        if not (pos - neg).isclose(v, CHECK_TOL):
             return cases, _fail(cases, f"pos-neg != v at v={v.coords}")
-        if not ops.pos_v.meet(ops.neg_v).isclose(Vector.zero(v.dim), CHECK_TOL):
+        if not pos.meet(neg).isclose(Vector.zero(v.dim), CHECK_TOL):
             return cases, _fail(cases, f"pos^neg != 0 at v={v.coords}")
     return cases, None
 
@@ -205,7 +202,7 @@ def _check_lattice_band_sup(model: Model, seed: int):
         dim = rng.randint(1, 4)
         f = inst.grid_vector(rng, dim)
         g = inst.nonneg_grid_vector(rng, dim)
-        direct = band_project(principal_mask(f), g)
+        direct = principal_mask(f).apply(g)
         sup_form = principal_projection_sup_form(f, g)
         if not direct.isclose(sup_form, CHECK_TOL):
             return cases, _fail(
@@ -262,9 +259,9 @@ def _check_op_fragment_additive(model: Model, seed: int):
     ]
     for T, x in trials:
         cases += 1
-        tx = evaluate(T, x)
+        tx = T(x)
         for y in fragments(x):
-            split = evaluate(T, y) + evaluate(T, x - y)
+            split = T(y) + T(x - y)
             if not tx.isclose(split, CHECK_TOL):
                 return cases, _fail(
                     cases, f"T(x) != T(y)+T(x-y) at x={x.coords}, y={y.coords}"
@@ -283,7 +280,7 @@ def _check_op_rank_one(model: Model, seed: int):
         R = rank_one(phi, u)
         x = inst.grid_vector(rng, n)
         expect = u.scale(functional_value(phi, x))
-        if not evaluate(R, x).isclose(expect, CHECK_TOL):
+        if not R(x).isclose(expect, CHECK_TOL):
             return cases, _fail(cases, f"rank-one value mismatch at x={x.coords}")
     for d in model.operators:
         if not hasattr(d, "phi"):
@@ -293,7 +290,7 @@ def _check_op_rank_one(model: Model, seed: int):
         phi = build_operator(model, d.phi)
         for x in _model_probes(model):
             expect = Vector(d.u).scale(functional_value(phi, x))
-            if not evaluate(R, x).isclose(expect, CHECK_TOL):
+            if not R(x).isclose(expect, CHECK_TOL):
                 return cases, _fail(cases, f"model rank-one {d.name} mismatch")
     return cases, None
 
@@ -396,12 +393,12 @@ def _check_rk_identities(model: Model, seed: int):
         cases += 1
         join = rk_eval("join", T, x, S).value
         meet = rk_eval("meet", T, x, S).value
-        if not (join + meet).isclose(evaluate(T, x) + evaluate(S, x), CHECK_TOL):
+        if not (join + meet).isclose(T(x) + S(x), CHECK_TOL):
             return cases, _fail(cases, f"join+meet != T+S at x={x.coords}")
         pos = rk_eval("pos", T, x).value
         neg = rk_eval("neg", T, x).value
         absv = rk_eval("abs", T, x).value
-        if not (pos - neg).isclose(evaluate(T, x), CHECK_TOL):
+        if not (pos - neg).isclose(T(x), CHECK_TOL):
             return cases, _fail(cases, f"pos-neg != T at x={x.coords}")
         if not absv.isclose(pos + neg, CHECK_TOL):
             return cases, _fail(cases, f"abs != pos+neg at x={x.coords}")
@@ -515,12 +512,12 @@ def _check_proj_decomposition(model: Model, seed: int):
         cases += 1
         band = project_band_set((S,), T, x, sched)
         comp = project_band_set_complement((S,), T, x, sched)
-        if not (band.value + comp.value).isclose(evaluate(T, x), PROJ_TOL):
+        if not (band.value + comp.value).isclose(T(x), PROJ_TOL):
             return cases, _fail(cases, f"band+complement != T(x) at x={x.coords}")
         both = operator_add(S, T)
         band3 = project_band_set((S, T, both), T, x, sched)
         comp3 = project_band_set_complement((S, T, both), T, x, sched)
-        if not (band3.value + comp3.value).isclose(evaluate(T, x), PROJ_TOL):
+        if not (band3.value + comp3.value).isclose(T(x), PROJ_TOL):
             return cases, _fail(
                 cases, f"three-member band+complement != T(x) at x={x.coords}"
             )
@@ -534,7 +531,7 @@ def _check_proj_idempotence(model: Model, seed: int):
     for S, T, x in _proj_pairs(model, rng, 8):
         cases += 1
         onto_self = project_band_set((T,), T, x, sched)
-        if not onto_self.value.isclose(evaluate(T, x), PROJ_TOL):
+        if not onto_self.value.isclose(T(x), PROJ_TOL):
             return cases, _fail(cases, f"projection onto own band moved T at x={x.coords}")
     for _ in range(6):
         cases += 1
@@ -545,7 +542,7 @@ def _check_proj_idempotence(model: Model, seed: int):
         if not band.value.isclose(Vector.zero(m), PROJ_TOL):
             return cases, _fail(cases, f"disjoint projection nonzero: {band.value.coords}")
         comp = project_band_set_complement((S,), T, x, sched)
-        if not comp.value.isclose(evaluate(T, x), PROJ_TOL):
+        if not comp.value.isclose(T(x), PROJ_TOL):
             return cases, _fail(cases, "disjoint complement is not all of T(x)")
     return cases, None
 
@@ -559,7 +556,7 @@ def _check_proj_order(model: Model, seed: int):
         band = project_band_set((S,), T, x, sched).value
         if not Vector.zero(band.dim).leq(band, PROJ_TOL):
             return cases, _fail(cases, f"projection below 0 at x={x.coords}")
-        if not band.leq(evaluate(T, x), PROJ_TOL):
+        if not band.leq(T(x), PROJ_TOL):
             return cases, _fail(cases, f"projection above T(x) at x={x.coords}")
     return cases, None
 

@@ -40,7 +40,6 @@ from uryson.lattice import (
     Mask,
     Vector,
     all_masks,
-    band_project,
     is_partition_of_unity,
     order_limit_witness,
     principal_mask,
@@ -50,7 +49,6 @@ from uryson.operators import (
     IntegralKernelSpec,
     KernelOperator,
     discretize_integral,
-    evaluate,
     rank_one,
     validate,
 )
@@ -120,8 +118,8 @@ def test_criterion_01_lattice_identities_on_random_pairs():
             pos = rk_eval("pos", T, x).value
             neg = rk_eval("neg", T, x).value
             absv = rk_eval("abs", T, x).value
-            tx = evaluate(T, x)
-            if not (join + meet).isclose(tx + evaluate(S, x), IDENT_TOL):
+            tx = T(x)
+            if not (join + meet).isclose(tx + S(x), IDENT_TOL):
                 failures.append(f"join+meet != T(x)+S(x) at {x.coords}")
             if not (pos - neg).isclose(tx, IDENT_TOL):
                 failures.append(f"pos-neg != T(x) at {x.coords}")
@@ -229,7 +227,7 @@ def test_criterion_04_projection_decomposition_and_idempotence():
         S = _sparse_positive(rng, m, n)
         T = positive_operator(rng, m, n)
         x = _away_probe(rng, n)
-        tx = evaluate(T, x)
+        tx = T(x)
         band = project_band_set((S,), T, x)  # default schedule: 40 halvings
         comp = project_band_set_complement((S,), T, x)
         checked += 1
@@ -271,7 +269,7 @@ def test_criterion_05_masking_oracle_equivalence():
             )
             break
         comp = project_band_set_complement((S,), T, x).value
-        if not comp.isclose(evaluate(T, x) - oracle, PROJ_TOL):
+        if not comp.isclose(T(x) - oracle, PROJ_TOL):
             failures.append(f"complement disagrees with oracle (case {k})")
             break
     _verdict(5, "masking oracle equivalence (50 pairs)", failures)
@@ -352,7 +350,7 @@ def test_criterion_07_boolean_algebra_and_principal_masks():
         for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=m):
             g = Vector(pattern)
             cases += 1
-            if band_project(principal_mask(g), g) != g:
+            if principal_mask(g).apply(g) != g:
                 failures.append(f"projection onto own band fails at m={m}")
         if failures:
             break
@@ -423,9 +421,7 @@ def test_criterion_09_integral_discretization():
             y = Vector(
                 tuple(c if rng.random() < 0.5 else 0.0 for c in x.coords)
             )
-            if not (evaluate(U, y) + evaluate(U, x - y)).isclose(
-                evaluate(U, x), IDENT_TOL
-            ):
+            if not (U(y) + U(x - y)).isclose(U(x), IDENT_TOL):
                 failures.append(f"fragment additivity fails for operator {idx}")
                 break
         if failures:

@@ -7,7 +7,10 @@ exit code contract is 0 success / 1 domain error / 2 parse or command error /
 
 import importlib.resources
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,19 @@ from uryson.cli import main
 
 DEMO = str(importlib.resources.files("uryson") / "demo.ury")
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# a probe coordinate inside (0, tol]: the functional and rank-one programs
+# see an empty eps -> 0 limit set
+TINY_PROBE_MODEL = """\
+space E 2
+space F 1
+kernel k10 pwl (-1,10) (0,0) (1,10)
+kernel k1 abs
+op phi 1x2 [k10 k1]
+op T 1x2 [k1 k1]
+probe x = (1e-9, 0.5)
+"""
 
 
 def run_cli(capsys, *argv):
@@ -258,3 +274,35 @@ def test_suite_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_suite", broken)
     code, _ = run_cli(capsys, "suite", DEMO)
     assert code == 3
+
+
+@pytest.mark.parametrize("verb", ["project-functional", "project", "oracle"])
+def test_tiny_probe_coordinate_projects_to_target_value(capsys, tmp_path, verb):
+    model = tmp_path / "tiny.ury"
+    model.write_text(TINY_PROBE_MODEL)
+    code, rep = run_json(capsys, "run", str(model), verb, "phi", "T", "x")
+    assert code == 0
+    value = rep["result"]["value"]
+    assert (value if verb == "project-functional" else value[0]) == 0.500000001
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        (TINY_PROBE_MODEL, ("project-functional", "phi", "T", "x")),
+        ("space E 2\nkernel k abs\nop T 1x2 [k k]\nprobe x = (1e999, 1)\n", ("eval", "T", "x")),
+        ("space E 1e999\n", ("eval", "T", "x")),
+    ],
+    ids=["tiny-probe", "infinite-probe", "infinite-space"],
+)
+def test_cli_never_tracebacks(tmp_path, text, argv):
+    model = tmp_path / "m.ury"
+    model.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "uryson.cli", "run", str(model), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode in (0, 1, 2)
+    json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr

@@ -24,7 +24,6 @@ from uryson.errors import (
     ModelSyntaxError,
 )
 from uryson.lattice import vec
-from uryson.operators import evaluate
 
 MINI = """\
 kernel k1 pwl (-1,1) (0,0) (1,1)
@@ -54,12 +53,12 @@ def test_parse_is_deterministic():
 def test_build_operator_and_shapes():
     m = parse_model(MINI)
     T = build_operator(m, "T")
-    assert evaluate(T, vec(1.0, -2.0)).coords == (3.0, 3.0)
+    assert T(vec(1.0, -2.0)).coords == (3.0, 3.0)
     assert op_shape(m, "T") == (2, 2)
     assert op_shape(m, "phi") == (1, 2)
     assert op_shape(m, "R") == (2, 2)
     R = build_operator(m, "R")
-    assert evaluate(R, vec(1.0, -2.0)).coords == (3.0, 3.0)
+    assert R(vec(1.0, -2.0)).coords == (3.0, 3.0)
     with pytest.raises(BadCommand, match="unknown operator"):
         build_operator(m, "nope")
     with pytest.raises(BadCommand, match="unknown probe"):
@@ -93,7 +92,7 @@ def test_integral_operator_definition():
     d = m.operator_def("U")
     assert isinstance(d, IntegralOpDef)
     U = build_operator(m, "U")
-    assert evaluate(U, vec(1.0, -2.0)).coords == (-1.5, -3.0)
+    assert U(vec(1.0, -2.0)).coords == (-1.5, -3.0)
 
 
 def test_expression_grammar():
@@ -102,10 +101,10 @@ def test_expression_grammar():
         "op U integral (abs(r)^2 + min(s,t)*max(r,0) - 2^-2*r) s=(1) t=(1) w=(1)\n"
     )
     U = build_operator(m, "U")
-    assert evaluate(U, vec(3.0)).coords == (9.0 + 3.0 - 0.75,)
+    assert U(vec(3.0)).coords == (9.0 + 3.0 - 0.75,)
     m2 = parse_model("op V integral (-r^2) s=(1) t=(1) w=(1)\n")
     V = build_operator(m2, "V")
-    assert evaluate(V, vec(2.0)).coords == (-4.0,)
+    assert V(vec(2.0)).coords == (-4.0,)
 
 
 SEMANTIC_CASES = [
@@ -147,6 +146,9 @@ SEMANTIC_CASES = [
      "setting max_steps must be finite"),
     ("kernel k abs\nop T 1x1 [k]\nset cap_masks 12\n", "semantic_error", 3,
      "unknown setting 'cap_masks'"),
+    ("kernel k abs\nop T 1x2 [k k]\nprobe x = (1e999, 1)\n", "semantic_error", 3,
+     "vector coordinates must be finite"),
+    ("space E 1e999\n", "semantic_error", 1, "space dimension must be finite"),
     ("space Q 2\n", "semantic_error", 1, "space must be E \\(input\\) or F \\(output\\)"),
     ("space E 2\nspace E 3\n", "semantic_error", 2, "duplicate space E"),
     ("kernel k abs\nop T 2x2 [k k; k k]\nprobe p = (1,2,3)\n",

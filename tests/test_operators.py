@@ -13,7 +13,6 @@ from uryson.operators import (
     IntegralKernelSpec,
     KernelOperator,
     discretize_integral,
-    evaluate,
     functional_value,
     modulus,
     negative_part,
@@ -34,13 +33,13 @@ HAT = PwlKernel(((-2.0, 2.0), (-1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (3.0, 2.0)))
 
 def test_evaluate_sums_rows():
     T = KernelOperator(((ABS, BuiltinKernel("abs", scale=0.5)), (HAT, ABS)))
-    assert evaluate(T, vec(1.0, -2.0)).coords == (2.0, 3.0)
+    assert T(vec(1.0, -2.0)).coords == (2.0, 3.0)
     assert T.m == 2 and T.n == 2
 
 
 def test_all_abs_square():
     T = KernelOperator(((ABS, ABS), (ABS, ABS)))
-    assert evaluate(T, vec(1.0, -2.0)).coords == (3.0, 3.0)
+    assert T(vec(1.0, -2.0)).coords == (3.0, 3.0)
 
 
 def test_kernel_values_matrix():
@@ -59,8 +58,8 @@ def test_orthogonal_additivity_on_fragments():
     T = KernelOperator(((HAT, ABS), (ID, HAT)))
     x = vec(1.5, -2.5)
     for y in fragments(x):
-        lhs = evaluate(T, y) + evaluate(T, x - y)
-        assert lhs.isclose(evaluate(T, x))
+        lhs = T(y) + T(x - y)
+        assert lhs.isclose(T(x))
 
 
 def test_functional_value():
@@ -72,7 +71,7 @@ def test_functional_value():
 
 def test_zero_operator():
     Z = zero_operator(2, 3)
-    assert evaluate(Z, vec(1.0, 2.0, 3.0)).coords == (0.0, 0.0)
+    assert Z(vec(1.0, 2.0, 3.0)).coords == (0.0, 0.0)
 
 
 def test_rank_one_structure():
@@ -80,7 +79,7 @@ def test_rank_one_structure():
     R = rank_one(phi, vec(1.0, 2.0))
     x = vec(1.0, -2.0)
     expected = functional_value(phi, x)
-    assert evaluate(R, x).coords == (expected, 2.0 * expected)
+    assert R(x).coords == (expected, 2.0 * expected)
 
 
 def test_rank_one_rejections():
@@ -106,17 +105,17 @@ def test_arithmetic_pointwise():
     S = KernelOperator(((ABS, HAT),))
     T = KernelOperator(((HAT, ID),))
     x = vec(0.75, -1.25)
-    assert evaluate(operator_add(S, T), x).isclose(evaluate(S, x) + evaluate(T, x))
-    assert evaluate(operator_scale(S, -2.0), x).isclose(evaluate(S, x).scale(-2.0))
+    assert operator_add(S, T)(x).isclose(S(x) + T(x))
+    assert operator_scale(S, -2.0)(x).isclose(S(x).scale(-2.0))
 
 
 def test_lattice_parts_kernelwise():
     T = KernelOperator(((ID, HAT), (ID, ID)))
     x = vec(1.0, -2.0)
-    p = evaluate(positive_part(T), x)
-    n = evaluate(negative_part(T), x)
-    a = evaluate(modulus(T), x)
-    assert (p - n).isclose(evaluate(T, x))
+    p = positive_part(T)(x)
+    n = negative_part(T)(x)
+    a = modulus(T)(x)
+    assert (p - n).isclose(T(x))
     assert (p + n).isclose(a)
     assert operator_is_positive(positive_part(T))
     assert operator_is_positive(negative_part(T))
@@ -153,12 +152,12 @@ def test_discretize_integral_values():
         lambda s, t, r: s * t * r, (1.0, 2.0), (0.5, 1.0), (1.0, 1.0)
     )
     U = discretize_integral(spec)
-    assert evaluate(U, vec(1.0, -2.0)).coords == (-1.5, -3.0)
+    assert U(vec(1.0, -2.0)).coords == (-1.5, -3.0)
     # single-node quadrature: 3 * 1.5 * 1 * 1
     one = discretize_integral(
         IntegralKernelSpec(lambda s, t, r: s * t * r, (3.0,), (1.5,), (1.0,))
     )
-    assert evaluate(one, vec(1.0)).coords == (4.5,)
+    assert one(vec(1.0)).coords == (4.5,)
 
 
 def test_discretize_integral_is_orthogonally_additive():
@@ -168,7 +167,7 @@ def test_discretize_integral_is_orthogonally_additive():
     U = discretize_integral(spec)
     x = vec(1.0, -2.0)
     for y in fragments(x):
-        assert (evaluate(U, y) + evaluate(U, x - y)).isclose(evaluate(U, x))
+        assert (U(y) + U(x - y)).isclose(U(x))
 
 
 def test_discretize_integral_c0_violation():

@@ -207,3 +207,35 @@ def test_functional_projection_requires_functionals():
     phi = KernelOperator(((GAP,),))
     with pytest.raises(DimensionMismatch):
         project_functional(phi, T_DEMO, X1)
+
+
+# phi weighs the first coordinate by 10, and the probe's first coordinate lies
+# in (0, tol]: fragments drop it, so phi(x - y) > tol for every fragment y and
+# the eps -> 0 limit set is empty; the value is then T(x) itself
+K10 = PwlKernel(((-1.0, 10.0), (0.0, 0.0), (1.0, 10.0)))
+PHI_TINY = KernelOperator(((K10, ABS),))
+T_TINY = KernelOperator(((ABS, ABS),))
+X_TINY = vec(1e-9, 0.5)
+
+
+def test_functional_projection_with_empty_limit_set():
+    assert project_functional(PHI_TINY, T_TINY, X_TINY) == 0.500000001
+    assert project_functional(PHI_TINY, T_TINY, X_TINY) == T_TINY(X_TINY).coords[0]
+
+
+def test_rank_one_with_empty_limit_set_matches_principal_route():
+    u = vec(1.0)
+    rr = project_rank_one(PHI_TINY, u, T_TINY, X_TINY)
+    pp = project_principal(rank_one(PHI_TINY, u), T_TINY, X_TINY)
+    assert rr.band == pp.band.value == T_TINY(X_TINY)
+    assert rr.complement == pp.complement.value
+    assert rr.band_stabilized_at == pp.band.stabilized_at
+    assert rr.complement_stabilized_at == pp.complement.stabilized_at
+
+
+def test_profile_shape_check():
+    S = KernelOperator(((ABS, ABS),))
+    with pytest.raises(DimensionMismatch, match="shape"):
+        band_set_profile(S, T_DEMO, X1)
+    with pytest.raises(DimensionMismatch):
+        band_set_profile(S_DEMO, T_DEMO, vec(1.0))
