@@ -8,7 +8,9 @@ by fragment enumeration with deterministic tie-breaks.  The projection
 programs split by output row, so each decides feasibility per (fragment,
 row) over the empty mask and the singleton masks only; all five (band,
 complement, principal, rank-one, functional) are instances of one engine
-over per-fragment tables that each call builds once.
+over per-fragment tables that each call builds once.  Every fragment program
+has each kernel evaluated at x_j and at 0 once per call: a row of T(y) or
+T(x - y) is an fsum of those addends, not a fresh operator application.
 """
 
 from .calculus import (
@@ -81,12 +83,35 @@ from .projections import (
 )
 from .suite import CHECK_IDS, run_suite
 
-import types as _types
-
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    name
-    for name, obj in globals().items()
-    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
-)
+__all__ = [
+    # calculus
+    "DisjointnessWitness", "RKResult", "check_disjoint_iff",
+    "check_modulus_bound", "disjoint_witness", "rk_eval", "rk_eval_separable",
+    "witness_products",
+    # dsl
+    "Model", "Settings", "build_operator", "parse_model", "render",
+    # errors
+    "BadCommand", "C0Violation", "DimensionMismatch", "KernelEvalError",
+    "ModelSemanticError", "ModelSyntaxError", "NegativeU", "NoStabilization",
+    "NotConverged", "NotDisjoint", "NotIncreasing", "NotPositive",
+    "NotPositiveUnit", "SupportTooLarge", "UrysonError",
+    # kernels
+    "BuiltinKernel", "FuncKernel", "PwlKernel", "ZERO_KERNEL",
+    # lattice
+    "IndexedFamily", "Mask", "Vector", "fragments", "order_limit_witness",
+    "principal_projection_sup_form", "vec",
+    # operators
+    "IntegralKernelSpec", "KernelOperator", "discretize_integral",
+    "functional_value", "modulus", "negative_part", "operator_add",
+    "operator_is_positive", "operator_leq", "operator_scale", "positive_part",
+    "rank_one", "validate", "zero_operator",
+    # projections
+    "EpsSchedule", "IncreasingSet", "PrincipalProjection", "ProjectionResult",
+    "RankOneProjection", "band_set_profile", "masking_oracle",
+    "project_band_set", "project_band_set_complement", "project_functional",
+    "project_principal", "project_rank_one",
+    # suite
+    "CHECK_IDS", "run_suite",
+]

@@ -9,13 +9,17 @@ a cross-check (`rk_eval_separable`).
 Disjointness: two positive operators are disjoint iff their pointwise meet
 vanishes; `disjoint_witness` materializes the mask/fragment certificate and
 `check_disjoint_iff` probes the epsilon-quantified two-sided characterization.
-Both read one meet table, which evaluates T(y) and S(x - y) once per fragment.
+Both read one meet table of T(y) and S(x - y) over the fragments.  That table
+and `rk_eval` read their rows from `KernelOperator.on_fragments`: each kernel
+evaluated at x_j and at 0 once per call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DimensionMismatch, NotDisjoint, NotPositiveUnit
 from .kernels import DEFAULT_TOL
@@ -66,28 +70,26 @@ def rk_eval(
 
     maximize = kind in ("join", "pos", "abs")
     frags = fragments(x, cap=cap_support, tol=tol)
-    best: list[float] = []
-    pairs: list[tuple[Vector, Vector]] = []
-    for y in frags:
-        z = x - y
-        if kind in ("join", "meet"):
-            cand = T(y) + S(z)
-        elif kind == "abs":
-            cand = T(y) - T(z)
-        else:  # pos, neg
-            cand = T(y)
-        if not best:
-            best = list(cand.coords)
-            pairs = [(y, z)] * T.m
-            continue
-        for i, v in enumerate(cand.coords):
+    cands = T.on_fragments(x, frags)
+    if kind in ("join", "meet", "abs"):
+        # T(y) + S(x - y), or T(y) - T(x - y) for abs
+        combine = operator.sub if kind == "abs" else operator.add
+        rests = (T if kind == "abs" else S).on_fragments(x, frags, rest=True)
+        cands = [tuple(map(combine, c, r)) for c, r in zip(cands, rests)]
+        if not all(map(math.isfinite, chain.from_iterable(cands))):
+            raise ValueError("vector coordinates must be finite")
+    best = list(cands[0])
+    picks = [0] * T.m
+    for k in range(1, len(frags)):
+        for i, v in enumerate(cands[k]):
             if (v > best[i]) if maximize else (v < best[i]):
                 best[i] = v
-                pairs[i] = (y, z)
+                picks[i] = k
+    pairs = {k: (frags[k], x - frags[k]) for k in set(picks)}
 
     if kind == "neg":
         best = [-v for v in best]
-    return RKResult(value=Vector(tuple(best)), argwitness=tuple(pairs))
+    return RKResult(value=Vector(tuple(best)), argwitness=tuple(pairs[k] for k in picks))
 
 
 def rk_eval_separable(
@@ -158,8 +160,8 @@ class _MeetTable:
 
     def __init__(self, S: KernelOperator, T: KernelOperator, x: Vector, cap_support: int, tol: float):
         self.frags = fragments(x, cap=cap_support, tol=tol)
-        self.tys = [T(y).coords for y in self.frags]
-        self.sxy = [S(x - y).coords for y in self.frags]
+        self.tys = T.on_fragments(x, self.frags)
+        self.sxy = S.on_fragments(x, self.frags, rest=True)
         meet, first = [], []
         for i in range(T.m):
             best_k, best = 0, self.tys[0][i] + self.sxy[0][i]

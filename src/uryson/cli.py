@@ -43,7 +43,7 @@ from .errors import (
     ModelSyntaxError,
     UrysonError,
 )
-from .lattice import Vector, vec
+from .lattice import Vector
 from .operators import KernelOperator
 from .projections import (
     ProjectionResult,

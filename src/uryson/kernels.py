@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 DEFAULT_TOL = 1e-9
 
@@ -43,7 +43,7 @@ class ScalarKernel:
         """k >= -tol on all of R. Exact for pwl-representable kernels, sampled otherwise."""
         pwl = self.to_pwl()
         if pwl is not None:
-            return pwl._nonneg(tol)
+            return _points_nonneg(pwl.points, tol)
         return all(self(r) >= -tol for r in _SAMPLE_GRID)
 
     def is_zero(self) -> bool:
@@ -119,11 +119,6 @@ class PwlKernel(ScalarKernel):
 
     def sub(self, other: "PwlKernel") -> "PwlKernel":
         return self.add(other.scaled(-1.0))
-
-    def _nonneg(self, tol: float) -> bool:
-        if any(y < -tol for _, y in self.points):
-            return False
-        return self.first_slope <= tol and self.last_slope >= -tol
 
     def min_max_on(self, lo: float, hi: float) -> tuple[float, float]:
         """Exact min/max of the kernel over [lo, hi]."""
@@ -215,6 +210,8 @@ class BuiltinKernel(ScalarKernel):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.name not in _BUILTIN_NAMES:
             raise ValueError(f"unknown builtin kernel {self.name!r}")
+        if not all(math.isfinite(v) for v in (self.scale, *self.params)):
+            raise ValueError("kernel scale and parameters must be finite")
         if self.name == "clamp":
             if len(self.params) != 2:
                 raise ValueError("clamp takes two parameters (lo, hi)")
@@ -294,11 +291,33 @@ class FuncKernel(ScalarKernel):
 
 
 def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAULT_TOL) -> bool:
-    """high - low >= -tol everywhere; exact when both sides are pwl-representable."""
+    """high - low >= -tol everywhere; exact when both sides are pwl-representable.
+
+    The pwl difference is checked at the union of both breakpoint sets and by
+    its two end slopes, the same floats (negation is exact) that hp.sub(lp)
+    would store, without building it.
+    """
+    if low is high:
+        return True
     lp, hp = low.to_pwl(), high.to_pwl()
-    if lp is not None and hp is not None:
-        return hp.sub(lp)._nonneg(tol)
-    return all(high(r) - low(r) >= -tol for r in _SAMPLE_GRID)
+    if lp is None or hp is None:
+        return all(high(r) - low(r) >= -tol for r in _SAMPLE_GRID)
+    pts = [(x, hp(x) - lp(x)) for x in sorted(set(hp._xs) | set(lp._xs))]
+    if not all(math.isfinite(y) for _, y in pts):
+        raise ValueError("breakpoints must be finite")
+    return _points_nonneg(pts, tol)
+
+
+def _points_nonneg(pts: Sequence[tuple[float, float]], tol: float) -> bool:
+    """The pwl kernel through the breakpoints pts is >= -tol on all of R:
+    every breakpoint value is, and neither end slope leads below it."""
+    if any(y < -tol for _, y in pts):
+        return False
+    if len(pts) == 1:
+        return 0.0 <= tol
+    (x0, y0), (x1, y1) = pts[0], pts[1]
+    (xm, ym), (xl, yl) = pts[-2], pts[-1]
+    return (y1 - y0) / (x1 - x0) <= tol and (yl - ym) / (xl - xm) >= -tol
 
 
 def kernel_add(a: ScalarKernel, b: ScalarKernel) -> ScalarKernel:

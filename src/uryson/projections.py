@@ -25,14 +25,14 @@ enough.
 All five programs are instances of one engine, `_MemberProgram`, which reads
 precomputed rows: a constraint value per (fragment, row), the bound it is
 held against, the objective T(y) and the start value T(x).  Each entry point
-builds those tables once and shares them, so every operator is applied at
-most once per fragment: band and complement sets share T(y) across members;
-the principal band (with its alternative complement route through the
-principal mask of S(x)) shares T(y), S(y) and S(x - y) across its three
-programs; a rank-one band phi(.)*u repeats the constraint row phi(x - y) or
-phi(y) on every output row and masks the result by u afterwards; a
-functional target is the one-row band program.  An independent
-support-masking oracle cross-checks the principal case.
+builds those tables once from `KernelOperator.on_fragments` and shares them,
+with each kernel evaluated at x_j and at 0 once per call: band and complement
+sets share T(y) across members; the principal band (with its alternative
+complement route through the principal mask of S(x)) shares T(y), S(y) and
+S(x - y) across its three programs; a rank-one band phi(.)*u repeats the
+constraint row phi(x - y) or phi(y) on every output row and masks the result
+by u afterwards; a functional target is the one-row band program.  An
+independent support-masking oracle cross-checks the principal case.
 """
 
 from __future__ import annotations
@@ -239,15 +239,6 @@ class _MemberProgram:
         )
 
 
-def _constraint_rows(
-    sense: str, S: KernelOperator, x: Vector, frags: list[Vector]
-) -> list[tuple[float, ...]]:
-    """S(x - y) per fragment for the band program, S(y) for the complement."""
-    if sense == "band":
-        return [S(x - y).coords for y in frags]
-    return [S(y).coords for y in frags]
-
-
 def _set_tables(
     A: IncreasingSet | Sequence[KernelOperator],
     T: KernelOperator,
@@ -261,7 +252,7 @@ def _set_tables(
     require_positive("T", T, tol)
     check_pair_dims(T, A.ops[0], x)
     frags = fragments(x, cap=cap_support, tol=tol)
-    return A, frags, [T(y).coords for y in frags], T(x).coords
+    return A, frags, T.on_fragments(x, frags), T(x).coords
 
 
 def _project_set(
@@ -278,7 +269,7 @@ def _project_set(
     A, frags, tys, tx = _set_tables(A, T, x, cap_support, tol)
     runs = [
         _MemberProgram(
-            sense, range(T.m), frags, _constraint_rows(sense, S, x, frags),
+            sense, range(T.m), frags, S.on_fragments(x, frags, rest=sense == "band"),
             S(x).coords, tys, tx, tol,
         ).run(sched)
         for S in A.ops
@@ -343,13 +334,13 @@ def project_principal(
     """
     _, frags, tys, tx = _set_tables((S,), T, x, cap_support, tol)
     sx = S(x)
-    s_y = _constraint_rows("complement", S, x, frags)
+    s_y = S.on_fragments(x, frags)
 
     def program(sense, rows, cons):
         return _MemberProgram(sense, rows, frags, cons, sx.coords, tys, tx, tol)
 
     all_rows = range(T.m)
-    band = program("band", all_rows, _constraint_rows("band", S, x, frags)).run(sched)
+    band = program("band", all_rows, S.on_fragments(x, frags, rest=True)).run(sched)
     complement = program("complement", all_rows, s_y).run(sched)
     rho_sx = principal_mask(sx, tol)
     inside = program("complement", rho_sx.indices(), s_y).run(sched)
@@ -398,13 +389,13 @@ def project_rank_one(
 
     rho_u = principal_mask(u, tol)
     frags = fragments(x, cap=cap_support, tol=tol)
-    tys = [T(y).coords for y in frags]
+    tys = T.on_fragments(x, frags)
     tx = T(x)
     phix = phi(x).coords * T.m
 
     def program(sense):
         # every row carries the one constraint of phi
-        cons = [c * T.m for c in _constraint_rows(sense, phi, x, frags)]
+        cons = [c * T.m for c in phi.on_fragments(x, frags, rest=sense == "band")]
         return _MemberProgram(
             sense, range(T.m), frags, cons, phix, tys, tx.coords, tol
         ).run(sched)
@@ -443,8 +434,8 @@ def project_functional(
 
     frags = fragments(x, cap=cap_support, tol=tol)
     band = _MemberProgram(
-        "band", (0,), frags, _constraint_rows("band", phi, x, frags),
-        phi(x).coords, [T(y).coords for y in frags], T(x).coords, tol,
+        "band", (0,), frags, phi.on_fragments(x, frags, rest=True),
+        phi(x).coords, T.on_fragments(x, frags), T(x).coords, tol,
     )
     return band.run(sched).value.coords[0]
 
@@ -493,8 +484,8 @@ def band_set_profile(
     check_pair_dims(T, S, x)
     frags = fragments(x, cap=cap_support, tol=tol)
     prog = _MemberProgram(
-        sense, range(T.m), frags, _constraint_rows(sense, S, x, frags),
-        S(x).coords, [T(y).coords for y in frags], T(x).coords, tol,
+        sense, range(T.m), frags, S.on_fragments(x, frags, rest=sense == "band"),
+        S(x).coords, T.on_fragments(x, frags), T(x).coords, tol,
     )
     out = []
     for eps in sched.values():

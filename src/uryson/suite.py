@@ -21,7 +21,7 @@ from .calculus import (
     rk_eval_separable,
     witness_products,
 )
-from .dsl import Model, build_operator, op_shape, parse_model, render
+from .dsl import Model, build_operator, parse_model, render
 from .errors import C0Violation, NotConverged, UrysonError
 from .kernels import ZERO_KERNEL, PwlKernel
 from .lattice import (

@@ -292,8 +292,10 @@ def test_tiny_probe_coordinate_projects_to_target_value(capsys, tmp_path, verb):
         (TINY_PROBE_MODEL, ("project-functional", "phi", "T", "x")),
         ("space E 2\nkernel k abs\nop T 1x2 [k k]\nprobe x = (1e999, 1)\n", ("eval", "T", "x")),
         ("space E 1e999\n", ("eval", "T", "x")),
+        ("space E 1\nkernel k abs scale=1e999\nop T 1x1 [k]\nprobe x = (1)\n", ("eval", "T", "x")),
+        ("space E 1\nkernel k clamp(-1e999,1)\nop T 1x1 [k]\nprobe x = (-2)\n", ("eval", "T", "x")),
     ],
-    ids=["tiny-probe", "infinite-probe", "infinite-space"],
+    ids=["tiny-probe", "infinite-probe", "infinite-space", "infinite-scale", "infinite-clamp"],
 )
 def test_cli_never_tracebacks(tmp_path, text, argv):
     model = tmp_path / "m.ury"

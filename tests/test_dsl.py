@@ -149,6 +149,10 @@ SEMANTIC_CASES = [
     ("kernel k abs\nop T 1x2 [k k]\nprobe x = (1e999, 1)\n", "semantic_error", 3,
      "vector coordinates must be finite"),
     ("space E 1e999\n", "semantic_error", 1, "space dimension must be finite"),
+    ("kernel k abs scale=1e999\n", "semantic_error", 1,
+     "kernel scale and parameters must be finite"),
+    ("kernel k clamp(-1e999,1)\n", "semantic_error", 1,
+     "kernel scale and parameters must be finite"),
     ("space Q 2\n", "semantic_error", 1, "space must be E \\(input\\) or F \\(output\\)"),
     ("space E 2\nspace E 3\n", "semantic_error", 2, "duplicate space E"),
     ("kernel k abs\nop T 2x2 [k k; k k]\nprobe p = (1,2,3)\n",

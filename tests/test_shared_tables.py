@@ -390,10 +390,10 @@ def test_operator_applications_once_per_fragment(count_applications):
     S, T = disjoint_positive_pair(rng_for(4, "applications"), 4, 6)
     x = Vector((1.0, -0.5, 1.5, 2.5, -1.0, 0.5))
     assert len(fragments(x)) == 64
-    # one band program: S(x - y) and T(y) per fragment, then S(x) and T(x)
-    assert count_applications(project_band_set, (S,), T, x) == 130
-    # principal: T(y), S(y), S(x - y) per fragment shared by three programs
-    assert count_applications(project_principal, S, T, x) == 194
-    # disjoint probe: T(y) and S(x - y) per fragment, then T(x) and S(x)
-    assert count_applications(check_disjoint_iff, S, T, [x], 1.0) == 130
+    # the fragment rows come from addend tables, so only S(x) and T(x) are
+    # applications: one band program, the principal's three programs, and
+    # the disjoint probe's meet table
+    assert count_applications(project_band_set, (S,), T, x) == 2
+    assert count_applications(project_principal, S, T, x) == 2
+    assert count_applications(check_disjoint_iff, S, T, [x], 1.0) == 2
     assert check_disjoint_iff(S, T, [x], 1.0)["all_disjoint"]
