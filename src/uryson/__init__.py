@@ -38,6 +38,7 @@ from .errors import (
     NotIncreasing,
     NotPositive,
     NotPositiveUnit,
+    NumericError,
     SupportTooLarge,
     UrysonError,
 )
@@ -96,7 +97,7 @@ __all__ = [
     "BadCommand", "C0Violation", "DimensionMismatch", "KernelEvalError",
     "ModelSemanticError", "ModelSyntaxError", "NegativeU", "NoStabilization",
     "NotConverged", "NotDisjoint", "NotIncreasing", "NotPositive",
-    "NotPositiveUnit", "SupportTooLarge", "UrysonError",
+    "NotPositiveUnit", "NumericError", "SupportTooLarge", "UrysonError",
     # kernels
     "BuiltinKernel", "FuncKernel", "PwlKernel", "ZERO_KERNEL",
     # lattice

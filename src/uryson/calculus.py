@@ -10,8 +10,10 @@ Disjointness: two positive operators are disjoint iff their pointwise meet
 vanishes; `disjoint_witness` materializes the mask/fragment certificate and
 `check_disjoint_iff` probes the epsilon-quantified two-sided characterization.
 Both read one meet table of T(y) and S(x - y) over the fragments.  That table
-and `rk_eval` read their rows from `KernelOperator.on_fragments`: each kernel
-evaluated at x_j and at 0 once per call.
+and `rk_eval` read their rows from `KernelOperator.on_fragments` (each kernel
+evaluated at x_j and at 0 once per call) and pick their witnesses with one
+first-extremum scan, so the tie rule (lowest fragment bitmask) lives in one
+function.
 """
 
 from __future__ import annotations
@@ -45,6 +47,31 @@ class RKResult:
     argwitness: tuple[tuple[Vector, Vector], ...]
 
 
+def _check_kind(kind: str, T: KernelOperator, x: Vector, S: KernelOperator | None) -> None:
+    """A known kind with the operators it takes, and matching shapes."""
+    if kind not in RK_KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {RK_KINDS}")
+    binary = kind in _BINARY_KINDS
+    if binary and S is None:
+        raise ValueError(f"kind {kind!r} requires a second operator")
+    if not binary and S is not None:
+        raise ValueError(f"kind {kind!r} takes a single operator")
+    check_pair_dims(T, S, x)
+
+
+def _first_extremum(cands: list[tuple[float, ...]], maximize: bool) -> tuple[list[float], list[int]]:
+    """Per row, the max (or min) over the candidates and the first candidate
+    attaining it: the tie rule (lowest fragment bitmask) of every scan."""
+    best = list(cands[0])
+    picks = [0] * len(best)
+    for k in range(1, len(cands)):
+        for i, v in enumerate(cands[k]):
+            if (v > best[i]) if maximize else (v < best[i]):
+                best[i] = v
+                picks[i] = k
+    return best, picks
+
+
 def rk_eval(
     kind: str,
     T: KernelOperator,
@@ -59,14 +86,7 @@ def rk_eval(
     Enumeration order is ascending support bitmask, so witness ties resolve
     to the lowest fragment bitmask.
     """
-    if kind not in RK_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {RK_KINDS}")
-    binary = kind in _BINARY_KINDS
-    if binary and S is None:
-        raise ValueError(f"kind {kind!r} requires a second operator")
-    if not binary and S is not None:
-        raise ValueError(f"kind {kind!r} takes a single operator")
-    check_pair_dims(T, S, x)
+    _check_kind(kind, T, x, S)
 
     maximize = kind in ("join", "pos", "abs")
     frags = fragments(x, cap=cap_support, tol=tol)
@@ -78,13 +98,7 @@ def rk_eval(
         cands = [tuple(map(combine, c, r)) for c, r in zip(cands, rests)]
         if not all(map(math.isfinite, chain.from_iterable(cands))):
             raise ValueError("vector coordinates must be finite")
-    best = list(cands[0])
-    picks = [0] * T.m
-    for k in range(1, len(frags)):
-        for i, v in enumerate(cands[k]):
-            if (v > best[i]) if maximize else (v < best[i]):
-                best[i] = v
-                picks[i] = k
+    best, picks = _first_extremum(cands, maximize)
     pairs = {k: (frags[k], x - frags[k]) for k in set(picks)}
 
     if kind == "neg":
@@ -103,14 +117,7 @@ def rk_eval_separable(
     join_i = sum_j max(t_ij(x_j), s_ij(x_j)), meet with min, pos/neg/abs with
     max(t,0)/max(-t,0)/|t|.  Independent of the enumeration path.
     """
-    if kind not in RK_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {RK_KINDS}")
-    binary = kind in _BINARY_KINDS
-    if binary and S is None:
-        raise ValueError(f"kind {kind!r} requires a second operator")
-    if not binary and S is not None:
-        raise ValueError(f"kind {kind!r} takes a single operator")
-    check_pair_dims(T, S, x)
+    _check_kind(kind, T, x, S)
 
     tv = T.kernel_values(x)
     sv = S.kernel_values(x) if S is not None else None
@@ -162,24 +169,11 @@ class _MeetTable:
         self.frags = fragments(x, cap=cap_support, tol=tol)
         self.tys = T.on_fragments(x, self.frags)
         self.sxy = S.on_fragments(x, self.frags, rest=True)
-        meet, first = [], []
-        for i in range(T.m):
-            best_k, best = 0, self.tys[0][i] + self.sxy[0][i]
-            for k in range(1, len(self.frags)):
-                v = self.tys[k][i] + self.sxy[k][i]
-                if v < best:
-                    best_k, best = k, v
-            meet.append(best)
-            first.append(best_k)
+        sums = [tuple(map(operator.add, ty, sy)) for ty, sy in zip(self.tys, self.sxy)]
+        meet, first = _first_extremum(sums, maximize=False)
         self.meet = tuple(meet)
-        self.first = tuple(first)
-
-    def groups(self) -> list[tuple[int, list[int]]]:
-        """(fragment index, rows whose first minimizer it is), ascending."""
-        return [
-            (k, [i for i, c in enumerate(self.first) if c == k])
-            for k in sorted(set(self.first))
-        ]
+        # (fragment index, rows whose first minimizer it is), ascending
+        self.groups = [(k, [i for i, c in enumerate(first) if c == k]) for k in sorted(set(first))]
 
 
 def disjoint_witness(
@@ -212,11 +206,10 @@ def disjoint_witness(
     if any(v > tol for v in table.meet):
         raise NotDisjoint(f"pointwise meet is nonzero: {table.meet}")
 
-    groups = table.groups()
-    labels = tuple(str(k) for k, _ in groups)
+    labels = tuple(str(k) for k, _ in table.groups)
     return DisjointnessWitness(
-        masks=IndexedFamily(labels, tuple(Mask.from_indices(T.m, rows) for _, rows in groups)),
-        frags=IndexedFamily(labels, tuple(table.frags[k] for k, _ in groups)),
+        masks=IndexedFamily(labels, tuple(Mask.from_indices(T.m, rows) for _, rows in table.groups)),
+        frags=IndexedFamily(labels, tuple(table.frags[k] for k, _ in table.groups)),
         eps=eps,
         u=u,
     )
@@ -264,7 +257,7 @@ def check_disjoint_iff(
         check_pair_dims(T, S, x)
         table = _MeetTable(S, T, x, cap_support, tol)
         tx, sx = T(x).coords, S(x).coords
-        tys, sxy, meet = table.tys, table.sxy, table.meet
+        tys, sxy, meet, groups = table.tys, table.sxy, table.meet, table.groups
         disjoint = all(v <= tol for v in meet)
 
         eps_list = [eps * 0.5**k for k in range(steps)]
@@ -286,11 +279,9 @@ def check_disjoint_iff(
                 entry["bound_ok"] = None
             converse.append(entry)
 
-        forward = None
         if disjoint:
             # the witness of disjoint_witness: on its own rows each mask keeps
             # T(frag) and S(x - frag), elsewhere it gives 0
-            groups = table.groups()
             e_min = eps_list[-1]
             two_sided = all(
                 (tys[k][i] if i in rows else 0.0) <= e_min * tx[i] + tol
@@ -304,14 +295,9 @@ def check_disjoint_iff(
                 "fragments": [list(table.frags[k].coords) for k, _ in groups],
                 "bounds_ok": two_sided,
             }
-
-        if disjoint:
-            ok = (
-                forward["bounds_ok"]
-                and all(c["witness_exists"] for c in converse)
-                and all(c["bound_ok"] for c in converse)
-            )
+            ok = two_sided and all(c["witness_exists"] and c["bound_ok"] for c in converse)
         else:
+            forward = None
             # a genuinely nonzero meet must defeat the witness at small eps
             ok = not converse[-1]["witness_exists"]
             all_disjoint = False

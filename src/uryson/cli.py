@@ -41,6 +41,7 @@ from .errors import (
     BadCommand,
     ModelSemanticError,
     ModelSyntaxError,
+    NumericError,
     UrysonError,
 )
 from .lattice import Vector
@@ -103,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     suite_p = sub.add_parser("suite", help="run the full self-check suite")
     add_common(suite_p)
+    suite_p.set_defaults(verb="suite", args=[], all=False, csv=None)
     return parser
 
 
@@ -325,27 +327,23 @@ def main(argv: list[str] | None = None) -> int:
         except (ModelSyntaxError, ModelSemanticError, BadCommand) as exc:
             return _error_exit(exc, 2, json_path)
 
-        if ns.mode == "suite":
-            verb, args = "suite", []
-        else:
-            verb, args = ns.verb, list(ns.args)
-
+        verb, args = ns.verb, list(ns.args)
         sess = _Session(model, st)
         try:
-            result, csv_text = _dispatch(
-                sess, verb, args, ns if ns.mode == "run" else _SuiteNS()
-            )
+            result, csv_text = _dispatch(sess, verb, args, ns)
+            text = dumps({
+                "command": {"verb": verb, "args": args},
+                "settings": dataclasses.asdict(st),
+                "inputs": sess.inputs,
+                "result": result,
+            })
         except BadCommand as exc:
             return _error_exit(exc, 2, json_path)
+        except (ValueError, OverflowError) as exc:
+            return _error_exit(NumericError(str(exc)), 1, json_path)
 
-        report = {
-            "command": {"verb": verb, "args": args},
-            "settings": dataclasses.asdict(st),
-            "inputs": sess.inputs,
-            "result": result,
-        }
-        _emit(dumps(report), json_path)
-        if csv_text is not None and ns.mode == "run" and ns.csv:
+        _emit(text, json_path)
+        if csv_text is not None and ns.csv:
             with open(ns.csv, "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
         if verb == "suite" and not result["suite"]["ok"]:
@@ -353,13 +351,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except UrysonError as exc:
         return _error_exit(exc, 1, json_path)
-
-
-class _SuiteNS:
-    """Stand-in namespace for the suite subcommand (no run-only flags)."""
-
-    all = False
-    csv = None
 
 
 def console_entry() -> None:

@@ -504,7 +504,6 @@ def parse_model(text: str) -> Model:
     def_lines: dict[str, int] = {}
     probes: list[tuple[str, Vector]] = []
     setting_values: dict[str, float | int] = {}
-    setting_lines: dict[str, int] = {}
     claimed: dict[str, int] = {}
 
     def claim(name: str, lineno: int) -> None:
@@ -720,7 +719,6 @@ def parse_model(text: str) -> Model:
             if problem is not None:
                 raise ModelSemanticError(problem, lineno)
             setting_values[key] = int(value) if key in _INT_SETTINGS else value
-            setting_lines[key] = lineno
 
         else:
             raise ModelSyntaxError(

@@ -67,6 +67,14 @@ class NoStabilization(UrysonError):
     code = "no_stabilization"
 
 
+class NumericError(UrysonError):
+    """A computation overflowed or met a non-finite value.  The library raises
+    ValueError or OverflowError there; the CLI and the suite report them under
+    this code."""
+
+    code = "numeric_error"
+
+
 class KernelEvalError(UrysonError):
     """A kernel expression hit a numeric domain error (division by zero, etc.)."""
 

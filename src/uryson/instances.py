@@ -30,6 +30,8 @@ __all__ = [
 GRID_STEP = 0.25
 GRID_SPAN = 3.0
 _GRID = [round(k * GRID_STEP, 2) for k in range(-12, 13)]
+_MAX_BREAKPOINTS = 5  # of a random_pwl kernel, the origin included
+_OVERLAP_SCALE = 0.25  # of the bump perturbed_pair injects
 
 
 def rng_for(seed: int, tag: str) -> random.Random:
@@ -44,9 +46,9 @@ def nonneg_grid_vector(rng: random.Random, dim: int) -> Vector:
     return Vector(tuple(abs(rng.choice(_GRID)) for _ in range(dim)))
 
 
-def random_pwl(rng: random.Random, *, max_breakpoints: int = 5) -> PwlKernel:
+def random_pwl(rng: random.Random) -> PwlKernel:
     """A kernel with grid breakpoints through the origin; sign unconstrained."""
-    extra = rng.randint(0, max_breakpoints - 1)
+    extra = rng.randint(0, _MAX_BREAKPOINTS - 1)
     xs = {0.0}
     while len(xs) < extra + 1:
         x = rng.choice(_GRID)
@@ -120,7 +122,7 @@ def disjoint_positive_pair(
 
 
 def perturbed_pair(
-    rng: random.Random, m: int, n: int, *, delta: float = 0.25
+    rng: random.Random, m: int, n: int
 ) -> tuple[KernelOperator, KernelOperator]:
     """A disjoint pair with one overlap injected, so the meet is nonzero."""
     while True:
@@ -134,7 +136,7 @@ def perturbed_pair(
         if cells:
             break
     i, j = rng.choice(cells)
-    bump = positive_pwl(rng).scaled(delta)
+    bump = positive_pwl(rng).scaled(_OVERLAP_SCALE)
     rows = [list(r) for r in T.kernels]
     rows[i][j] = bump
     return S, KernelOperator(tuple(tuple(r) for r in rows))

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-DEFAULT_TOL = 1e-9
+from .lattice import DEFAULT_TOL
 
 _SAMPLE_GRID = [k / 20.0 for k in range(-160, 161)]  # fallback grid for callable kernels
 

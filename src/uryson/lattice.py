@@ -16,6 +16,7 @@ from .errors import DimensionMismatch, NotConverged, NotPositiveUnit, SupportToo
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SUPPORT_CAP = 20
+_SUP_FORM_MAX_N = 1_000_000  # step cap of principal_projection_sup_form
 
 _abs = abs  # plain builtin; Vector has a method of the same name
 
@@ -215,9 +216,7 @@ def principal_mask(f: Vector, tol: float = DEFAULT_TOL) -> Mask:
     return Mask(tuple(_abs(c) > tol for c in f.coords))
 
 
-def principal_projection_sup_form(
-    f: Vector, g: Vector, max_n: int = 1_000_000
-) -> Vector:
+def principal_projection_sup_form(f: Vector, g: Vector) -> Vector:
     """Projection of g >= 0 onto the band of f, computed as sup_n (g ^ n|f|).
 
     Slow reference path: iterates n until the meet stops changing (which is
@@ -228,13 +227,13 @@ def principal_projection_sup_form(
     af = f.abs()
     prev = g.meet(af)
     n = 1
-    while n < max_n:
+    while n < _SUP_FORM_MAX_N:
         n += 1
         cur = g.meet(af.scale(float(n)))
         if cur == prev:
             return cur
         prev = cur
-    raise NotConverged(f"sup form did not stabilize within {max_n} steps")
+    raise NotConverged(f"sup form did not stabilize within {_SUP_FORM_MAX_N} steps")
 
 
 IndexedItem = Union[Vector, Mask]

@@ -130,17 +130,16 @@ def zero_operator(m: int, n: int) -> KernelOperator:
 def rank_one(
     phi: KernelOperator,
     u: Vector,
-    require_nonneg_u: bool = True,
     tol: float = DEFAULT_TOL,
 ) -> KernelOperator:
     """Operator x -> phi(x) * u built as the kernel matrix u_i * phi-kernels.
 
-    With require_nonneg_u (the default, as positivity-based calculus assumes),
-    a negative coordinate of u raises NegativeU.
+    Positivity-based calculus assumes u >= 0, so a negative coordinate of u
+    raises NegativeU.
     """
     if phi.m != 1:
         raise DimensionMismatch("rank-one factor phi must be a functional (one row)")
-    if require_nonneg_u and any(c < -tol for c in u.coords):
+    if any(c < -tol for c in u.coords):
         raise NegativeU("direction u must be nonnegative")
     row = phi.kernels[0]
     return KernelOperator(tuple(tuple(k.scaled(ui) for k in row) for ui in u.coords))

@@ -16,23 +16,23 @@ masks.  Witnesses keep the tie-break of the full enumeration in ascending
 bitmask order: the first fragment attaining the extremum, with the smallest
 mask that does.
 
-Feasible sets are finite and shrink as eps decreases, so the eps limit is
-attained: the schedule stops at the first eps whose feasible set equals the
-directly computed eps->0 limit set (from that step on the set can never
-change again), and NoStabilization is raised when max_steps halvings are not
-enough.
+Feasible sets (per row, the fragments whose row constraint holds) are
+finite and shrink as eps decreases, so the eps limit is attained: the
+schedule stops at the first eps whose feasible set equals the directly
+computed eps->0 limit set, and NoStabilization is raised when max_steps
+halvings are not enough.
 
 All five programs are instances of one engine, `_MemberProgram`, which reads
 precomputed rows: a constraint value per (fragment, row), the bound it is
-held against, the objective T(y) and the start value T(x).  Each entry point
-builds those tables once from `KernelOperator.on_fragments` and shares them,
-with each kernel evaluated at x_j and at 0 once per call: band and complement
-sets share T(y) across members; the principal band (with its alternative
-complement route through the principal mask of S(x)) shares T(y), S(y) and
-S(x - y) across its three programs; a rank-one band phi(.)*u repeats the
-constraint row phi(x - y) or phi(y) on every output row and masks the result
-by u afterwards; a functional target is the one-row band program.  An
-independent support-masking oracle cross-checks the principal case.
+held against, the objective T(y) and the start value T(x).  One builder,
+`_programs`, enumerates the fragments once and yields a program per
+generator over shared T(y) and T(x) rows (each kernel evaluated at x_j and
+at 0 once per call) for the band and complement of a set, the principal
+band (whose two complement routes reuse its rows with S(y)), the functional
+band and the profile.  A rank-one band phi(.)*u repeats the constraint row
+phi(x - y) or phi(y) on every output row and masks the result by u
+afterwards.  An independent support-masking oracle cross-checks the
+principal case.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -135,27 +135,14 @@ class ProjectionResult:
     witness: tuple[tuple[Vector, Mask], ...]
 
 
-def _as_increasing(A: IncreasingSet | Sequence[KernelOperator]) -> IncreasingSet:
-    return A if isinstance(A, IncreasingSet) else IncreasingSet(tuple(A))
-
-
-def _stabilize(
-    feasible_at: Callable[[float], frozenset],
-    limit_set: frozenset,
-    sched: EpsSchedule,
-) -> float:
-    """First schedule eps whose feasible set equals the eps->0 limit set.
-
-    Feasible sets shrink monotonically toward the limit as eps decreases, so
-    once equal they stay equal; running out of steps means the program kept
-    distinguishing epsilons and the value has not stabilized.
-    """
-    for eps in sched.values():
-        if feasible_at(eps) == limit_set:
-            return eps
-    raise NoStabilization(
-        f"feasible set still above its limit after {sched.max_steps} steps"
-    )
+def _checked_set(
+    A: IncreasingSet | Sequence[KernelOperator], T: KernelOperator, x: Vector, tol: float
+) -> IncreasingSet:
+    """A as an IncreasingSet, then T positive and all shapes matching."""
+    A = A if isinstance(A, IncreasingSet) else IncreasingSet(tuple(A))
+    require_positive("T", T, tol)
+    check_pair_dims(T, A.ops[0], x)
+    return A
 
 
 class _MemberProgram:
@@ -194,65 +181,68 @@ class _MemberProgram:
         self.start = tx if sense == "band" else (0.0,) * self.m
         self.tol = tol
 
-    def feasible(self, eps: float) -> frozenset:
-        """The (fragment, row) pairs whose row constraint holds at eps; at
-        eps = 0 this is the eps->0 limit set."""
-        bound = self.bound
-        return frozenset(
-            (yi, i)
-            for yi, c in enumerate(self.cons)
+    def feasible(self, eps: float) -> tuple[tuple[int, ...], ...]:
+        """Per given row, the ascending indices of the fragments whose row
+        constraint holds at eps; at eps = 0 this is the eps->0 limit set."""
+        return tuple(
+            tuple(k for k, c in enumerate(self.cons) if c[i] <= eps * self.bound[i] + self.tol)
             for i in self.rows
-            if c[i] <= eps * bound[i] + self.tol
         )
 
-    def value_on(self, feas: frozenset) -> tuple[list[float], list[tuple[Vector, Mask]], list[int]]:
-        """Componentwise extremum over the feasible pairs, with witnesses and
-        per-coordinate feasible-fragment counts.
+    def value_on(self, feas: tuple) -> tuple[list[float], list[tuple[Vector, Mask]]]:
+        """Componentwise extremum over the feasible pairs, with witnesses.
 
         Every row starts at the empty mask on the first fragment; a feasible
-        row replaces it only when strictly better, fragments in ascending order.
+        fragment replaces it only when strictly better, in ascending order.
         """
         minimize = self.sense == "band"
         vals = list(self.start)
         wit = [(self.frags[0], self.masks[0])] * self.m
-        singleton = dict(zip(self.rows, self.masks[1:]))
-        for yi, i in sorted(feas):
-            v = self.tys[yi][i]
-            if (v < vals[i]) if minimize else (v > vals[i]):
-                vals[i] = v
-                wit[i] = (self.frags[yi], singleton[i])
-        counts = [
-            sum(1 for c in self.cons if c[i] <= self.tol)
-            for i in range(self.m)
-        ]
-        return vals, wit, counts
+        for i, singleton, ks in zip(self.rows, self.masks[1:], feas):
+            for k in ks:
+                v = self.tys[k][i]
+                if (v < vals[i]) if minimize else (v > vals[i]):
+                    vals[i] = v
+                    wit[i] = (self.frags[k], singleton)
+        return vals, wit
 
     def run(self, sched: EpsSchedule) -> ProjectionResult:
+        """The value on the eps->0 limit set, stabilized at the first schedule
+        eps whose feasible set equals it (feasible sets shrink toward the limit
+        as eps decreases, so once equal they stay equal)."""
         limit = self.feasible(0.0)
-        eps_at = _stabilize(self.feasible, limit, sched)
-        vals, wit, counts = self.value_on(limit)
-        return ProjectionResult(
-            value=Vector(tuple(vals)),
-            stabilized_at=eps_at,
-            feasible_count=tuple(counts),
-            witness=tuple(wit),
+        for eps in sched.values():
+            if self.feasible(eps) == limit:
+                vals, wit = self.value_on(limit)
+                return ProjectionResult(
+                    value=Vector(tuple(vals)),
+                    stabilized_at=eps,
+                    feasible_count=tuple(
+                        sum(1 for c in self.cons if c[i] <= self.tol) for i in range(self.m)
+                    ),
+                    witness=tuple(wit),
+                )
+        raise NoStabilization(
+            f"feasible set still above its limit after {sched.max_steps} steps"
         )
 
 
-def _set_tables(
-    A: IncreasingSet | Sequence[KernelOperator],
-    T: KernelOperator,
-    x: Vector,
-    cap_support: int,
-    tol: float,
-) -> tuple[IncreasingSet, list[Vector], list[tuple[float, ...]], tuple[float, ...]]:
-    """Checked generating set, then the rows every member shares: the
-    fragments of x, T(y) per fragment, and T(x)."""
-    A = _as_increasing(A)
-    require_positive("T", T, tol)
-    check_pair_dims(T, A.ops[0], x)
+def _programs(
+    sense: str, gens: Sequence[KernelOperator], T: KernelOperator, x: Vector,
+    cap_support: int, tol: float,
+) -> Iterator[_MemberProgram]:
+    """One program per generator S, built when drawn, over shared rows: the
+    fragments y of x, T(y) and T(x).  The constraint is S(x - y) (band) or
+    S(y) (complement) against S(x); the caller has checked the inputs."""
     frags = fragments(x, cap=cap_support, tol=tol)
-    return A, frags, T.on_fragments(x, frags), T(x).coords
+    tys, tx = T.on_fragments(x, frags), T(x).coords
+    return (
+        _MemberProgram(
+            sense, range(T.m), frags, S.on_fragments(x, frags, rest=sense == "band"),
+            S(x).coords, tys, tx, tol,
+        )
+        for S in gens
+    )
 
 
 def _project_set(
@@ -266,14 +256,8 @@ def _project_set(
 ) -> ProjectionResult:
     """Band (sup over members) or complement (inf over members) program; at
     each coordinate the first member attaining the outer extremum wins."""
-    A, frags, tys, tx = _set_tables(A, T, x, cap_support, tol)
-    runs = [
-        _MemberProgram(
-            sense, range(T.m), frags, S.on_fragments(x, frags, rest=sense == "band"),
-            S(x).coords, tys, tx, tol,
-        ).run(sched)
-        for S in A.ops
-    ]
+    A = _checked_set(A, T, x, tol)
+    runs = [p.run(sched) for p in _programs(sense, A.ops, T, x, cap_support, tol)]
     outer = max if sense == "band" else min
     pick = [outer(runs, key=lambda r: r.value.coords[i]) for i in range(T.m)]
     return ProjectionResult(
@@ -332,21 +316,20 @@ def project_principal(
     principal mask.  Contract: complement_alt matches complement within 1e-7.
     The three programs share the fragments, T(y), S(y), S(x - y) and S(x).
     """
-    _, frags, tys, tx = _set_tables((S,), T, x, cap_support, tol)
-    sx = S(x)
-    s_y = S.on_fragments(x, frags)
+    _checked_set((S,), T, x, tol)
+    prog = next(_programs("band", (S,), T, x, cap_support, tol))
+    # the band program holds S(x) as its bound and starts at T(x)
+    sx, tx = prog.bound, prog.start
+    s_y = S.on_fragments(x, prog.frags)
 
-    def program(sense, rows, cons):
-        return _MemberProgram(sense, rows, frags, cons, sx.coords, tys, tx, tol)
+    def complement(rows):
+        return _MemberProgram("complement", rows, prog.frags, s_y, sx, prog.tys, tx, tol).run(sched)
 
-    all_rows = range(T.m)
-    band = program("band", all_rows, S.on_fragments(x, frags, rest=True)).run(sched)
-    complement = program("complement", all_rows, s_y).run(sched)
-    rho_sx = principal_mask(sx, tol)
-    inside = program("complement", rho_sx.indices(), s_y).run(sched)
-    outside = rho_sx.complement().apply(Vector(tx))
-    alt = dataclasses.replace(inside, value=outside + inside.value)
-    return PrincipalProjection(band=band, complement=complement, complement_alt=alt)
+    band, comp = prog.run(sched), complement(range(T.m))
+    rho_sx = principal_mask(Vector(sx), tol)
+    inside = complement(rho_sx.indices())
+    alt = dataclasses.replace(inside, value=rho_sx.complement().apply(Vector(tx)) + inside.value)
+    return PrincipalProjection(band=band, complement=comp, complement_alt=alt)
 
 
 @dataclass(frozen=True)
@@ -432,11 +415,7 @@ def project_functional(
         neg = project_functional(phi, negative_part(T), x, sched, cap_support, tol)
         return pos - neg
 
-    frags = fragments(x, cap=cap_support, tol=tol)
-    band = _MemberProgram(
-        "band", (0,), frags, phi.on_fragments(x, frags, rest=True),
-        phi(x).coords, T.on_fragments(x, frags), T(x).coords, tol,
-    )
+    band = next(_programs("band", (phi,), T, x, cap_support, tol))
     return band.run(sched).value.coords[0]
 
 
@@ -482,13 +461,8 @@ def band_set_profile(
     require_positive("S", S, tol)
     require_positive("T", T, tol)
     check_pair_dims(T, S, x)
-    frags = fragments(x, cap=cap_support, tol=tol)
-    prog = _MemberProgram(
-        sense, range(T.m), frags, S.on_fragments(x, frags, rest=sense == "band"),
-        S(x).coords, T.on_fragments(x, frags), T(x).coords, tol,
-    )
-    out = []
-    for eps in sched.values():
-        vals, _, _ = prog.value_on(prog.feasible(eps))
-        out.append((eps, Vector(tuple(vals))))
-    return out
+    prog = next(_programs(sense, (S,), T, x, cap_support, tol))
+    return [
+        (eps, Vector(tuple(prog.value_on(prog.feasible(eps))[0])))
+        for eps in sched.values()
+    ]

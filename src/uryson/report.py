@@ -20,6 +20,8 @@ from .lattice import Mask, Vector
 
 __all__ = ["format_float", "jsonable", "dumps", "csv_table"]
 
+_INDENT = 2
+
 
 def format_float(x: float) -> str:
     """Render a float with 12 significant digits, ``-0.0`` as ``0``."""
@@ -49,9 +51,9 @@ def jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj: Any, out: list[str], level: int) -> None:
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -71,7 +73,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad_in)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, dict):
@@ -84,17 +86,18 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise TypeError("report keys must be strings")
             out.append(pad_in + json.dumps(k, ensure_ascii=True) + ": ")
-            _emit(obj[k], out, indent, level + 1)
+            _emit(obj[k], out, level + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj: Any, *, indent: int = 2) -> str:
-    """Canonical JSON text: sorted keys, ``.12g`` floats, trailing newline."""
+def dumps(obj: Any) -> str:
+    """Canonical JSON text: sorted keys, ``.12g`` floats, two-space indent,
+    trailing newline."""
     out: list[str] = []
-    _emit(jsonable(obj), out, indent, 0)
+    _emit(jsonable(obj), out, 0)
     out.append("\n")
     return "".join(out)
 

@@ -22,7 +22,7 @@ from .calculus import (
     witness_products,
 )
 from .dsl import Model, build_operator, parse_model, render
-from .errors import C0Violation, NotConverged, UrysonError
+from .errors import C0Violation, NotConverged, NumericError, UrysonError
 from .kernels import ZERO_KERNEL, PwlKernel
 from .lattice import (
     IndexedFamily,
@@ -679,6 +679,8 @@ def run_suite(model: Model, seed: int | None = None) -> dict:
             cases, detail = fn(model, seed)
         except UrysonError as exc:
             cases, detail = 0, f"error [{exc.code}]: {exc}"
+        except (ValueError, OverflowError) as exc:
+            cases, detail = 0, f"error [{NumericError.code}]: {exc}"
         ok = detail is None
         if ok:
             total_pass += 1

@@ -33,6 +33,17 @@ op T 1x2 [k1 k1]
 probe x = (1e-9, 0.5)
 """
 
+# finite kernel values whose row sums overflow: every fragment program and
+# every application of T or S at x raises OverflowError in fsum
+OVERFLOW_MODEL = """\
+space E 2
+space F 1
+kernel k pwl (-1,1e308) (0,0) (1,1e308)
+op T 1x2 [k k]
+op S 1x2 [k k]
+probe x = (1,1)
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -211,6 +222,19 @@ def test_setting_flags_follow_model_rules(capsys, flag, value):
         (("project-complement", "S", "T", "x1"), "project-complement_S_T_x1.json"),
         (("project-rank1", "R", "T", "x1"), "project-rank1_R_T_x1.json"),
         (("witness", "D", "S", "x1"), "witness_D_S_x1.json"),
+        (("eval", "T", "x1"), "eval_T_x1.json"),
+        (("eval", "T", "--all"), "eval_T_all.json"),
+        (("join", "T", "S", "x2"), "join_T_S_x2.json"),
+        (("meet", "T", "S", "x2"), "meet_T_S_x2.json"),
+        (("pos", "W", "x1"), "pos_W_x1.json"),
+        (("neg", "W", "x1"), "neg_W_x1.json"),
+        (("abs", "W", "x1"), "abs_W_x1.json"),
+        (("disjoint", "S", "D"), "disjoint_S_D.json"),
+        (("project", "S,SD", "T", "x2"), "project_S-SD_T_x2.json"),
+        (("project-complement", "S,SD", "T", "x2"), "project-complement_S-SD_T_x2.json"),
+        (("project-functional", "phi", "psi", "x1"), "project-functional_phi_psi_x1.json"),
+        (("oracle", "S", "T", "x1"), "oracle_S_T_x1.json"),
+        (("suite",), "suite.json"),
     ],
 )
 def test_demo_reports_match_golden_bytes(capsys, argv, golden):
@@ -294,8 +318,13 @@ def test_tiny_probe_coordinate_projects_to_target_value(capsys, tmp_path, verb):
         ("space E 1e999\n", ("eval", "T", "x")),
         ("space E 1\nkernel k abs scale=1e999\nop T 1x1 [k]\nprobe x = (1)\n", ("eval", "T", "x")),
         ("space E 1\nkernel k clamp(-1e999,1)\nop T 1x1 [k]\nprobe x = (-2)\n", ("eval", "T", "x")),
+        (OVERFLOW_MODEL, ("eval", "T", "x")),
+        (OVERFLOW_MODEL, ("project", "S", "T", "x")),
     ],
-    ids=["tiny-probe", "infinite-probe", "infinite-space", "infinite-scale", "infinite-clamp"],
+    ids=[
+        "tiny-probe", "infinite-probe", "infinite-space", "infinite-scale",
+        "infinite-clamp", "overflow-eval", "overflow-project",
+    ],
 )
 def test_cli_never_tracebacks(tmp_path, text, argv):
     model = tmp_path / "m.ury"
@@ -308,3 +337,34 @@ def test_cli_never_tracebacks(tmp_path, text, argv):
     assert proc.returncode in (0, 1, 2)
     json.loads(proc.stdout)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "T", "x"),
+        ("project", "S", "T", "x"),
+        ("disjoint", "S", "T", "x"),
+        ("witness", "S", "T", "x"),
+        ("oracle", "S", "T", "x"),
+    ],
+)
+def test_overflow_is_a_numeric_error(capsys, tmp_path, argv):
+    model = tmp_path / "overflow.ury"
+    model.write_text(OVERFLOW_MODEL)
+    code, rep = run_json(capsys, "run", str(model), *argv)
+    assert code == 1
+    assert rep == {
+        "error": {"code": "numeric_error", "message": "intermediate overflow in fsum"}
+    }
+
+
+def test_suite_reports_overflow_as_failed_rows(capsys, tmp_path):
+    model = tmp_path / "overflow.ury"
+    model.write_text(OVERFLOW_MODEL)
+    code, rep = run_json(capsys, "suite", str(model))
+    assert code == 3
+    rows = rep["result"]["suite"]["checks"]
+    failed = [r for r in rows if not r["ok"]]
+    assert failed
+    assert all(r["detail"].startswith("error [numeric_error]: ") for r in failed)

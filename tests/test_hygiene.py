@@ -1,9 +1,12 @@
-"""Source hygiene of the package: no unused module-level imports, and an
-explicit export list.
+"""Source hygiene of the package: no unused module-level imports, no
+unreferenced private helpers, and an explicit export list.
 
 The import scan reads each module of src/uryson with `ast`: a name bound by a
 module-level import must be read somewhere in the module, in code, in a
-string annotation, or (for the package) in the literal `__all__`.
+string annotation, or (for the package) in the literal `__all__`.  The
+private-name scan requires every private module-level function, class or
+constant to be referenced by some other top-level statement of the package,
+so a helper left behind by a refactor cannot linger.
 """
 
 import ast
@@ -102,4 +105,77 @@ def test_all_is_explicit_and_matches_public_names():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert set(exported) == public
-    assert len(exported) == 67
+    assert len(exported) == 68
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Private module-level functions, classes and constants, with the
+    statement that defines each."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node
+    return out
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a statement reads: bare names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each private module-level definition that no other
+    top-level statement of any module refers to (its own body does not
+    count, so a helper that only calls itself is reported)."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    found = []
+    for mod, tree in trees.items():
+        for name, node in _private_definitions(tree).items():
+            if not any(
+                name in _references(stmt)
+                for other in trees.values()
+                for stmt in other.body
+                if stmt is not node
+            ):
+                found.append((mod, name))
+    return sorted(found)
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_scan_finds_unreferenced_private_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_dead = 0\n"
+            "def _helper(n):\n"
+            "    return _helper(n - 1) if n else _LIMIT\n"
+            "class _Used:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _Used()\n"
+        ),
+        "b.py": "from .a import _shared\n",
+        "c.py": "def _shared():\n    return 1\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", "_dead"), ("a.py", "_helper")]
