@@ -11,9 +11,9 @@ vanishes; `disjoint_witness` materializes the mask/fragment certificate and
 `check_disjoint_iff` probes the epsilon-quantified two-sided characterization.
 Both read one meet table of T(y) and S(x - y) over the fragments.  That table
 and `rk_eval` read their rows from `KernelOperator.on_fragments` (each kernel
-evaluated at x_j and at 0 once per call) and pick their witnesses with one
-first-extremum scan, so the tie rule (lowest fragment bitmask) lives in one
-function.
+evaluated at x_j and at 0 once per call) and pick each row's witness with
+`lattice.first_extremum`, the one home of the tie rule (lowest fragment
+bitmask) that the projection programs share.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ from .lattice import (
     IndexedFamily,
     Mask,
     Vector,
+    first_extremum,
     fragments,
+    require_count,
+    require_positive_finite,
 )
 from .operators import KernelOperator, check_pair_dims, require_positive
 
@@ -59,19 +62,6 @@ def _check_kind(kind: str, T: KernelOperator, x: Vector, S: KernelOperator | Non
     check_pair_dims(T, S, x)
 
 
-def _first_extremum(cands: list[tuple[float, ...]], maximize: bool) -> tuple[list[float], list[int]]:
-    """Per row, the max (or min) over the candidates and the first candidate
-    attaining it: the tie rule (lowest fragment bitmask) of every scan."""
-    best = list(cands[0])
-    picks = [0] * len(best)
-    for k in range(1, len(cands)):
-        for i, v in enumerate(cands[k]):
-            if (v > best[i]) if maximize else (v < best[i]):
-                best[i] = v
-                picks[i] = k
-    return best, picks
-
-
 def rk_eval(
     kind: str,
     T: KernelOperator,
@@ -98,7 +88,7 @@ def rk_eval(
         cands = [tuple(map(combine, c, r)) for c, r in zip(cands, rests)]
         if not all(map(math.isfinite, chain.from_iterable(cands))):
             raise ValueError("vector coordinates must be finite")
-    best, picks = _first_extremum(cands, maximize)
+    best, picks = zip(*(first_extremum(col, maximize) for col in zip(*cands)))
     pairs = {k: (frags[k], x - frags[k]) for k in set(picks)}
 
     if kind == "neg":
@@ -170,8 +160,7 @@ class _MeetTable:
         self.tys = T.on_fragments(x, self.frags)
         self.sxy = S.on_fragments(x, self.frags, rest=True)
         sums = [tuple(map(operator.add, ty, sy)) for ty, sy in zip(self.tys, self.sxy)]
-        meet, first = _first_extremum(sums, maximize=False)
-        self.meet = tuple(meet)
+        self.meet, first = zip(*(first_extremum(col, False) for col in zip(*sums)))
         # (fragment index, rows whose first minimizer it is), ascending
         self.groups = [(k, [i for i, c in enumerate(first) if c == k]) for k in sorted(set(first))]
 
@@ -195,8 +184,7 @@ def disjoint_witness(
     require_positive("S", S, tol)
     require_positive("T", T, tol)
     check_pair_dims(T, S, x)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    require_positive_finite("eps", eps)
     if u.dim != T.m:
         raise DimensionMismatch(f"unit dim {u.dim} vs output dim {T.m}")
     if any(c <= tol for c in u.coords):
@@ -245,10 +233,8 @@ def check_disjoint_iff(
     """
     require_positive("S", S, tol)
     require_positive("T", T, tol)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    require_positive_finite("eps", eps)
+    require_count("steps", steps)
 
     probes = []
     all_ok = True

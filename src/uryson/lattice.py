@@ -21,6 +21,22 @@ _SUP_FORM_MAX_N = 1_000_000  # step cap of principal_projection_sup_form
 _abs = abs  # plain builtin; Vector has a method of the same name
 
 
+def require_positive_finite(name: str, value: float) -> None:
+    """Raise ValueError unless value (an eps) is positive and finite."""
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
+def require_count(name: str, value: int) -> None:
+    """Raise ValueError unless value (a step count) is an integer >= 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class Vector:
     """Element of R^d with the coordinatewise lattice order."""
@@ -121,6 +137,15 @@ def fragments(x: Vector, cap: int = DEFAULT_SUPPORT_CAP, tol: float = DEFAULT_TO
                 coords[idx] = x.coords[idx]
         out.append(Vector(tuple(coords)))
     return out
+
+
+def first_extremum(values: Sequence[float], maximize: bool) -> tuple[float, int]:
+    """The max (or min) of values and the index of its first occurrence.
+
+    Over candidates listed in fragment order this is the tie rule of every
+    scan: the lowest fragment bitmask attaining the extremum wins."""
+    best = max(values) if maximize else min(values)
+    return best, values.index(best)
 
 
 def is_fragment(z: Vector, x: Vector, tol: float = DEFAULT_TOL) -> bool:
@@ -299,8 +324,7 @@ def order_limit_witness(
     """
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    require_positive_finite("eps", eps)
     if u.dim != x.dim:
         raise DimensionMismatch(f"unit dim {u.dim} vs {x.dim}")
     if any(c <= tol for c in u.coords):

@@ -54,8 +54,11 @@ from .lattice import (
     DEFAULT_SUPPORT_CAP,
     Mask,
     Vector,
+    first_extremum,
     fragments,
     principal_mask,
+    require_count,
+    require_positive_finite,
 )
 from .operators import (
     KernelOperator,
@@ -77,12 +80,10 @@ class EpsSchedule:
     max_steps: int = 40
 
     def __post_init__(self):
-        if self.eps0 <= 0.0:
-            raise ValueError("eps0 must be positive")
+        require_positive_finite("eps0", self.eps0)
         if not (0.0 < self.factor < 1.0):
             raise ValueError("factor must lie strictly between 0 and 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        require_count("max_steps", self.max_steps)
 
     def values(self) -> Iterator[float]:
         eps = self.eps0
@@ -192,18 +193,17 @@ class _MemberProgram:
     def value_on(self, feas: tuple) -> tuple[list[float], list[tuple[Vector, Mask]]]:
         """Componentwise extremum over the feasible pairs, with witnesses.
 
-        Every row starts at the empty mask on the first fragment; a feasible
-        fragment replaces it only when strictly better, in ascending order.
+        Candidate 0 of every row is its start value on the empty mask and the
+        first fragment; the feasible fragments follow in ascending order, and
+        `first_extremum` keeps the first candidate attaining the extremum.
         """
-        minimize = self.sense == "band"
+        maximize = self.sense == "complement"
         vals = list(self.start)
         wit = [(self.frags[0], self.masks[0])] * self.m
         for i, singleton, ks in zip(self.rows, self.masks[1:], feas):
-            for k in ks:
-                v = self.tys[k][i]
-                if (v < vals[i]) if minimize else (v > vals[i]):
-                    vals[i] = v
-                    wit[i] = (self.frags[k], singleton)
+            vals[i], pick = first_extremum([vals[i]] + [self.tys[k][i] for k in ks], maximize)
+            if pick:
+                wit[i] = (self.frags[ks[pick - 1]], singleton)
         return vals, wit
 
     def run(self, sched: EpsSchedule) -> ProjectionResult:

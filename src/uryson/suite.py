@@ -1,15 +1,22 @@
 """Self-check suite: every library invariant, run over a model's operators
 plus seeded random instances.
 
-Each check owns a ``random.Random`` keyed by (seed, check id), so results are
-reproducible and adding a check never reshuffles another's instances.  A check
-reports how many cases it examined and the first failure in detail; the suite
-report lists checks sorted by id with aggregate counts.
+Check protocol.  A check body is a generator ``check(model, seed, rng)``.  It
+yields once as each case starts and ends with ``return message`` at the
+first failure, or returns nothing when every case passes.  ``_counted`` runs
+a body as its registry entry ``(model, seed) -> (cases, detail)``: it hands
+the body a ``random.Random`` keyed by (seed, check id), so results are
+reproducible and adding a check never reshuffles another's instances; it
+counts the yields as ``cases`` and formats a failure as "case N: message".
+An exception raised by a check becomes an error row with 0 cases in
+``run_suite``, whose report lists checks sorted by id with aggregate counts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from contextlib import suppress
 from typing import Callable
 
 from . import instances as inst
@@ -67,10 +74,6 @@ PROJ_TOL = 1e-7
 # --------------------------------------------------------------------------
 # helpers
 
-def _fail(case: int, message: str) -> str:
-    return f"case {case}: {message}"
-
-
 def _built(model: Model) -> list[tuple[str, KernelOperator]]:
     return [(name, build_operator(model, name)) for name in model.operator_names()]
 
@@ -112,9 +115,7 @@ def _away_from_crossings(rng, dim: int) -> Vector:
 # --------------------------------------------------------------------------
 # lattice checks
 
-def _check_lattice_identities(model: Model, seed: int):
-    rng = inst.rng_for(seed, "lattice-identities")
-    cases = 0
+def _check_lattice_identities(model: Model, seed: int, rng):
     pairs = [
         (inst.grid_vector(rng, d), inst.grid_vector(rng, d))
         for d in (1, 2, 3, 4)
@@ -124,99 +125,82 @@ def _check_lattice_identities(model: Model, seed: int):
     probes = _model_probes(model)
     pairs += [(a, b) for a in probes for b in probes]
     for v, w in pairs:
-        cases += 1
+        yield
         pos, neg = v.pos_part(), v.neg_part()
         if not (v.join(w) + v.meet(w)).isclose(v + w, CHECK_TOL):
-            return cases, _fail(cases, f"join+meet != v+w at v={v.coords}, w={w.coords}")
+            return f"join+meet != v+w at v={v.coords}, w={w.coords}"
         if not v.abs().isclose(pos + neg, CHECK_TOL):
-            return cases, _fail(cases, f"|v| != pos+neg at v={v.coords}")
+            return f"|v| != pos+neg at v={v.coords}"
         if not (pos - neg).isclose(v, CHECK_TOL):
-            return cases, _fail(cases, f"pos-neg != v at v={v.coords}")
+            return f"pos-neg != v at v={v.coords}"
         if not pos.meet(neg).isclose(Vector.zero(v.dim), CHECK_TOL):
-            return cases, _fail(cases, f"pos^neg != 0 at v={v.coords}")
-    return cases, None
+            return f"pos^neg != 0 at v={v.coords}"
 
 
-def _check_lattice_fragments(model: Model, seed: int):
-    rng = inst.rng_for(seed, "lattice-fragments")
-    cases = 0
+def _check_lattice_fragments(model: Model, seed: int, rng):
     xs = [inst.grid_vector(rng, rng.randint(1, 4)) for _ in range(12)]
     xs += _model_probes(model)
     for x in xs:
-        cases += 1
+        yield
         frs = fragments(x)
         supp = len(x.support())
         if len(frs) != 2 ** supp:
-            return cases, _fail(cases, f"{len(frs)} fragments for support {supp}")
+            return f"{len(frs)} fragments for support {supp}"
         for y in frs:
             if not is_fragment(y, x):
-                return cases, _fail(cases, f"non-fragment {y.coords} of {x.coords}")
+                return f"non-fragment {y.coords} of {x.coords}"
             if not is_disjoint(y, x - y):
-                return cases, _fail(cases, f"fragment {y.coords} not disjoint from rest")
-    return cases, None
+                return f"fragment {y.coords} not disjoint from rest"
 
 
-def _check_lattice_boolean(model: Model, seed: int):
-    cases = 0
+def _check_lattice_boolean(model: Model, seed: int, rng):
     for dim in (2, 3):
         masks = all_masks(dim)
         full = Mask.full(dim)
         empty = Mask.empty(dim)
         for a in masks:
             if not ((a & a.complement()) == empty and (a | a.complement()) == full):
-                return cases, _fail(cases, f"complementation fails for {a.indices()}")
+                return f"complementation fails for {a.indices()}"
             for b in masks:
                 if (a & b).complement() != (a.complement() | b.complement()):
-                    return cases, _fail(cases, "De Morgan (meet) fails")
+                    return "De Morgan (meet) fails"
                 if (a | b).complement() != (a.complement() & b.complement()):
-                    return cases, _fail(cases, "De Morgan (join) fails")
+                    return "De Morgan (join) fails"
                 for c in masks:
-                    cases += 1
+                    yield
                     if (a & (b | c)) != ((a & b) | (a & c)):
-                        return cases, _fail(cases, "meet-over-join distributivity fails")
+                        return "meet-over-join distributivity fails"
                     if (a | (b & c)) != ((a | b) & (a | c)):
-                        return cases, _fail(cases, "join-over-meet distributivity fails")
-    return cases, None
+                        return "join-over-meet distributivity fails"
 
 
-def _check_lattice_principal_meet(model: Model, seed: int):
-    cases = 0
+def _check_lattice_principal_meet(model: Model, seed: int, rng):
     for dim, levels in ((3, (0.0, 0.5, 2.0)), (4, (0.0, 1.0))):
         vs = [Vector(c) for c in itertools.product(levels, repeat=dim)]
         for f in vs:
             for g in vs:
-                cases += 1
+                yield
                 lhs = principal_mask(f) & principal_mask(g)
                 if lhs != principal_mask(f.meet(g)):
-                    return cases, _fail(
-                        cases, f"mask meet mismatch at f={f.coords}, g={g.coords}"
-                    )
-    return cases, None
+                    return f"mask meet mismatch at f={f.coords}, g={g.coords}"
 
 
-def _check_lattice_band_sup(model: Model, seed: int):
-    rng = inst.rng_for(seed, "lattice-band-sup-form")
-    cases = 0
+def _check_lattice_band_sup(model: Model, seed: int, rng):
     for _ in range(24):
-        cases += 1
+        yield
         dim = rng.randint(1, 4)
         f = inst.grid_vector(rng, dim)
         g = inst.nonneg_grid_vector(rng, dim)
         direct = principal_mask(f).apply(g)
         sup_form = principal_projection_sup_form(f, g)
         if not direct.isclose(sup_form, CHECK_TOL):
-            return cases, _fail(
-                cases, f"mask form {direct.coords} != sup form {sup_form.coords}"
-            )
-    return cases, None
+            return f"mask form {direct.coords} != sup form {sup_form.coords}"
 
 
-def _check_lattice_order_limit(model: Model, seed: int):
-    rng = inst.rng_for(seed, "lattice-order-limit-witness")
-    cases = 0
+def _check_lattice_order_limit(model: Model, seed: int, rng):
     eps = 0.5
     for _ in range(12):
-        cases += 1
+        yield
         dim = rng.randint(1, 3)
         x = inst.grid_vector(rng, dim)
         seq = inst.decreasing_to(x, steps=rng.randint(2, 6))
@@ -224,56 +208,44 @@ def _check_lattice_order_limit(model: Model, seed: int):
         u = Vector.ones(dim)
         wit = order_limit_witness(fam, x, eps, u)
         if not is_partition_of_unity(wit):
-            return cases, _fail(cases, "witness is not a partition of unity")
+            return "witness is not a partition of unity"
         for label, mask in zip(wit.labels, wit.items):
             start = fam.labels.index(label)
             for b in range(start, len(seq)):
                 gap = mask.apply((seq[b] - x).abs())
                 if not gap.leq(u.scale(eps), CHECK_TOL):
-                    return cases, _fail(
-                        cases, f"bound fails at label {label}, index {b}"
-                    )
+                    return f"bound fails at label {label}, index {b}"
     # a non-convergent fixture must raise
-    cases += 1
+    yield
     x = vec(0.0, 0.0)
     off = vec(1.0, 1.0)
     fam = IndexedFamily(("0", "1"), (x + off, x + off))
-    try:
+    with suppress(NotConverged):
         order_limit_witness(fam, x, eps, vec(1.0, 1.0))
-        return cases, _fail(cases, "non-convergent sequence produced a witness")
-    except NotConverged:
-        pass
-    return cases, None
+        return "non-convergent sequence produced a witness"
 
 
 # --------------------------------------------------------------------------
 # operator checks
 
-def _check_op_fragment_additive(model: Model, seed: int):
-    rng = inst.rng_for(seed, "operators-fragment-additive")
-    cases = 0
+def _check_op_fragment_additive(model: Model, seed: int, rng):
     ops = [inst.random_operator(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(8)]
     trials = [(T, inst.grid_vector(rng, T.n)) for T in ops for _ in range(3)]
     trials += [
         (op, x) for _, op in _model_full_ops(model) for x in _model_probes(model)
     ]
     for T, x in trials:
-        cases += 1
+        yield
         tx = T(x)
         for y in fragments(x):
             split = T(y) + T(x - y)
             if not tx.isclose(split, CHECK_TOL):
-                return cases, _fail(
-                    cases, f"T(x) != T(y)+T(x-y) at x={x.coords}, y={y.coords}"
-                )
-    return cases, None
+                return f"T(x) != T(y)+T(x-y) at x={x.coords}, y={y.coords}"
 
 
-def _check_op_rank_one(model: Model, seed: int):
-    rng = inst.rng_for(seed, "operators-rank-one")
-    cases = 0
+def _check_op_rank_one(model: Model, seed: int, rng):
     for _ in range(12):
-        cases += 1
+        yield
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         phi = KernelOperator((tuple(inst.random_pwl(rng) for _ in range(n)),))
         u = inst.nonneg_grid_vector(rng, m)
@@ -281,18 +253,17 @@ def _check_op_rank_one(model: Model, seed: int):
         x = inst.grid_vector(rng, n)
         expect = u.scale(functional_value(phi, x))
         if not R(x).isclose(expect, CHECK_TOL):
-            return cases, _fail(cases, f"rank-one value mismatch at x={x.coords}")
+            return f"rank-one value mismatch at x={x.coords}"
     for d in model.operators:
         if not hasattr(d, "phi"):
             continue
-        cases += 1
+        yield
         R = build_operator(model, d.name)
         phi = build_operator(model, d.phi)
         for x in _model_probes(model):
             expect = Vector(d.u).scale(functional_value(phi, x))
             if not R(x).isclose(expect, CHECK_TOL):
-                return cases, _fail(cases, f"model rank-one {d.name} mismatch")
-    return cases, None
+                return f"model rank-one {d.name} mismatch"
 
 
 def _kernel_nonneg_sampled(k: PwlKernel, tol: float = CHECK_TOL) -> bool:
@@ -302,35 +273,28 @@ def _kernel_nonneg_sampled(k: PwlKernel, tol: float = CHECK_TOL) -> bool:
     return all(k(r) >= -tol for r in args + mids + far)
 
 
-def _check_op_positivity(model: Model, seed: int):
-    rng = inst.rng_for(seed, "operators-positivity")
-    cases = 0
+def _check_op_positivity(model: Model, seed: int, rng):
     kernels = [inst.random_pwl(rng) for _ in range(20)]
     kernels += [inst.positive_pwl(rng) for _ in range(10)]
     # nonnegative at every breakpoint yet negative on the left extension:
     kernels.append(PwlKernel(((-2.0, 0.25), (-1.0, 0.5), (0.0, 0.0), (1.0, 1.0))))
     kernels.append(PwlKernel(((-1.0, 1.0), (0.0, 0.0), (1.0, 0.5), (2.0, 0.25))))
     for k in kernels:
-        cases += 1
+        yield
         T = KernelOperator(((k,),))
         if operator_is_positive(T) != _kernel_nonneg_sampled(k):
-            return cases, _fail(
-                cases, f"positivity rule disagrees with samples for {k.points}"
-            )
+            return f"positivity rule disagrees with samples for {k.points}"
     for name, op in _built(model):
-        cases += 1
+        yield
         pwls = [k.to_pwl() for row in op.kernels for k in row]
         if any(p is None for p in pwls):
             continue  # quadrature kernels are opaque; sampled check is not exact
         sampled = all(_kernel_nonneg_sampled(p) for p in pwls)
         if operator_is_positive(op) != sampled:
-            return cases, _fail(cases, f"positivity rule disagrees on {name!r}")
-    return cases, None
+            return f"positivity rule disagrees on {name!r}"
 
 
-def _check_op_integral_oa(model: Model, seed: int):
-    rng = inst.rng_for(seed, "operators-integral-oa")
-    cases = 0
+def _check_op_integral_oa(model: Model, seed: int, rng):
     specs = [
         IntegralKernelSpec(lambda s, t, r: s * t * r, (1.0, 2.0), (0.5, 1.0), (1.0, 1.0)),
         IntegralKernelSpec(lambda s, t, r: (1 + s + t) * r * r, (0.0, 1.0), (1.0,), (0.5,)),
@@ -343,26 +307,21 @@ def _check_op_integral_oa(model: Model, seed: int):
         if hasattr(d, "s_grid")
     ]
     for T in ops:
-        cases += 1
+        yield
         box = (Vector.ones(T.n).scale(-2.0), Vector.ones(T.n).scale(2.0))
         report = validate(T, box, samples=24, seed=seed)
         if not report.orthogonally_additive_ok:
-            return cases, _fail(cases, "discretized operator failed the OA check")
-    cases += 1
-    try:
-        discretize_integral(
-            IntegralKernelSpec(lambda s, t, r: r + 1.0, (1.0,), (1.0,), (1.0,))
-        )
-        return cases, _fail(cases, "kernel with K(s,t,0) != 0 was accepted")
-    except C0Violation:
-        pass
-    return cases, None
+            return "discretized operator failed the OA check"
+    yield
+    with suppress(C0Violation):
+        discretize_integral(IntegralKernelSpec(lambda s, t, r: r + 1.0, (1.0,), (1.0,), (1.0,)))
+        return "kernel with K(s,t,0) != 0 was accepted"
 
 
-def _check_model_roundtrip(model: Model, seed: int):
+def _check_model_roundtrip(model: Model, seed: int, rng):
+    yield
     if parse_model(render(model)) != model:
-        return 1, _fail(1, "render/parse round trip changed the model")
-    return 1, None
+        return "render/parse round trip changed the model"
 
 
 # --------------------------------------------------------------------------
@@ -386,64 +345,51 @@ def _rk_pairs(model: Model, rng, count: int):
     return pairs
 
 
-def _check_rk_identities(model: Model, seed: int):
-    rng = inst.rng_for(seed, "calculus-rk-identities")
-    cases = 0
+def _check_rk_identities(model: Model, seed: int, rng):
     for S, T, x in _rk_pairs(model, rng, 14):
-        cases += 1
+        yield
         join = rk_eval("join", T, x, S).value
         meet = rk_eval("meet", T, x, S).value
         if not (join + meet).isclose(T(x) + S(x), CHECK_TOL):
-            return cases, _fail(cases, f"join+meet != T+S at x={x.coords}")
+            return f"join+meet != T+S at x={x.coords}"
         pos = rk_eval("pos", T, x).value
         neg = rk_eval("neg", T, x).value
         absv = rk_eval("abs", T, x).value
         if not (pos - neg).isclose(T(x), CHECK_TOL):
-            return cases, _fail(cases, f"pos-neg != T at x={x.coords}")
+            return f"pos-neg != T at x={x.coords}"
         if not absv.isclose(pos + neg, CHECK_TOL):
-            return cases, _fail(cases, f"abs != pos+neg at x={x.coords}")
-    return cases, None
+            return f"abs != pos+neg at x={x.coords}"
 
 
-def _check_rk_separable(model: Model, seed: int):
-    rng = inst.rng_for(seed, "calculus-separable-oracle")
-    cases = 0
+def _check_rk_separable(model: Model, seed: int, rng):
     for S, T, x in _rk_pairs(model, rng, 12):
         for kind in ("join", "meet", "pos", "neg", "abs"):
-            cases += 1
+            yield
             second = S if kind in ("join", "meet") else None
             enum = rk_eval(kind, T, x, second).value
             closed = rk_eval_separable(kind, T, x, second)
             if not enum.isclose(closed, CHECK_TOL):
-                return cases, _fail(
-                    cases, f"{kind}: enumeration != closed form at x={x.coords}"
-                )
-    return cases, None
+                return f"{kind}: enumeration != closed form at x={x.coords}"
 
 
-def _check_modulus(model: Model, seed: int):
-    rng = inst.rng_for(seed, "calculus-modulus-bound")
-    cases = 0
+def _check_modulus(model: Model, seed: int, rng):
     for S, T, x in _rk_pairs(model, rng, 16):
-        cases += 1
+        yield
         if not check_modulus_bound(T, x):
-            return cases, _fail(cases, f"|T(x)| > |T|(x) at x={x.coords}")
-    return cases, None
+            return f"|T(x)| > |T|(x) at x={x.coords}"
 
 
-def _check_meet_zero_iff(model: Model, seed: int):
-    rng = inst.rng_for(seed, "calculus-meet-zero-iff")
-    cases = 0
+def _check_meet_zero_iff(model: Model, seed: int, rng):
     for _ in range(10):
-        cases += 1
+        yield
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         S, T = inst.disjoint_positive_pair(rng, m, n)
         x = inst.grid_vector(rng, n)
         meet = rk_eval("meet", S, x, T).value
         if not meet.isclose(Vector.zero(m), CHECK_TOL):
-            return cases, _fail(cases, f"disjoint pair has meet {meet.coords}")
+            return f"disjoint pair has meet {meet.coords}"
     for _ in range(10):
-        cases += 1
+        yield
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         S, T = inst.perturbed_pair(rng, m, n)
         hit = False
@@ -453,32 +399,26 @@ def _check_meet_zero_iff(model: Model, seed: int):
                 hit = True
                 break
         if not hit:
-            return cases, _fail(cases, "perturbed pair shows no overlap at unit probes")
-    return cases, None
+            return "perturbed pair shows no overlap at unit probes"
 
 
-def _check_disjoint_witness(model: Model, seed: int):
-    rng = inst.rng_for(seed, "calculus-disjoint-witness")
-    cases = 0
+def _check_disjoint_witness(model: Model, seed: int, rng):
     eps = 0.5
     for _ in range(10):
-        cases += 1
+        yield
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         S, T = inst.disjoint_positive_pair(rng, m, n)
         x = inst.grid_vector(rng, n)
         u = Vector.ones(m)
         w = disjoint_witness(S, T, x, eps, u)
         if not is_partition_of_unity(w.masks):
-            return cases, _fail(cases, "witness masks are not a partition of unity")
+            return "witness masks are not a partition of unity"
         for v in witness_products(S, T, x, w):
             if any(c != 0.0 for c in v.coords):
-                return cases, _fail(
-                    cases, f"support-disjoint pair has nonzero product {v.coords}"
-                )
+                return f"support-disjoint pair has nonzero product {v.coords}"
         rep = check_disjoint_iff(S, T, [x], eps)
         if not rep["all_ok"]:
-            return cases, _fail(cases, "two-sided characterization flagged a disjoint pair")
-    return cases, None
+            return "two-sided characterization flagged a disjoint pair"
 
 
 # --------------------------------------------------------------------------
@@ -504,75 +444,62 @@ def _proj_pairs(model: Model, rng, count: int, max_dim: int = 2, include_model: 
     return pairs
 
 
-def _check_proj_decomposition(model: Model, seed: int):
-    rng = inst.rng_for(seed, "projections-decomposition")
+def _check_proj_decomposition(model: Model, seed: int, rng):
     sched = model.settings.schedule()
-    cases = 0
     for S, T, x in _proj_pairs(model, rng, 8):
-        cases += 1
+        yield
         band = project_band_set((S,), T, x, sched)
         comp = project_band_set_complement((S,), T, x, sched)
         if not (band.value + comp.value).isclose(T(x), PROJ_TOL):
-            return cases, _fail(cases, f"band+complement != T(x) at x={x.coords}")
+            return f"band+complement != T(x) at x={x.coords}"
         both = operator_add(S, T)
         band3 = project_band_set((S, T, both), T, x, sched)
         comp3 = project_band_set_complement((S, T, both), T, x, sched)
         if not (band3.value + comp3.value).isclose(T(x), PROJ_TOL):
-            return cases, _fail(
-                cases, f"three-member band+complement != T(x) at x={x.coords}"
-            )
-    return cases, None
+            return f"three-member band+complement != T(x) at x={x.coords}"
 
 
-def _check_proj_idempotence(model: Model, seed: int):
-    rng = inst.rng_for(seed, "projections-idempotence")
+def _check_proj_idempotence(model: Model, seed: int, rng):
     sched = model.settings.schedule()
-    cases = 0
     for S, T, x in _proj_pairs(model, rng, 8):
-        cases += 1
+        yield
         onto_self = project_band_set((T,), T, x, sched)
         if not onto_self.value.isclose(T(x), PROJ_TOL):
-            return cases, _fail(cases, f"projection onto own band moved T at x={x.coords}")
+            return f"projection onto own band moved T at x={x.coords}"
     for _ in range(6):
-        cases += 1
+        yield
         n, m = rng.randint(1, 2), rng.randint(1, 2)
         S, T = inst.disjoint_positive_pair(rng, m, n)
         x = _away_from_crossings(rng, n)
         band = project_band_set((S,), T, x, sched)
         if not band.value.isclose(Vector.zero(m), PROJ_TOL):
-            return cases, _fail(cases, f"disjoint projection nonzero: {band.value.coords}")
+            return f"disjoint projection nonzero: {band.value.coords}"
         comp = project_band_set_complement((S,), T, x, sched)
         if not comp.value.isclose(T(x), PROJ_TOL):
-            return cases, _fail(cases, "disjoint complement is not all of T(x)")
-    return cases, None
+            return "disjoint complement is not all of T(x)"
 
 
-def _check_proj_order(model: Model, seed: int):
-    rng = inst.rng_for(seed, "projections-order")
+def _check_proj_order(model: Model, seed: int, rng):
     sched = model.settings.schedule()
-    cases = 0
     for S, T, x in _proj_pairs(model, rng, 10):
-        cases += 1
+        yield
         band = project_band_set((S,), T, x, sched).value
         if not Vector.zero(band.dim).leq(band, PROJ_TOL):
-            return cases, _fail(cases, f"projection below 0 at x={x.coords}")
+            return f"projection below 0 at x={x.coords}"
         if not band.leq(T(x), PROJ_TOL):
-            return cases, _fail(cases, f"projection above T(x) at x={x.coords}")
-    return cases, None
+            return f"projection above T(x) at x={x.coords}"
 
 
-def _check_proj_monotone(model: Model, seed: int):
-    rng = inst.rng_for(seed, "projections-monotone")
+def _check_proj_monotone(model: Model, seed: int, rng):
     sched = model.settings.schedule()
-    cases = 0
     for S, T, x in _proj_pairs(model, rng, 6):
         for sense in ("band", "complement"):
-            cases += 1
+            yield
             profile = band_set_profile(S, T, x, sched, sense)
             for (_, a), (_, b) in zip(profile, profile[1:]):
                 ordered = a.leq(b, CHECK_TOL) if sense == "band" else b.leq(a, CHECK_TOL)
                 if not ordered:
-                    return cases, _fail(cases, f"{sense} profile not monotone")
+                    return f"{sense} profile not monotone"
             run = (
                 project_band_set((S,), T, x, sched)
                 if sense == "band"
@@ -581,41 +508,30 @@ def _check_proj_monotone(model: Model, seed: int):
             tail = [v for e, v in profile if e <= run.stabilized_at]
             for v in tail:
                 if not v.isclose(run.value, CHECK_TOL):
-                    return cases, _fail(
-                        cases, f"{sense} profile moves after stabilization"
-                    )
-    return cases, None
+                    return f"{sense} profile moves after stabilization"
 
 
-def _check_proj_oracle(model: Model, seed: int):
-    rng = inst.rng_for(seed, "projections-oracle")
+def _check_proj_oracle(model: Model, seed: int, rng):
     sched = model.settings.schedule()
-    cases = 0
     # random pairs only: the oracle contract requires probes away from kernel
     # zero-crossings, which model probes need not respect
     for S, T, x in _proj_pairs(model, rng, 12, include_model=False):
-        cases += 1
+        yield
         oracle = masking_oracle(S, T, x)
         band = project_band_set((S,), T, x, sched).value
         if not band.isclose(oracle, PROJ_TOL):
-            return cases, _fail(
-                cases,
-                f"formula {band.coords} != oracle {oracle.coords} at x={x.coords}",
-            )
-    return cases, None
+            return f"formula {band.coords} != oracle {oracle.coords} at x={x.coords}"
 
 
-def _check_proj_consistency(model: Model, seed: int):
-    rng = inst.rng_for(seed, "projections-consistency")
+def _check_proj_consistency(model: Model, seed: int, rng):
     sched = model.settings.schedule()
-    cases = 0
     for S, T, x in _proj_pairs(model, rng, 6):
-        cases += 1
+        yield
         pr = project_principal(S, T, x, sched)
         if not pr.complement_alt.value.isclose(pr.complement.value, PROJ_TOL):
-            return cases, _fail(cases, f"the two complement routes differ at x={x.coords}")
+            return f"the two complement routes differ at x={x.coords}"
     for _ in range(6):
-        cases += 1
+        yield
         n, m = rng.randint(1, 2), rng.randint(1, 2)
         phi = KernelOperator((tuple(inst.positive_pwl(rng) for _ in range(n)),))
         u = Vector(tuple(float(rng.randint(0, 2)) for _ in range(m)))
@@ -627,42 +543,66 @@ def _check_proj_consistency(model: Model, seed: int):
         R = rank_one(phi, u)
         pr = project_principal(R, T, x, sched)
         if not ro.band.isclose(pr.band.value, PROJ_TOL):
-            return cases, _fail(cases, "rank-one band != principal band of phi*u")
+            return "rank-one band != principal band of phi*u"
         if not ro.complement.isclose(pr.complement.value, PROJ_TOL):
-            return cases, _fail(cases, "rank-one complement != principal complement")
+            return "rank-one complement != principal complement"
         if m == 1 and u.coords[0] > 0.0:
             val = project_functional(phi, T, x, sched)
             if abs(val - project_rank_one(phi, vec(1.0), T, x, sched).band.coords[0]) > PROJ_TOL:
-                return cases, _fail(cases, "functional projection != rank-one with u=1")
-    return cases, None
+                return "functional projection != rank-one with u=1"
 
 
 # --------------------------------------------------------------------------
 # registry and driver
 
-CHECKS: tuple[tuple[str, Callable], ...] = (
-    ("calculus-disjoint-witness", _check_disjoint_witness),
-    ("calculus-meet-zero-iff", _check_meet_zero_iff),
-    ("calculus-modulus-bound", _check_modulus),
-    ("calculus-rk-identities", _check_rk_identities),
-    ("calculus-separable-oracle", _check_rk_separable),
-    ("lattice-band-sup-form", _check_lattice_band_sup),
-    ("lattice-boolean-axioms", _check_lattice_boolean),
-    ("lattice-fragments", _check_lattice_fragments),
-    ("lattice-identities", _check_lattice_identities),
-    ("lattice-order-limit-witness", _check_lattice_order_limit),
-    ("lattice-principal-meet", _check_lattice_principal_meet),
-    ("model-roundtrip", _check_model_roundtrip),
-    ("operators-fragment-additive", _check_op_fragment_additive),
-    ("operators-integral-oa", _check_op_integral_oa),
-    ("operators-positivity", _check_op_positivity),
-    ("operators-rank-one", _check_op_rank_one),
-    ("projections-consistency", _check_proj_consistency),
-    ("projections-decomposition", _check_proj_decomposition),
-    ("projections-idempotence", _check_proj_idempotence),
-    ("projections-monotone", _check_proj_monotone),
-    ("projections-oracle", _check_proj_oracle),
-    ("projections-order", _check_proj_order),
+def _counted(cid: str, check: Callable) -> Callable:
+    """The registry entry ``(model, seed) -> (cases, detail)`` of a check body.
+
+    The body runs as ``check(model, seed, rng)``, rng keyed by (seed, cid).
+    It yields once as each case starts and returns a failure message, or
+    None when every case passes; detail is then None or "case N: message",
+    N the number of cases started."""
+
+    @functools.wraps(check)
+    def run(model: Model, seed: int) -> tuple[int, str | None]:
+        body = check(model, seed, inst.rng_for(seed, cid))
+        cases = 0
+        while True:
+            try:
+                next(body)
+            except StopIteration as done:
+                return cases, None if done.value is None else f"case {cases}: {done.value}"
+            cases += 1
+
+    return run
+
+
+CHECKS: tuple[tuple[str, Callable], ...] = tuple(
+    (cid, _counted(cid, check))
+    for cid, check in (
+        ("calculus-disjoint-witness", _check_disjoint_witness),
+        ("calculus-meet-zero-iff", _check_meet_zero_iff),
+        ("calculus-modulus-bound", _check_modulus),
+        ("calculus-rk-identities", _check_rk_identities),
+        ("calculus-separable-oracle", _check_rk_separable),
+        ("lattice-band-sup-form", _check_lattice_band_sup),
+        ("lattice-boolean-axioms", _check_lattice_boolean),
+        ("lattice-fragments", _check_lattice_fragments),
+        ("lattice-identities", _check_lattice_identities),
+        ("lattice-order-limit-witness", _check_lattice_order_limit),
+        ("lattice-principal-meet", _check_lattice_principal_meet),
+        ("model-roundtrip", _check_model_roundtrip),
+        ("operators-fragment-additive", _check_op_fragment_additive),
+        ("operators-integral-oa", _check_op_integral_oa),
+        ("operators-positivity", _check_op_positivity),
+        ("operators-rank-one", _check_op_rank_one),
+        ("projections-consistency", _check_proj_consistency),
+        ("projections-decomposition", _check_proj_decomposition),
+        ("projections-idempotence", _check_proj_idempotence),
+        ("projections-monotone", _check_proj_monotone),
+        ("projections-oracle", _check_proj_oracle),
+        ("projections-order", _check_proj_order),
+    )
 )
 
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)

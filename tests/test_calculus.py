@@ -6,6 +6,8 @@ implementations of the same formulas, so agreement is the main oracle here.
 Hand cases are frozen from direct arithmetic.
 """
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -171,6 +173,21 @@ def test_disjoint_witness_requires_positive_operators():
     S = KernelOperator(((ID,),))
     with pytest.raises(NotPositive):
         disjoint_witness(S, S, vec(1.0), 1.0, Vector.ones(1))
+
+
+def test_eps_and_steps_inputs_are_checked():
+    S, D = _demo_pair()
+    x, u = vec(1.0, -2.0), Vector.ones(2)
+    for eps, message in ((0.0, "must be positive"), (-math.inf, "must be positive"),
+                         (math.nan, "must be finite"), (math.inf, "must be finite")):
+        with pytest.raises(ValueError, match="eps " + message):
+            disjoint_witness(S, D, x, eps, u)
+        with pytest.raises(ValueError, match="eps " + message):
+            check_disjoint_iff(S, D, [x], eps)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        check_disjoint_iff(S, D, [x], 1.0, steps=0)
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        check_disjoint_iff(S, D, [x], 1.0, steps=2.5)
 
 
 def test_check_disjoint_iff_on_disjoint_pair():

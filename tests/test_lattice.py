@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -221,3 +223,6 @@ def test_order_limit_witness_rejects_degenerate_unit():
         order_limit_witness(_family([x]), x, eps=0.5, u=vec(0.0))
     with pytest.raises(ValueError):
         order_limit_witness(_family([x]), x, eps=0.0, u=vec(1.0))
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            order_limit_witness(_family([x]), x, eps=eps, u=vec(1.0))

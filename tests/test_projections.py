@@ -5,6 +5,8 @@ kernels decide, addend by addend, which parts of the target survive, and the
 masking oracle recomputes the same values by zeroing dead addends directly.
 """
 
+import math
+
 import pytest
 
 from uryson.errors import (
@@ -47,6 +49,16 @@ def test_eps_schedule_values():
         EpsSchedule(1.0, 1.5, 4)
     with pytest.raises(ValueError):
         EpsSchedule(1.0, 0.5, 0)
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        EpsSchedule(max_steps=0)
+    with pytest.raises(ValueError, match="eps0 must be positive"):
+        EpsSchedule(eps0=-math.inf)
+    for eps0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps0 must be finite"):
+            EpsSchedule(eps0=eps0)
+    for steps in (2.5, math.nan):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            EpsSchedule(max_steps=steps)
 
 
 def test_increasing_set_validation():
