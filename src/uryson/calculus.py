@@ -13,7 +13,9 @@ Both read one meet table of T(y) and S(x - y) over the fragments.  That table
 and `rk_eval` read their rows from `KernelOperator.on_fragments` (each kernel
 evaluated at x_j and at 0 once per call) and pick each row's witness with
 `lattice.first_extremum`, the one home of the tie rule (lowest fragment
-bitmask) that the projection programs share.
+bitmask) that the projection programs share.  Fragments are enumerated as
+keep flags and tracked by index; a fragment Vector is built only for the
+witnesses a result returns.
 """
 
 from __future__ import annotations

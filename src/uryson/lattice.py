@@ -2,15 +2,18 @@
 
 Vectors carry the coordinatewise order, masks are the band projections of the
 coordinatewise structure, and fragments of x are the vectors that agree with x
-on a support subset and vanish elsewhere.  Everything is immutable; all
-tolerance-based comparisons take an explicit ``tol`` (default 1e-9).
+on a support subset and vanish elsewhere (enumerated as keep flags, with a
+Vector built on demand).  Everything is immutable; all tolerance-based
+comparisons take an explicit ``tol`` (default 1e-9).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from itertools import product
+from typing import Iterator, Union
 
 from .errors import DimensionMismatch, NotConverged, NotPositiveUnit, SupportTooLarge
 
@@ -120,8 +123,30 @@ def is_disjoint(v: Vector, w: Vector, tol: float = DEFAULT_TOL) -> bool:
     return all(min(_abs(a), _abs(b)) <= tol for a, b in zip(v.coords, w.coords))
 
 
-def fragments(x: Vector, cap: int = DEFAULT_SUPPORT_CAP, tol: float = DEFAULT_TOL) -> list[Vector]:
-    """All 2^|supp(x)| fragments of x, by support bitmask ascending.
+class Fragments(Sequence):
+    """The 2^|supp(x)| fragments of x as keep flags, by support bitmask ascending.
+
+    keeps[k][j] is True iff fragment k keeps the support coordinate x_j, so
+    fragment k is x_j where kept and 0.0 elsewhere.  The table programs read
+    the flags; indexing or iterating builds the validated Vector on demand.
+    """
+
+    __slots__ = ("x", "keeps")
+
+    def __init__(self, x: Vector, keeps: list[tuple[bool, ...]]):
+        self.x = x
+        self.keeps = keeps
+
+    def __len__(self) -> int:
+        return len(self.keeps)
+
+    def __getitem__(self, k: int) -> Vector:
+        return Vector(tuple(c if kept else 0.0 for c, kept in zip(self.x.coords, self.keeps[k])))
+
+
+def fragments(x: Vector, cap: int = DEFAULT_SUPPORT_CAP, tol: float = DEFAULT_TOL) -> Fragments:
+    """All 2^|supp(x)| fragments of x, by support bitmask ascending, as keep
+    flags (see Fragments); a fragment Vector is built only when indexed.
 
     Bit k of the bitmask selects the k-th support coordinate in increasing
     coordinate order.  Raises SupportTooLarge when |supp(x)| exceeds cap.
@@ -129,14 +154,10 @@ def fragments(x: Vector, cap: int = DEFAULT_SUPPORT_CAP, tol: float = DEFAULT_TO
     supp = x.support(tol)
     if len(supp) > cap:
         raise SupportTooLarge(f"|supp(x)| = {len(supp)} exceeds cap {cap}")
-    out = []
-    for bm in range(1 << len(supp)):
-        coords = [0.0] * x.dim
-        for k, idx in enumerate(supp):
-            if bm >> k & 1:
-                coords[idx] = x.coords[idx]
-        out.append(Vector(tuple(coords)))
-    return out
+    # product varies its last factor fastest, so list the coordinates
+    # backwards: the first support coordinate then carries bit 0
+    choices = [(False, True) if j in supp else (False,) for j in range(x.dim)]
+    return Fragments(x, [keep[::-1] for keep in product(*reversed(choices))])
 
 
 def first_extremum(values: Sequence[float], maximize: bool) -> tuple[float, int]:

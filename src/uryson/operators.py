@@ -7,7 +7,7 @@ whenever y and z are disjoint.  Functionals are operators with m = 1.
 
 The fragment programs read T(y) and T(x - y) over all fragments y of x from
 `on_fragments`, which has each kernel evaluated at x_j and at 0 once per
-call.
+call and reads the fragments' keep flags, building no fragment Vector.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .kernels import (
     kernel_neg_part,
     kernel_pos_part,
 )
-from .lattice import Vector
+from .lattice import Fragments, Vector
 
 _pick = tuple.__getitem__
 
@@ -73,26 +73,26 @@ class KernelOperator:
         return [[k(c) for k, c in zip(row, x.coords)] for row in self.kernels]
 
     def on_fragments(
-        self, x: Vector, frags: list[Vector], rest: bool = False
+        self, x: Vector, frags: Fragments, rest: bool = False
     ) -> list[tuple[float, ...]]:
         """T(y).coords for every fragment y of x, or T(x - y).coords with rest.
 
-        Each kernel is evaluated once at x_j and once at 0.  A fragment
-        coordinate y_j is x_j (nonzero, on the support) or 0.0, so (x - y)_j
-        is 0.0 or x_j, and every addend of a row is one of two table entries.
-        fsum then sees the addends __call__ would, in the same column order,
-        so each row is the same float and fails the same way.
+        Each kernel is evaluated once at x_j and once at 0, and no fragment
+        Vector is built: the keep flags of `frags` say whether y_j is x_j (a
+        nonzero support coordinate) or 0.0, so (x - y)_j is 0.0 or x_j, and
+        every addend of a row is one of two table entries.  fsum then sees
+        the addends __call__ would, in the same column order, so each row is
+        the same float and fails the same way.
         """
         at_x = self.kernel_values(x)
         at_0 = [[k(0.0) for k in row] for row in self.kernels]
-        # pairs[i][j][keep_j]: the addend of cell (i, j), keep_j = (y_j != 0)
+        # pairs[i][j][keep_j]: the addend of cell (i, j)
         kept, dropped = (at_0, at_x) if rest else (at_x, at_0)
         pairs = [tuple(zip(d, k)) for d, k in zip(dropped, kept)]
         # an fsum of finite addends is finite or raises OverflowError
         finite = all(math.isfinite(v) for row in at_x + at_0 for v in row)
         out = []
-        for y in frags:
-            keep = tuple(map(bool, y.coords))
+        for keep in frags.keeps:
             v = tuple([math.fsum(map(_pick, row, keep)) for row in pairs])
             if not finite and not all(map(math.isfinite, v)):
                 raise ValueError("vector coordinates must be finite")

@@ -17,10 +17,12 @@ bitmask order: the first fragment attaining the extremum, with the smallest
 mask that does.
 
 Feasible sets (per row, the fragments whose row constraint holds) are
-finite and shrink as eps decreases, so the eps limit is attained: the
-schedule stops at the first eps whose feasible set equals the directly
-computed eps->0 limit set, and NoStabilization is raised when max_steps
-halvings are not enough.
+finite and move monotonically toward their eps->0 limit as eps decreases, so
+the limit is attained: the schedule stops at the first eps whose feasible
+set equals the directly computed limit set, and NoStabilization is raised
+when max_steps halvings are not enough.  That test reads two scalars per row
+from one scan of the constraints (the largest constraint inside the limit
+set and the smallest outside it), so no feasible set is rebuilt per eps.
 
 All five programs are instances of one engine, `_MemberProgram`, which reads
 precomputed rows: a constraint value per (fragment, row), the bound it is
@@ -29,10 +31,13 @@ held against, the objective T(y) and the start value T(x).  One builder,
 generator over shared T(y) and T(x) rows (each kernel evaluated at x_j and
 at 0 once per call) for the band and complement of a set, the principal
 band (whose two complement routes reuse its rows with S(y)), the functional
-band and the profile.  A rank-one band phi(.)*u repeats the constraint row
-phi(x - y) or phi(y) on every output row and masks the result by u
-afterwards.  An independent support-masking oracle cross-checks the
-principal case.
+band and the profile.  Programs track fragments by index and build a
+fragment Vector only for the witnesses a result returns; the profile reuses
+the limit value from the first settled eps on.  A rank-one band phi(.)*u
+repeats the constraint row phi(x - y) or phi(y) on every output row and
+masks the result by u afterwards.  An independent support-masking oracle
+cross-checks the principal case.  Generating sets are decided positive and
+upward directed at the caller's tol, like every other operator check.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .errors import (
 from .kernels import DEFAULT_TOL
 from .lattice import (
     DEFAULT_SUPPORT_CAP,
+    Fragments,
     Mask,
     Vector,
     first_extremum,
@@ -95,9 +101,11 @@ class EpsSchedule:
 @dataclass(frozen=True)
 class IncreasingSet:
     """Finite set of positive operators, upward directed: every pair has an
-    upper bound inside the set (checked kernelwise, exact for pwl kernels)."""
+    upper bound inside the set (checked kernelwise, exact for pwl kernels).
+    Positivity and the order are decided within tol."""
 
     ops: tuple[KernelOperator, ...]
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         ops = tuple(self.ops)
@@ -108,12 +116,13 @@ class IncreasingSet:
         for op in ops:
             if (op.m, op.n) != shape:
                 raise DimensionMismatch("increasing set members must share shape")
-            if not operator_is_positive(op):
+            if not operator_is_positive(op, self.tol):
                 raise NotPositive("increasing set members must be positive")
         for a_idx, a in enumerate(ops):
             for b in ops[a_idx + 1:]:
                 if not any(
-                    operator_leq(a, v) and operator_leq(b, v) for v in ops
+                    operator_leq(a, v, self.tol) and operator_leq(b, v, self.tol)
+                    for v in ops
                 ):
                     raise NotIncreasing(
                         "no internal upper bound for a pair of members"
@@ -139,8 +148,12 @@ class ProjectionResult:
 def _checked_set(
     A: IncreasingSet | Sequence[KernelOperator], T: KernelOperator, x: Vector, tol: float
 ) -> IncreasingSet:
-    """A as an IncreasingSet, then T positive and all shapes matching."""
-    A = A if isinstance(A, IncreasingSet) else IncreasingSet(tuple(A))
+    """A as an IncreasingSet decided at tol, then T positive and all shapes
+    matching."""
+    if not isinstance(A, IncreasingSet):
+        A = IncreasingSet(tuple(A), tol)
+    elif A.tol != tol:
+        A = IncreasingSet(A.ops, tol)
     require_positive("T", T, tol)
     check_pair_dims(T, A.ops[0], x)
     return A
@@ -158,13 +171,20 @@ class _MemberProgram:
     principal-complement route passes the rows of its principal mask).
     masks[0] is the empty mask and masks[k + 1] the singleton of rows[k]: the
     only masks a witness can carry.
+
+    One scan of the constraint columns gives the eps->0 limit set (per given
+    row, the fragments with cons_i <= tol), its size per output row, and per
+    given row two scalars: the largest constraint inside the limit set and
+    the smallest outside it.  feasible(eps) is {cons_i <= eps*bound_i + tol},
+    so it equals the limit set iff the first scalar is <= eps*bound_i + tol
+    and the second is not.  This holds for a slightly negative bound_i too.
     """
 
     def __init__(
         self,
         sense: str,
         rows: Sequence[int],
-        frags: list[Vector],
+        frags: Fragments,
         cons: list[tuple[float, ...]],
         bound: tuple[float, ...],
         tys: list[tuple[float, ...]],
@@ -181,6 +201,20 @@ class _MemberProgram:
         self.tys = tys
         self.start = tx if sense == "band" else (0.0,) * self.m
         self.tol = tol
+        cols = tuple(zip(*cons))
+        inside = [tuple(k for k, c in enumerate(col) if c <= tol) for col in cols]
+        self.feasible_count = tuple(map(len, inside))
+        self.limit = tuple(inside[i] for i in self.rows)
+        # per given row: (i, largest constraint in the limit set, smallest
+        # outside it), None where that side is empty
+        self._edges = [
+            (
+                i,
+                max((cols[i][k] for k in ks), default=None),
+                min((c for c in cols[i] if not c <= tol), default=None),
+            )
+            for i, ks in zip(self.rows, self.limit)
+        ]
 
     def feasible(self, eps: float) -> tuple[tuple[int, ...], ...]:
         """Per given row, the ascending indices of the fragments whose row
@@ -190,8 +224,17 @@ class _MemberProgram:
             for i in self.rows
         )
 
-    def value_on(self, feas: tuple) -> tuple[list[float], list[tuple[Vector, Mask]]]:
-        """Componentwise extremum over the feasible pairs, with witnesses.
+    def settled(self, eps: float) -> bool:
+        """feasible(eps) == limit, decided from the two scalars per row."""
+        for i, hi, lo in self._edges:
+            t = eps * self.bound[i] + self.tol
+            if (hi is not None and not hi <= t) or (lo is not None and lo <= t):
+                return False
+        return True
+
+    def value_on(self, feas: tuple) -> tuple[list[float], list[tuple[int, Mask]]]:
+        """Componentwise extremum over the feasible pairs, with witnesses as
+        (fragment index, mask).
 
         Candidate 0 of every row is its start value on the empty mask and the
         first fragment; the feasible fragments follow in ascending order, and
@@ -199,28 +242,26 @@ class _MemberProgram:
         """
         maximize = self.sense == "complement"
         vals = list(self.start)
-        wit = [(self.frags[0], self.masks[0])] * self.m
+        wit = [(0, self.masks[0])] * self.m
         for i, singleton, ks in zip(self.rows, self.masks[1:], feas):
             vals[i], pick = first_extremum([vals[i]] + [self.tys[k][i] for k in ks], maximize)
             if pick:
-                wit[i] = (self.frags[ks[pick - 1]], singleton)
+                wit[i] = (ks[pick - 1], singleton)
         return vals, wit
 
     def run(self, sched: EpsSchedule) -> ProjectionResult:
         """The value on the eps->0 limit set, stabilized at the first schedule
-        eps whose feasible set equals it (feasible sets shrink toward the limit
-        as eps decreases, so once equal they stay equal)."""
-        limit = self.feasible(0.0)
+        eps whose feasible set equals it (feasible sets move monotonically
+        toward the limit as eps decreases, so once equal they stay equal)."""
         for eps in sched.values():
-            if self.feasible(eps) == limit:
-                vals, wit = self.value_on(limit)
+            if self.settled(eps):
+                vals, wit = self.value_on(self.limit)
+                frags = {k: self.frags[k] for k, _ in wit}
                 return ProjectionResult(
                     value=Vector(tuple(vals)),
                     stabilized_at=eps,
-                    feasible_count=tuple(
-                        sum(1 for c in self.cons if c[i] <= self.tol) for i in range(self.m)
-                    ),
-                    witness=tuple(wit),
+                    feasible_count=self.feasible_count,
+                    witness=tuple((frags[k], mask) for k, mask in wit),
                 )
         raise NoStabilization(
             f"feasible set still above its limit after {sched.max_steps} steps"
@@ -462,7 +503,14 @@ def band_set_profile(
     require_positive("T", T, tol)
     check_pair_dims(T, S, x)
     prog = next(_programs(sense, (S,), T, x, cap_support, tol))
-    return [
-        (eps, Vector(tuple(prog.value_on(prog.feasible(eps))[0])))
-        for eps in sched.values()
-    ]
+
+    def value(feas):
+        return Vector(tuple(prog.value_on(feas)[0]))
+
+    out, final = [], None
+    for eps in sched.values():
+        # once settled, every later feasible set is the limit set
+        if final is None and prog.settled(eps):
+            final = value(prog.limit)
+        out.append((eps, value(prog.feasible(eps)) if final is None else final))
+    return out

@@ -251,3 +251,31 @@ def test_profile_shape_check():
         band_set_profile(S, T_DEMO, X1)
     with pytest.raises(DimensionMismatch):
         band_set_profile(S_DEMO, T_DEMO, vec(1.0))
+
+
+def test_increasing_set_decides_at_the_callers_tol():
+    # S dips to -0.1 at 0.5: positive within tol = 0.25, not within 1e-9
+    S = KernelOperator(((PwlKernel(((-1.0, 1.0), (0.0, 0.0), (0.5, -0.1), (1.0, 1.0))),),))
+    T = KernelOperator(((ABS,),))
+    x = vec(1.0)
+    with pytest.raises(NotPositive):
+        IncreasingSet((S,))
+    assert IncreasingSet((S,), tol=0.25).tol == 0.25
+    # every entry point takes S as a generator at tol = 0.25 and refuses it
+    # at the default tol
+    calls = [
+        lambda tol: project_band_set((S,), T, x, tol=tol).value,
+        # a set decided at another tol is decided again at the caller's
+        lambda tol: project_band_set(IncreasingSet((S,), tol=0.25), T, x, tol=tol).value,
+        lambda tol: project_band_set_complement((S,), T, x, tol=tol).value,
+        lambda tol: project_principal(S, T, x, tol=tol).band.value,
+        lambda tol: project_rank_one(S, vec(1.0), T, x, tol=tol).band,
+        lambda tol: project_functional(S, T, x, tol=tol),
+        lambda tol: band_set_profile(S, T, x, tol=tol)[-1][1],
+    ]
+    for call in calls:
+        with pytest.raises(NotPositive):
+            call(1e-9)
+    band = [call(0.25) for call in calls]
+    assert band[0] == band[1] == band[3] == band[4] == band[6] == vec(1.0)
+    assert band[5] == 1.0 and band[2] == vec(0.0)
