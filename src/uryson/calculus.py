@@ -11,19 +11,24 @@ vanishes; `disjoint_witness` materializes the mask/fragment certificate and
 `check_disjoint_iff` probes the epsilon-quantified two-sided characterization.
 Both read one meet table of T(y) and S(x - y) over the fragments.  That table
 and `rk_eval` read their rows from `KernelOperator.on_fragments` (each kernel
-evaluated at x_j and at 0 once per call) and pick each row's witness with
-`lattice.first_extremum`, the one home of the tie rule (lowest fragment
-bitmask) that the projection programs share.  Fragments are enumerated as
-keep flags and tracked by index; a fragment Vector is built only for the
-witnesses a result returns.
+evaluated at x_j and at 0 once per call, rows as exact subset sums) and pick
+each row's witness with `lattice.first_extremum`, the one home of the tie
+rule (lowest fragment bitmask) that the projection programs share.  The
+converse probe of `check_disjoint_iff` sorts each row's pairs
+(T(y)_i, S(x - y)_i) by the first value once and keeps the running min of
+the second, the row's front: each schedule eps then costs one bisection and
+one comparison per row instead of a scan of every fragment.  Fragments are
+tracked by index; a fragment Vector is built only for the witnesses a result
+returns.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import DimensionMismatch, NotDisjoint, NotPositiveUnit
 from .kernels import DEFAULT_TOL
@@ -91,10 +96,10 @@ def rk_eval(
         if not all(map(math.isfinite, chain.from_iterable(cands))):
             raise ValueError("vector coordinates must be finite")
     best, picks = zip(*(first_extremum(col, maximize) for col in zip(*cands)))
-    pairs = {k: (frags[k], x - frags[k]) for k in set(picks)}
+    pairs = {k: (y, x - y) for k in set(picks) for y in (frags[k],)}
 
     if kind == "neg":
-        best = [-v for v in best]
+        best = [0.0 - v for v in best]  # 0.0, not -0.0, where T(y) peaks at 0
     return RKResult(value=Vector(tuple(best)), argwitness=tuple(pairs[k] for k in picks))
 
 
@@ -248,15 +253,20 @@ def check_disjoint_iff(
         tys, sxy, meet, groups = table.tys, table.sxy, table.meet, table.groups
         disjoint = all(v <= tol for v in meet)
 
+        # per row, the fragments sorted by T(y)_i with the running min of
+        # S(x - y)_i: some fragment has T(y)_i <= a and S(x - y)_i <= b iff
+        # the running min over the prefix with T(y)_i <= a is <= b
+        fronts = []
+        for t_col, s_col in zip(zip(*tys), zip(*sxy)):
+            ts, ss = zip(*sorted(zip(t_col, s_col)))
+            fronts.append((ts, list(accumulate(ss, min))))
+
         eps_list = [eps * 0.5**k for k in range(steps)]
         converse = []
         for e in eps_list:
             exists = all(
-                any(
-                    ty[i] <= e * tx[i] + tol and sy[i] <= e * sx[i] + tol
-                    for ty, sy in zip(tys, sxy)
-                )
-                for i in range(T.m)
+                (k := bisect_right(ts, e * tx[i] + tol)) and mins[k - 1] <= e * sx[i] + tol
+                for i, (ts, mins) in enumerate(fronts)
             )
             entry = {"eps": e, "witness_exists": exists}
             if exists:

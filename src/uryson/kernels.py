@@ -204,6 +204,7 @@ class BuiltinKernel(ScalarKernel):
     name: str
     scale: float = 1.0
     params: tuple[float, ...] = ()
+    _pwl: "PwlKernel | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scale", float(self.scale))
@@ -237,6 +238,12 @@ class BuiltinKernel(ScalarKernel):
         return BuiltinKernel(self.name, a * self.scale, self.params)
 
     def to_pwl(self) -> PwlKernel:
+        """The pwl form, built on the first call and kept on the kernel."""
+        if self._pwl is None:
+            object.__setattr__(self, "_pwl", self._build_pwl())
+        return self._pwl
+
+    def _build_pwl(self) -> PwlKernel:
         s = self.scale
         if self.name == "abs":
             pts = [(-1.0, s), (0.0, 0.0), (1.0, s)]

@@ -2,9 +2,9 @@
 
 Vectors carry the coordinatewise order, masks are the band projections of the
 coordinatewise structure, and fragments of x are the vectors that agree with x
-on a support subset and vanish elsewhere (enumerated as keep flags, with a
-Vector built on demand).  Everything is immutable; all tolerance-based
-comparisons take an explicit ``tol`` (default 1e-9).
+on a support subset and vanish elsewhere (enumerated by index over the
+support columns, with a Vector built on demand).  Everything is immutable;
+all tolerance-based comparisons take an explicit ``tol`` (default 1e-9).
 """
 
 from __future__ import annotations
@@ -124,29 +124,45 @@ def is_disjoint(v: Vector, w: Vector, tol: float = DEFAULT_TOL) -> bool:
 
 
 class Fragments(Sequence):
-    """The 2^|supp(x)| fragments of x as keep flags, by support bitmask ascending.
+    """The 2^|supp(x)| fragments of x, by support bitmask ascending.
 
-    keeps[k][j] is True iff fragment k keeps the support coordinate x_j, so
-    fragment k is x_j where kept and 0.0 elsewhere.  The table programs read
-    the flags; indexing or iterating builds the validated Vector on demand.
+    supp lists the support columns of x ascending, and bit b of a fragment
+    index k says whether fragment k keeps x_supp[b]: fragment k is x_j on the
+    kept columns and 0.0 elsewhere.  The table programs read supp (or the
+    keep flags); indexing or iterating builds the validated Vector on demand.
     """
 
-    __slots__ = ("x", "keeps")
+    __slots__ = ("x", "supp")
 
-    def __init__(self, x: Vector, keeps: list[tuple[bool, ...]]):
+    def __init__(self, x: Vector, supp: tuple[int, ...]):
         self.x = x
-        self.keeps = keeps
+        self.supp = supp
 
     def __len__(self) -> int:
-        return len(self.keeps)
+        return 1 << len(self.supp)
 
     def __getitem__(self, k: int) -> Vector:
-        return Vector(tuple(c if kept else 0.0 for c, kept in zip(self.x.coords, self.keeps[k])))
+        k = range(1 << len(self.supp))[k]  # IndexError past the end, as iteration needs
+        xs = self.x.coords
+        coords = [0.0] * len(xs)
+        for b, j in enumerate(self.supp):
+            if k >> b & 1:
+                coords[j] = xs[j]
+        return Vector(tuple(coords))
+
+    @property
+    def keeps(self) -> list[tuple[bool, ...]]:
+        """keeps[k][j] is True iff fragment k keeps the support coordinate
+        x_j; built on each access, for the fsum fallback and tests."""
+        # product varies its last factor fastest, so list the coordinates
+        # backwards: the first support coordinate then carries bit 0
+        choices = [(False, True) if j in self.supp else (False,) for j in range(self.x.dim)]
+        return [keep[::-1] for keep in product(*reversed(choices))]
 
 
 def fragments(x: Vector, cap: int = DEFAULT_SUPPORT_CAP, tol: float = DEFAULT_TOL) -> Fragments:
-    """All 2^|supp(x)| fragments of x, by support bitmask ascending, as keep
-    flags (see Fragments); a fragment Vector is built only when indexed.
+    """All 2^|supp(x)| fragments of x, by support bitmask ascending, as a
+    Fragments sequence; a fragment Vector is built only when indexed.
 
     Bit k of the bitmask selects the k-th support coordinate in increasing
     coordinate order.  Raises SupportTooLarge when |supp(x)| exceeds cap.
@@ -154,10 +170,7 @@ def fragments(x: Vector, cap: int = DEFAULT_SUPPORT_CAP, tol: float = DEFAULT_TO
     supp = x.support(tol)
     if len(supp) > cap:
         raise SupportTooLarge(f"|supp(x)| = {len(supp)} exceeds cap {cap}")
-    # product varies its last factor fastest, so list the coordinates
-    # backwards: the first support coordinate then carries bit 0
-    choices = [(False, True) if j in supp else (False,) for j in range(x.dim)]
-    return Fragments(x, [keep[::-1] for keep in product(*reversed(choices))])
+    return Fragments(x, supp)
 
 
 def first_extremum(values: Sequence[float], maximize: bool) -> tuple[float, int]:

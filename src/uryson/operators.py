@@ -7,7 +7,10 @@ whenever y and z are disjoint.  Functionals are operators with m = 1.
 
 The fragment programs read T(y) and T(x - y) over all fragments y of x from
 `on_fragments`, which has each kernel evaluated at x_j and at 0 once per
-call and reads the fragments' keep flags, building no fragment Vector.
+call and builds no fragment Vector.  Its rows are exact subset sums of the
+table entries (integers over a power-of-two denominator, one doubling per
+support column), rounded once: the same floats as fsum, without an fsum per
+fragment.
 """
 
 from __future__ import annotations
@@ -78,26 +81,58 @@ class KernelOperator:
         """T(y).coords for every fragment y of x, or T(x - y).coords with rest.
 
         Each kernel is evaluated once at x_j and once at 0, and no fragment
-        Vector is built: the keep flags of `frags` say whether y_j is x_j (a
-        nonzero support coordinate) or 0.0, so (x - y)_j is 0.0 or x_j, and
-        every addend of a row is one of two table entries.  fsum then sees
-        the addends __call__ would, in the same column order, so each row is
-        the same float and fails the same way.
+        Vector is built: y_j is x_j on the kept support columns and 0.0
+        elsewhere, so (x - y)_j is 0.0 or x_j, and every addend of a row is
+        one of two table entries.  The entries are written as integers over
+        one power-of-two denominator.  Per output row, the sum of the dropped
+        entries is doubled once per support column (frags.supp; bit b of a
+        fragment index keeps supp[b]), which lists the exact subset sums in
+        fragment order, and each is divided by the denominator once.  Integer
+        true division (or, off the subnormal and overflow range, rounding to
+        a float and scaling by a power of two) and fsum both round correctly,
+        so each row is the float an application gives (an exact zero is 0.0
+        on both).
+
+        A table with a non-finite entry, or so large that fsum's partial sums
+        may overflow, keeps the per-fragment fsum, so it fails as an
+        application does: OverflowError from fsum, or ValueError for a
+        non-finite row.
         """
         at_x = self.kernel_values(x)
         at_0 = [[k(0.0) for k in row] for row in self.kernels]
-        # pairs[i][j][keep_j]: the addend of cell (i, j)
         kept, dropped = (at_0, at_x) if rest else (at_x, at_0)
-        pairs = [tuple(zip(d, k)) for d, k in zip(dropped, kept)]
-        # an fsum of finite addends is finite or raises OverflowError
-        finite = all(math.isfinite(v) for row in at_x + at_0 for v in row)
-        out = []
-        for keep in frags.keeps:
-            v = tuple([math.fsum(map(_pick, row, keep)) for row in pairs])
-            if not finite and not all(map(math.isfinite, v)):
-                raise ValueError("vector coordinates must be finite")
-            out.append(v)
-        return out
+        flat = [v for row in dropped + kept for v in row]
+        total = sum(map(abs, flat))
+        # fsum's partial sums stay below sum(|v|); NaN and inf fail too
+        if not total < 2.0**1020:
+            # pairs[i][j][keep_j]: the addend of cell (i, j)
+            pairs = [tuple(zip(d, k)) for d, k in zip(dropped, kept)]
+            out = []
+            for keep in frags.keeps:
+                v = tuple([math.fsum(map(_pick, row, keep)) for row in pairs])
+                if not all(map(math.isfinite, v)):
+                    raise ValueError("vector coordinates must be finite")
+                out.append(v)
+            return out
+        # each entry as an integer over one power-of-two denominator, in the
+        # order of flat: the dropped rows, then the kept rows
+        nums, dens = zip(*[v.as_integer_ratio() for v in flat])
+        den = max(dens)
+        ints = [p * (den // d) for p, d in zip(nums, dens)]
+        # s * 2^-E rounds s once and scales it exactly, so it is s / den,
+        # unless a result may be subnormal (den > 2^1022) or s may overflow
+        # a float; those tables divide
+        scale = None if den.bit_length() > 1023 or not total * den < 2.0**1022 else 1.0 / den
+        supp, size, n = frags.supp, len(ints) // 2, len(at_x[0])
+        rows = []
+        for i in range(0, size, n):
+            lo, hi = ints[i:i + n], ints[size + i:size + i + n]
+            sums = [sum(lo)]
+            for j in supp:
+                step = hi[j] - lo[j]
+                sums += [s + step for s in sums] if step else sums
+            rows.append([s * scale for s in sums] if scale else [s / den for s in sums])
+        return list(zip(*rows))
 
     def descriptor(self) -> dict:
         return {

@@ -1,0 +1,195 @@
+"""Fragment rows as exact subset sums.
+
+`KernelOperator.on_fragments` builds every row from integer subset sums
+rounded once.  Each row must be the correctly rounded exact sum of its
+addends (a Fraction sum, see `exact_oracle`) and the float the per-fragment
+fsum loop gave, compared by repr so the sign of a zero counts.  Tables with a
+non-finite entry or near the float range keep that loop, and must fail with
+the same exception type and message.
+
+Two clock-free guards follow: a count of the fsum calls made from
+`uryson.operators` (none for a finite table, some for the fallback), and the
+converse probe of `check_disjoint_iff` against a scan of every fragment.
+"""
+
+import math
+import types
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exact_oracle import PlantedKernel, exact_rows, fsum_rows, outcome, planted_operators
+from test_cli import OVERFLOW_MODEL
+from uryson import operators
+from uryson.calculus import check_disjoint_iff, rk_eval, rk_eval_separable
+from uryson.dsl import build_operator, parse_model
+from uryson.instances import disjoint_positive_pair, grid_vector, perturbed_pair, rng_for
+from uryson.kernels import BuiltinKernel
+from uryson.lattice import Vector, fragments
+from uryson.operators import KernelOperator
+
+
+def assert_rows_exact(T, x, rest):
+    frags = fragments(x)
+    got = outcome(T.on_fragments, x, frags, rest)
+    assert got == outcome(fsum_rows, T, x, frags, rest)
+    rounded = [tuple(map(float, row)) for row in exact_rows(T, x, frags, rest)]
+    assert got == ("ok", repr(rounded))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_operators(), st.booleans())
+def test_rows_are_rounded_exact_sums(case, rest):
+    assert_rows_exact(*case, rest)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_library_kernels_rows_are_rounded_exact_sums(seed):
+    rng = rng_for(seed, "exact-sums")
+    S, T = perturbed_pair(rng, 3, 5)
+    x = grid_vector(rng, 5)
+    for op in (S, T):
+        for rest in (False, True):
+            assert_rows_exact(op, x, rest)
+
+
+def row_operator(values):
+    return KernelOperator((tuple(PlantedKernel(v) for v in values),))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # entries below 2^-1022 round each sum by integer division
+        (5e-324, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308),
+        (3e-320, 1e-300, -1e-300),
+        # so does a spread of magnitudes whose integer sums exceed a float
+        (1e300, 1e-10, -1e300, 3.0),
+        (2.0**1000, -(2.0**1000), 2.0**-60),
+        # the common case: round to a float, then scale exactly
+        (0.1, 0.2, -0.3, 1e16),
+    ],
+)
+def test_rows_are_exact_on_both_roundings(values):
+    for rest in (False, True):
+        assert_rows_exact(row_operator(values), Vector.ones(len(values)), rest)
+
+
+@pytest.mark.parametrize(
+    "values,error",
+    [
+        # the exact sum 1e308 fits, but fsum's partial sums overflow
+        ((1e308, 1e308, -1e308), ("OverflowError", "intermediate overflow in fsum")),
+        ((math.inf, 1.0), ("ValueError", "vector coordinates must be finite")),
+        ((math.nan, 1.0), ("ValueError", "vector coordinates must be finite")),
+        ((math.inf, -math.inf), ("ValueError", "-inf + inf in fsum")),
+    ],
+)
+def test_fallback_fails_like_fsum(values, error):
+    T = row_operator(values)
+    x = Vector.ones(len(values))
+    frags = fragments(x)
+    for rest in (False, True):
+        got = outcome(T.on_fragments, x, frags, rest)
+        assert got == outcome(fsum_rows, T, x, frags, rest)
+        if rest:  # fragment 0 then sums the whole row
+            assert got == ("error", *error)
+
+
+def test_fallback_keeps_finite_rows_near_the_float_range():
+    # sum |v| overflows, so the fsum loop runs, but every row fits
+    T = row_operator((1e308, -1e308, 1e308))
+    x = Vector((1.0, 1.0, 0.0))
+    frags = fragments(x)
+    rows = T.on_fragments(x, frags)
+    assert rows == fsum_rows(T, x, frags) == [(0.0,), (1e308,), (-1e308,), (0.0,)]
+    assert rows == [tuple(map(float, row)) for row in exact_rows(T, x, frags)]
+
+
+# -- fsum calls ------------------------------------------------------------------
+
+
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """Counts the math.fsum calls made from uryson.operators."""
+    count = [0]
+
+    def counted(values):
+        count[0] += 1
+        return math.fsum(values)
+
+    proxy = types.SimpleNamespace(**{**vars(math), "fsum": counted})
+    monkeypatch.setattr(operators, "math", proxy)
+
+    def run(fn, *args):
+        count[0] = 0
+        try:
+            fn(*args)
+        except OverflowError:
+            pass
+        return count[0]
+
+    return run
+
+
+def test_finite_tables_make_no_fsum_call(fsum_calls):
+    S, T = disjoint_positive_pair(rng_for(3, "fsum-calls"), 3, 10)
+    x = Vector(tuple(0.5 + j for j in range(10)))
+    frags = fragments(x)
+    assert len(frags) == 2**10
+    for op in (S, T):
+        for rest in (False, True):
+            assert fsum_calls(op.on_fragments, x, frags, rest) == 0
+
+
+def test_overflow_model_takes_the_fallback(fsum_calls):
+    model = parse_model(OVERFLOW_MODEL)
+    T = build_operator(model, "T")
+    x = Vector((1.0, 1.0))
+    assert fsum_calls(T.on_fragments, x, fragments(x)) > 0
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        T.on_fragments(x, fragments(x))
+
+
+# -- converse probe --------------------------------------------------------------
+
+
+def scanned_converse(S, T, x, eps, steps, tol):
+    """witness_exists per schedule eps by a scan of every fragment."""
+    tx, sx = T(x).coords, S(x).coords
+    frags = fragments(x, tol=tol)
+    pairs = [(T(y).coords, S(x - y).coords) for y in frags]
+    out = []
+    for e in (eps * 0.5**k for k in range(steps)):
+        out.append(
+            all(
+                any(ty[i] <= e * tx[i] + tol and sy[i] <= e * sx[i] + tol for ty, sy in pairs)
+                for i in range(T.m)
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
+@pytest.mark.parametrize("steps", [1, 5, 20])
+def test_converse_front_matches_a_scan(tol, steps):
+    rng = rng_for(steps, "converse-front")
+    for k in range(12):
+        pair = disjoint_positive_pair if k % 2 else perturbed_pair
+        S, T = pair(rng, 3, 4)
+        x = grid_vector(rng, 4)
+        if k % 3 == 0:
+            x = Vector((0.0, -0.0, tol / 2 or 1e-10, *x.coords[3:]))
+        got = check_disjoint_iff(S, T, [x], 0.5, steps, tol=tol)["probes"][0]["converse"]
+        assert [c["witness_exists"] for c in got] == scanned_converse(S, T, x, 0.5, steps, tol)
+
+
+# -- signed zero ----------------------------------------------------------------
+
+
+def test_neg_of_a_positive_operator_is_plus_zero():
+    T = KernelOperator(((BuiltinKernel("abs"), BuiltinKernel("relu")),))
+    x = Vector((1.0, 2.0))
+    assert repr(rk_eval("neg", T, x).value) == repr(rk_eval_separable("neg", T, x))
+    assert repr(rk_eval("neg", T, x).value) == "Vector(coords=(0.0,))"

@@ -101,7 +101,7 @@ def ref_rk_eval(kind, T, x, S=None):
                 best[i] = v
                 pairs[i] = (y, z)
     if kind == "neg":
-        best = [-v for v in best]
+        best = [0.0 - v for v in best]
     return RKResult(value=Vector(tuple(best)), argwitness=tuple(pairs))
 
 
