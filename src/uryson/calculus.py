@@ -10,8 +10,8 @@ Disjointness: two positive operators are disjoint iff their pointwise meet
 vanishes; `disjoint_witness` materializes the mask/fragment certificate and
 `check_disjoint_iff` probes the epsilon-quantified two-sided characterization.
 Both read one meet table of T(y) and S(x - y) over the fragments.  That table
-and `rk_eval` read their rows from `KernelOperator.on_fragments` (each kernel
-evaluated at x_j and at 0 once per call, rows as exact subset sums) and pick
+and `rk_eval` read one row per output coordinate from `on_fragments` (each
+kernel evaluated at x_j and at 0 once per call, exact subset sums) and pick
 each row's witness with `lattice.first_extremum`, the one home of the tie
 rule (lowest fragment bitmask) that the projection programs share.  The
 converse probe of `check_disjoint_iff` sorts each row's pairs
@@ -87,15 +87,15 @@ def rk_eval(
 
     maximize = kind in ("join", "pos", "abs")
     frags = fragments(x, cap=cap_support, tol=tol)
-    cands = T.on_fragments(x, frags)
+    rows = T.on_fragments(x, frags)
     if kind in ("join", "meet", "abs"):
         # T(y) + S(x - y), or T(y) - T(x - y) for abs
         combine = operator.sub if kind == "abs" else operator.add
         rests = (T if kind == "abs" else S).on_fragments(x, frags, rest=True)
-        cands = [tuple(map(combine, c, r)) for c, r in zip(cands, rests)]
-        if not all(map(math.isfinite, chain.from_iterable(cands))):
+        rows = [list(map(combine, t_row, s_row)) for t_row, s_row in zip(rows, rests)]
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise ValueError("vector coordinates must be finite")
-    best, picks = zip(*(first_extremum(col, maximize) for col in zip(*cands)))
+    best, picks = zip(*(first_extremum(row, maximize) for row in rows))
     pairs = {k: (y, x - y) for k in set(picks) for y in (frags[k],)}
 
     if kind == "neg":
@@ -158,16 +158,16 @@ class DisjointnessWitness:
 
 
 class _MeetTable:
-    """T(y) and S(x - y) for every fragment y of x, the pointwise meet
-    min_y (T(y) + S(x - y)), and for each output row the first fragment (lowest
-    bitmask) attaining it; shared by the witness and the two-sided check."""
+    """tys[i][k] = T(y_k)_i and sxy[i][k] = S(x - y_k)_i over the fragments y_k
+    of x, the pointwise meet min_y (T(y) + S(x - y)), and per output row the
+    first fragment (lowest bitmask) attaining it, for the witness and the probe."""
 
     def __init__(self, S: KernelOperator, T: KernelOperator, x: Vector, cap_support: int, tol: float):
         self.frags = fragments(x, cap=cap_support, tol=tol)
         self.tys = T.on_fragments(x, self.frags)
         self.sxy = S.on_fragments(x, self.frags, rest=True)
-        sums = [tuple(map(operator.add, ty, sy)) for ty, sy in zip(self.tys, self.sxy)]
-        self.meet, first = zip(*(first_extremum(col, False) for col in zip(*sums)))
+        sums = [list(map(operator.add, t_row, s_row)) for t_row, s_row in zip(self.tys, self.sxy)]
+        self.meet, first = zip(*(first_extremum(row, False) for row in sums))
         # (fragment index, rows whose first minimizer it is), ascending
         self.groups = [(k, [i for i, c in enumerate(first) if c == k]) for k in sorted(set(first))]
 
@@ -257,8 +257,8 @@ def check_disjoint_iff(
         # S(x - y)_i: some fragment has T(y)_i <= a and S(x - y)_i <= b iff
         # the running min over the prefix with T(y)_i <= a is <= b
         fronts = []
-        for t_col, s_col in zip(zip(*tys), zip(*sxy)):
-            ts, ss = zip(*sorted(zip(t_col, s_col)))
+        for t_row, s_row in zip(tys, sxy):
+            ts, ss = zip(*sorted(zip(t_row, s_row)))
             fronts.append((ts, list(accumulate(ss, min))))
 
         eps_list = [eps * 0.5**k for k in range(steps)]
@@ -268,13 +268,9 @@ def check_disjoint_iff(
                 (k := bisect_right(ts, e * tx[i] + tol)) and mins[k - 1] <= e * sx[i] + tol
                 for i, (ts, mins) in enumerate(fronts)
             )
-            entry = {"eps": e, "witness_exists": exists}
+            entry = {"eps": e, "witness_exists": exists, "bound_ok": None}
             if exists:
-                entry["bound_ok"] = all(
-                    meet[i] <= e * (tx[i] + sx[i]) + tol for i in range(T.m)
-                )
-            else:
-                entry["bound_ok"] = None
+                entry["bound_ok"] = all(meet[i] <= e * (tx[i] + sx[i]) + tol for i in range(T.m))
             converse.append(entry)
 
         if disjoint:
@@ -282,8 +278,8 @@ def check_disjoint_iff(
             # T(frag) and S(x - frag), elsewhere it gives 0
             e_min = eps_list[-1]
             two_sided = all(
-                (tys[k][i] if i in rows else 0.0) <= e_min * tx[i] + tol
-                and (sxy[k][i] if i in rows else 0.0) <= e_min * sx[i] + tol
+                (tys[i][k] if i in rows else 0.0) <= e_min * tx[i] + tol
+                and (sxy[i][k] if i in rows else 0.0) <= e_min * sx[i] + tol
                 for k, rows in groups
                 for i in range(T.m)
             )

@@ -24,6 +24,7 @@ import os
 import sys
 
 from .calculus import (
+    RK_KINDS,
     check_disjoint_iff,
     disjoint_witness,
     rk_eval,
@@ -143,12 +144,6 @@ class _Session:
         self.inputs.setdefault("probes", []).append({"name": name, "value": v})
         return v
 
-    def rk_witness(self, result) -> list:
-        return [
-            {"coord": i, "fragment": frag, "complement": comp}
-            for i, (frag, comp) in enumerate(result.argwitness)
-        ]
-
     def projection_json(self, res: ProjectionResult) -> dict:
         return {
             "value": res.value,
@@ -194,19 +189,15 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
     if ns.all:
         raise BadCommand("--all is only available for eval")
 
-    if verb in ("join", "meet"):
-        a, b, probe = _need(args, 3, f"{verb} OP1 OP2 PROBE")
-        T, S = sess.op(a), sess.op(b)
-        x = sess.probe(probe)
-        r = rk_eval(verb, T, x, S, cap_support=st.cap_support, tol=st.tol)
-        return {"value": r.value, "witness": sess.rk_witness(r)}, None
-
-    if verb in ("pos", "neg", "abs"):
-        op_name, probe = _need(args, 2, f"{verb} OP PROBE")
-        T = sess.op(op_name)
-        x = sess.probe(probe)
-        r = rk_eval(verb, T, x, cap_support=st.cap_support, tol=st.tol)
-        return {"value": r.value, "witness": sess.rk_witness(r)}, None
+    if verb in RK_KINDS:
+        binary = verb in ("join", "meet")
+        usage = f"{verb} OP1 OP2 PROBE" if binary else f"{verb} OP PROBE"
+        *names, probe = _need(args, 2 + binary, usage)
+        ops, x = [sess.op(nm) for nm in names], sess.probe(probe)
+        r = rk_eval(verb, ops[0], x, *ops[1:], cap_support=st.cap_support, tol=st.tol)
+        pairs = enumerate(r.argwitness)
+        witness = [{"coord": i, "fragment": y, "complement": z} for i, (y, z) in pairs]
+        return {"value": r.value, "witness": witness}, None
 
     if verb == "disjoint":
         if len(args) < 2:
@@ -291,22 +282,31 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
     raise BadCommand(f"unknown verb {verb!r} (expected one of: {', '.join(VERBS)})")
 
 
-def _emit(text: str, json_path: str | None) -> None:
+def _io_error(exc: Exception, action: str) -> UrysonError:
+    err = UrysonError(f"cannot {action}: {exc}")
+    err.code = "io_error"
+    return err
+
+
+def _emit(text: str, json_path: str | None, exit_code: int) -> int:
+    """Write text to the --json file, when given, then to stdout, and return
+    exit_code; a --json file that cannot be written is reported on stdout
+    alone (io_error, exit 1)."""
+    try:
+        if json_path:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        return _error_exit(_io_error(exc, "write --json file"), 1, None)
     sys.stdout.write(text)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    return exit_code
 
 
 def _error_exit(exc: UrysonError, exit_code: int, json_path: str | None) -> int:
-    body: dict = {"error": {"code": exc.code, "message": str(exc)}}
-    if isinstance(exc, ModelSyntaxError):
-        body["error"]["line"] = exc.line
-        body["error"]["column"] = exc.column
-    elif isinstance(exc, ModelSemanticError):
-        body["error"]["line"] = exc.line
-    _emit(dumps(body), json_path)
-    return exit_code
+    # syntax and semantic errors carry their position
+    where = {k: getattr(exc, k) for k in ("line", "column") if hasattr(exc, k)}
+    body = {"error": {"code": exc.code, "message": str(exc), **where}}
+    return _emit(dumps(body), json_path, exit_code)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -315,11 +315,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         try:
-            text = open(ns.model, "r", encoding="utf-8").read()
-        except OSError as exc:
-            err = UrysonError(f"cannot read model file: {exc}")
-            err.code = "io_error"
-            return _error_exit(err, 1, json_path)
+            with open(ns.model, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            return _error_exit(_io_error(exc, "read model file"), 1, json_path)
 
         try:
             model = parse_model(text)
@@ -342,13 +341,15 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, OverflowError) as exc:
             return _error_exit(NumericError(str(exc)), 1, json_path)
 
-        _emit(text, json_path)
-        if csv_text is not None and ns.csv:
-            with open(ns.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-        if verb == "suite" and not result["suite"]["ok"]:
-            return 3
-        return 0
+        # the table before the report, so that a failed write reports
+        # nothing but the error
+        try:
+            if csv_text is not None and ns.csv:
+                with open(ns.csv, "w", encoding="utf-8") as fh:
+                    fh.write(csv_text)
+        except OSError as exc:
+            return _error_exit(_io_error(exc, "write --csv file"), 1, json_path)
+        return _emit(text, json_path, 3 if verb == "suite" and not result["suite"]["ok"] else 0)
     except UrysonError as exc:
         return _error_exit(exc, 1, json_path)
 

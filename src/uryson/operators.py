@@ -7,10 +7,10 @@ whenever y and z are disjoint.  Functionals are operators with m = 1.
 
 The fragment programs read T(y) and T(x - y) over all fragments y of x from
 `on_fragments`, which has each kernel evaluated at x_j and at 0 once per
-call and builds no fragment Vector.  Its rows are exact subset sums of the
-table entries (integers over a power-of-two denominator, one doubling per
-support column), rounded once: the same floats as fsum, without an fsum per
-fragment.
+call, builds no fragment Vector, and returns one list per output row in
+fragment order.  Entries are exact subset sums of the table entries
+(integers over a power-of-two denominator, one doubling per support column),
+rounded once: the same floats as fsum, without an fsum per fragment.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class KernelOperator:
 
     def on_fragments(
         self, x: Vector, frags: Fragments, rest: bool = False
-    ) -> list[tuple[float, ...]]:
-        """T(y).coords for every fragment y of x, or T(x - y).coords with rest.
+    ) -> list[list[float]]:
+        """rows[i][k] = T(y_k)_i for the fragments y_k of x, or T(x - y_k)_i with rest.
 
         Each kernel is evaluated once at x_j and once at 0, and no fragment
         Vector is built: y_j is x_j on the kept support columns and 0.0
@@ -90,13 +90,13 @@ class KernelOperator:
         fragment order, and each is divided by the denominator once.  Integer
         true division (or, off the subnormal and overflow range, rounding to
         a float and scaling by a power of two) and fsum both round correctly,
-        so each row is the float an application gives (an exact zero is 0.0
-        on both).
+        so each entry is the float an application gives (an exact zero is
+        0.0 on both).
 
         A table with a non-finite entry, or so large that fsum's partial sums
         may overflow, keeps the per-fragment fsum, so it fails as an
         application does: OverflowError from fsum, or ValueError for a
-        non-finite row.
+        non-finite T(y); its fragment rows are transposed at the end.
         """
         at_x = self.kernel_values(x)
         at_0 = [[k(0.0) for k in row] for row in self.kernels]
@@ -109,11 +109,11 @@ class KernelOperator:
             pairs = [tuple(zip(d, k)) for d, k in zip(dropped, kept)]
             out = []
             for keep in frags.keeps:
-                v = tuple([math.fsum(map(_pick, row, keep)) for row in pairs])
+                v = [math.fsum(map(_pick, row, keep)) for row in pairs]
                 if not all(map(math.isfinite, v)):
                     raise ValueError("vector coordinates must be finite")
                 out.append(v)
-            return out
+            return [list(row) for row in zip(*out)]
         # each entry as an integer over one power-of-two denominator, in the
         # order of flat: the dropped rows, then the kept rows
         nums, dens = zip(*[v.as_integer_ratio() for v in flat])
@@ -132,7 +132,7 @@ class KernelOperator:
                 step = hi[j] - lo[j]
                 sums += [s + step for s in sums] if step else sums
             rows.append([s * scale for s in sums] if scale else [s / den for s in sums])
-        return list(zip(*rows))
+        return rows
 
     def descriptor(self) -> dict:
         return {

@@ -25,19 +25,20 @@ from one scan of the constraints (the largest constraint inside the limit
 set and the smallest outside it), so no feasible set is rebuilt per eps.
 
 All five programs are instances of one engine, `_MemberProgram`, which reads
-precomputed rows: a constraint value per (fragment, row), the bound it is
-held against, the objective T(y) and the start value T(x).  One builder,
-`_programs`, enumerates the fragments once and yields a program per
-generator over shared T(y) and T(x) rows (each kernel evaluated at x_j and
-at 0 once per call) for the band and complement of a set, the principal
-band (whose two complement routes reuse its rows with S(y)), the functional
-band and the profile.  Programs track fragments by index and build a
-fragment Vector only for the witnesses a result returns; the profile reuses
-the limit value from the first settled eps on.  A rank-one band phi(.)*u
-repeats the constraint row phi(x - y) or phi(y) on every output row and
-masks the result by u afterwards.  An independent support-masking oracle
-cross-checks the principal case.  Generating sets are decided positive and
-upward directed at the caller's tol, like every other operator check.
+precomputed rows as `on_fragments` lays them out, one list per output row in
+fragment order: the constraints, the bound they are held against, the
+objective T(y) and the start value T(x).  One builder, `_programs`,
+enumerates the fragments once and yields a program per generator over
+shared T(y) and T(x) rows (each kernel evaluated at x_j and at 0 once per
+call) for the band and complement of a set, the principal band (whose two
+complement routes reuse its rows with S(y)), the functional band and the
+profile.  Programs track fragments by index and build a fragment Vector
+only for the witnesses a result returns; the profile reuses the limit value
+from the first settled eps on.  A rank-one band phi(.)*u repeats the
+constraint row phi(x - y) or phi(y) on every output row and masks the
+result by u afterwards.  An independent support-masking oracle cross-checks
+the principal case.  Generating sets are decided positive and upward
+directed at the caller's tol, like every other operator check.
 """
 
 from __future__ import annotations
@@ -160,11 +161,11 @@ def _checked_set(
 
 
 class _MemberProgram:
-    """Feasibility/value engine over precomputed rows, one per fragment.
+    """Feasibility/value engine over precomputed rows, one per output row.
 
-    cons[k][i] is the constraint value of fragment k at output row i, bound
-    the vector it is held against (S(x), or phi(x) repeated), tys[k] the
-    objective T(frag k), and tx = T(x).  sense "band": row constraint
+    cons[i][k] is the constraint value of fragment k at output row i, bound
+    the vector it is held against (S(x), or phi(x) repeated), tys[i][k] the
+    objective T(frag k)_i, and tx = T(x).  sense "band": row constraint
     cons_i <= eps*bound_i, row objective T(y)_i when feasible and T(x)_i
     otherwise, inner inf.  sense "complement": same constraint, row objective
     T(y)_i or 0, inner sup.  Only the given rows may be masked in (the
@@ -172,7 +173,7 @@ class _MemberProgram:
     masks[0] is the empty mask and masks[k + 1] the singleton of rows[k]: the
     only masks a witness can carry.
 
-    One scan of the constraint columns gives the eps->0 limit set (per given
+    One scan of the constraint rows gives the eps->0 limit set (per given
     row, the fragments with cons_i <= tol), its size per output row, and per
     given row two scalars: the largest constraint inside the limit set and
     the smallest outside it.  feasible(eps) is {cons_i <= eps*bound_i + tol},
@@ -185,9 +186,9 @@ class _MemberProgram:
         sense: str,
         rows: Sequence[int],
         frags: Fragments,
-        cons: list[tuple[float, ...]],
+        cons: list[list[float]],
         bound: tuple[float, ...],
-        tys: list[tuple[float, ...]],
+        tys: list[list[float]],
         tx: tuple[float, ...],
         tol: float,
     ):
@@ -201,8 +202,7 @@ class _MemberProgram:
         self.tys = tys
         self.start = tx if sense == "band" else (0.0,) * self.m
         self.tol = tol
-        cols = tuple(zip(*cons))
-        inside = [tuple(k for k, c in enumerate(col) if c <= tol) for col in cols]
+        inside = [tuple(k for k, c in enumerate(row) if c <= tol) for row in cons]
         self.feasible_count = tuple(map(len, inside))
         self.limit = tuple(inside[i] for i in self.rows)
         # per given row: (i, largest constraint in the limit set, smallest
@@ -210,8 +210,8 @@ class _MemberProgram:
         self._edges = [
             (
                 i,
-                max((cols[i][k] for k in ks), default=None),
-                min((c for c in cols[i] if not c <= tol), default=None),
+                max((cons[i][k] for k in ks), default=None),
+                min((c for c in cons[i] if not c <= tol), default=None),
             )
             for i, ks in zip(self.rows, self.limit)
         ]
@@ -220,7 +220,7 @@ class _MemberProgram:
         """Per given row, the ascending indices of the fragments whose row
         constraint holds at eps; at eps = 0 this is the eps->0 limit set."""
         return tuple(
-            tuple(k for k, c in enumerate(self.cons) if c[i] <= eps * self.bound[i] + self.tol)
+            tuple(k for k, c in enumerate(self.cons[i]) if c <= eps * self.bound[i] + self.tol)
             for i in self.rows
         )
 
@@ -244,7 +244,7 @@ class _MemberProgram:
         vals = list(self.start)
         wit = [(0, self.masks[0])] * self.m
         for i, singleton, ks in zip(self.rows, self.masks[1:], feas):
-            vals[i], pick = first_extremum([vals[i]] + [self.tys[k][i] for k in ks], maximize)
+            vals[i], pick = first_extremum([vals[i]] + [self.tys[i][k] for k in ks], maximize)
             if pick:
                 wit[i] = (ks[pick - 1], singleton)
         return vals, wit
@@ -418,8 +418,8 @@ def project_rank_one(
     phix = phi(x).coords * T.m
 
     def program(sense):
-        # every row carries the one constraint of phi
-        cons = [c * T.m for c in phi.on_fragments(x, frags, rest=sense == "band")]
+        # every row carries phi's one constraint row
+        cons = phi.on_fragments(x, frags, rest=sense == "band") * T.m
         return _MemberProgram(
             sense, range(T.m), frags, cons, phix, tys, tx.coords, tol
         ).run(sched)

@@ -5,6 +5,8 @@
 float arithmetic in between.  `fsum_rows` is the per-fragment `math.fsum`
 loop that `KernelOperator.on_fragments` ran before its rows became exact
 subset sums; it is kept here as the reference for values and for errors.
+Both list one row per fragment; `by_row` lays such a table out as
+`on_fragments` returns it, one list per output row in fragment order.
 
 `planted_operators` is a hypothesis strategy for operators whose kernels
 return planted values: exact cancellation (a value next to its negation,
@@ -69,6 +71,12 @@ def fsum_rows(T: KernelOperator, x: Vector, frags, rest: bool = False):
             raise ValueError("vector coordinates must be finite")
         out.append(row)
     return out
+
+
+def by_row(table):
+    """The table transposed: per-fragment rows become per-output-row lists
+    (and per-output-row lists become per-fragment lists)."""
+    return [list(col) for col in zip(*table)]
 
 
 def outcome(fn, *args):

@@ -249,6 +249,36 @@ def test_missing_model_file(capsys, tmp_path):
     assert rep["error"]["code"] == "io_error"
 
 
+def test_model_file_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.ury"
+    bad.write_bytes(b"space E 2\xff\n")
+    code, rep = run_json(capsys, "run", str(bad), "eval", "T", "x1")
+    assert code == 1
+    assert rep["error"]["code"] == "io_error"
+
+
+@pytest.mark.parametrize(
+    "argv,bad_flag,mirror",
+    [
+        (["eval", "T", "x1"], "--json", False),
+        (["eval", "T", "--all"], "--csv", False),
+        (["eval", "T", "--all"], "--csv", True),
+        (["eval", "T", "nope"], "--json", False),  # the command fails too
+    ],
+)
+def test_unwritable_output_file(capsys, tmp_path, argv, bad_flag, mirror):
+    ok, bad = tmp_path / "ok.json", tmp_path / "no" / "such" / "out"
+    extra = ["--json", str(ok)] if mirror else []
+    code = main(["run", DEMO, *argv, *extra, bad_flag, str(bad)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    # one JSON document, the error; nothing is written to the failed path
+    assert json.loads(out)["error"]["code"] == "io_error"
+    assert not bad.parent.exists()
+    if mirror:
+        assert ok.read_text() == out
+
+
 def test_syntax_error_exit(capsys, tmp_path):
     bad = tmp_path / "bad.ury"
     bad.write_text("kernel k abs\nop T 2x2 [k k; k\n")

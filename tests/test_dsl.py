@@ -5,7 +5,11 @@ Every rejection path carries a stable machine-readable code plus a line
 by message so the diagnostics stay part of the contract.
 """
 
+import importlib.resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uryson.dsl import (
     IntegralOpDef,
@@ -242,3 +246,39 @@ def test_demo_model_parses(demo_model):
 def test_settings_schedule():
     s = Settings(eps0=0.5, factor=0.25, max_steps=3)
     assert list(s.schedule().values()) == [0.5, 0.125, 0.03125]
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+DEMO_LINES = (
+    (importlib.resources.files("uryson") / "demo.ury").read_text(encoding="utf-8").splitlines()
+)
+# characters of the language, some of its words, and numbers at its edges
+PIECES = (
+    *"()[];,=+-*/^.x_# \t\n0123456789eE",
+    "1e999", "nan", "-0", "kernel", "op", "probe", "set", "space", "pwl", "abs",
+    "clamp", "rank1", "integral", "scale=", "u=", "s=", "t=", "w=", "2x2", "k_abs", "T", "x1",
+)
+
+
+@st.composite
+def mutated_demo(draw):
+    """demo.ury with up to four spans of at most three characters replaced
+    by a piece of the language, or deleted."""
+    lines = list(DEMO_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        a = draw(st.integers(0, len(lines[i])))
+        b = draw(st.integers(a, min(a + 3, len(lines[i]))))
+        piece = draw(st.one_of(st.just(""), st.sampled_from(PIECES)))
+        lines[i] = lines[i][:a] + piece + lines[i][b:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_demo())
+def test_mutated_models_parse_or_raise_model_errors(text):
+    try:
+        assert isinstance(parse_model(text), Model)
+    except (ModelSyntaxError, ModelSemanticError):
+        pass

@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracle import PlantedKernel, exact_rows, fsum_rows, outcome, planted_operators
+from exact_oracle import (
+    PlantedKernel,
+    by_row,
+    exact_rows,
+    fsum_rows,
+    outcome,
+    planted_operators,
+)
 from test_cli import OVERFLOW_MODEL
 from uryson import operators
 from uryson.calculus import check_disjoint_iff, rk_eval, rk_eval_separable
@@ -33,9 +40,9 @@ from uryson.operators import KernelOperator
 def assert_rows_exact(T, x, rest):
     frags = fragments(x)
     got = outcome(T.on_fragments, x, frags, rest)
-    assert got == outcome(fsum_rows, T, x, frags, rest)
+    assert got == outcome(lambda: by_row(fsum_rows(T, x, frags, rest)))
     rounded = [tuple(map(float, row)) for row in exact_rows(T, x, frags, rest)]
-    assert got == ("ok", repr(rounded))
+    assert got == ("ok", repr(by_row(rounded)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,7 +99,7 @@ def test_fallback_fails_like_fsum(values, error):
     frags = fragments(x)
     for rest in (False, True):
         got = outcome(T.on_fragments, x, frags, rest)
-        assert got == outcome(fsum_rows, T, x, frags, rest)
+        assert got == outcome(lambda: by_row(fsum_rows(T, x, frags, rest)))
         if rest:  # fragment 0 then sums the whole row
             assert got == ("error", *error)
 
@@ -103,8 +110,8 @@ def test_fallback_keeps_finite_rows_near_the_float_range():
     x = Vector((1.0, 1.0, 0.0))
     frags = fragments(x)
     rows = T.on_fragments(x, frags)
-    assert rows == fsum_rows(T, x, frags) == [(0.0,), (1e308,), (-1e308,), (0.0,)]
-    assert rows == [tuple(map(float, row)) for row in exact_rows(T, x, frags)]
+    assert rows == by_row(fsum_rows(T, x, frags)) == [[0.0, 1e308, -1e308, 0.0]]
+    assert rows == by_row([tuple(map(float, row)) for row in exact_rows(T, x, frags)])
 
 
 # -- fsum calls ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Differential check of the addend tables and the kernel order check.
 
-`KernelOperator.on_fragments` gives every fragment row T(y), or T(x - y) with
-rest, from each kernel evaluated once at x_j and once at 0;
+`KernelOperator.on_fragments` gives T(y), or T(x - y) with rest, for every
+fragment y (one list per output row, in fragment order) from each kernel
+evaluated once at x_j and once at 0;
 `kernel_diff_nonneg` decides high - low >= -tol on the breakpoint union
 without building kernels.  The references below are the direct forms they
 replace: one operator application per fragment, `rk_eval` enumerating
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_oracle import by_row
 from uryson.calculus import RK_KINDS, RKResult, check_disjoint_iff, rk_eval
 from uryson.instances import disjoint_positive_pair, random_pwl, rng_for
 from uryson.kernels import (
@@ -78,7 +80,7 @@ def seeded_case(seed, m, n):
 
 
 def ref_on_fragments(T, x, frags, rest=False):
-    return [T(x - y).coords if rest else T(y).coords for y in frags]
+    return by_row([T(x - y).coords if rest else T(y).coords for y in frags])
 
 
 def ref_rk_eval(kind, T, x, S=None):

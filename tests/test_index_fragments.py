@@ -8,6 +8,8 @@ it.  The earlier bodies are kept here as oracles: the Vector-per-fragment
 enumeration, and the program that compared feasible sets at every schedule
 eps.  Results and errors must agree by repr, including rows whose bound is
 slightly negative and constraints planted exactly at eps*bound + tol.
+Tables are laid out as `on_fragments` returns them, one list per output row;
+the oracle transposes them back to one row per fragment.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_oracle import by_row
 from uryson import instances as inst
 from uryson.calculus import check_disjoint_iff, disjoint_witness, rk_eval
 from uryson.errors import NoStabilization, SupportTooLarge
@@ -62,9 +65,10 @@ class RefProgram:
         self.m = len(tx)
         self.masks = [Mask.empty(self.m)] + [Mask.from_indices(self.m, (i,)) for i in self.rows]
         self.frags = list(frags)
-        self.cons = cons
+        # the oracle reads one row per fragment
+        self.cons = by_row(cons)
         self.bound = bound
-        self.tys = tys
+        self.tys = by_row(tys)
         self.start = tx if sense == "band" else (0.0,) * self.m
         self.tol = tol
 
@@ -202,9 +206,9 @@ def test_vector_builds_do_not_grow_with_fragments(vector_builds):
 
 
 def planted_tables(rng, m, x, sched, tol):
-    """Constraint rows drawn from the thresholds eps*bound_i + tol of the
+    """Constraint tables drawn from the thresholds eps*bound_i + tol of the
     schedule and their float neighbours, against bounds that include
-    slightly negative ones."""
+    slightly negative ones; one list per output row, as on_fragments."""
     frags = fragments(x, tol=tol)
     bound = tuple(
         rng.choice([1.0, 0.5, 0.0, -tol, -0.5 * x.dim * tol, 3.0, -1e-12]) for _ in range(m)
@@ -217,7 +221,7 @@ def planted_tables(rng, m, x, sched, tol):
     cons = [tuple(rng.choice(cands[i]) for i in range(m)) for _ in frags]
     tys = [tuple(rng.uniform(-1.0, 3.0) for _ in range(m)) for _ in frags]
     tx = tuple(rng.uniform(0.0, 3.0) for _ in range(m))
-    return frags, cons, bound, tys, tx
+    return frags, by_row(cons), bound, by_row(tys), tx
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -310,4 +314,5 @@ def test_two_scalar_rule_hypothesis(m, s, data, sense, sched, tol):
     tys = [tuple(data.draw(VALUES) for _ in range(m)) for _ in frags]
     tx = tuple(data.draw(VALUES) for _ in range(m))
     rows = data.draw(st.sampled_from([range(m), range(m - 1), (m - 1,)]))
-    assert_programs_agree((sense, rows, frags, cons, bound, tys, tx, tol), sched)
+    args = (sense, rows, frags, by_row(cons), bound, by_row(tys), tx, tol)
+    assert_programs_agree(args, sched)
