@@ -9,11 +9,11 @@ a cross-check (`rk_eval_separable`).
 Disjointness: two positive operators are disjoint iff their pointwise meet
 vanishes; `disjoint_witness` materializes the mask/fragment certificate and
 `check_disjoint_iff` probes the epsilon-quantified two-sided characterization.
-Both read one meet table of T(y) and S(x - y) over the fragments.  That table
-and `rk_eval` read one row per output coordinate from `on_fragments` (each
-kernel evaluated at x_j and at 0 once per call, exact subset sums) and pick
-each row's witness with `lattice.first_extremum`, the one home of the tie
-rule (lowest fragment bitmask) that the projection programs share.  The
+`rk_eval` and both checks read one fragment table per probe, `_Table` (the
+checks its "meet" table of T(y) + S(x - y)): one row per output coordinate
+from `on_fragments` (each kernel evaluated at x_j and at 0 once per call),
+each row's witness picked by `lattice.first_extremum`, the one home of the
+tie rule (lowest fragment bitmask) that the projection programs share.  The
 converse probe of `check_disjoint_iff` sorts each row's pairs
 (T(y)_i, S(x - y)_i) by the first value once and keeps the running min of
 the second, the row's front: each schedule eps then costs one bisection and
@@ -69,6 +69,35 @@ def _check_kind(kind: str, T: KernelOperator, x: Vector, S: KernelOperator | Non
     check_pair_dims(T, S, x)
 
 
+class _Table:
+    """The fragment table of an RK kind at x, one list per output row in
+    fragment order: tys = T(y); second = S(x - y) (join, meet), T(x - y)
+    (abs) or None (pos, neg); rows the candidates T(y) + S(x - y),
+    T(y) - T(x - y) or T(y).  best and first are each row's extremum and the
+    first fragment (lowest bitmask) attaining it, and groups lists each such
+    fragment, ascending, with its rows (built on access, for the disjointness
+    checks, which read the "meet" table)."""
+
+    def __init__(self, kind: str, T: KernelOperator, x: Vector, S: KernelOperator | None,
+                 cap_support: int, tol: float):
+        self.frags = fragments(x, cap=cap_support, tol=tol)
+        self.tys = self.rows = T.on_fragments(x, self.frags)
+        other = T if kind == "abs" else S
+        self.second = None if other is None else other.on_fragments(x, self.frags, rest=True)
+        if self.second is not None:
+            combine = operator.sub if kind == "abs" else operator.add
+            self.rows = [list(map(combine, t, s)) for t, s in zip(self.tys, self.second)]
+        maximize = kind in ("join", "pos", "abs")
+        self.best, self.first = zip(*(first_extremum(row, maximize) for row in self.rows))
+
+    @property
+    def groups(self) -> list[tuple[int, list[int]]]:
+        groups: dict[int, list[int]] = {}
+        for i, k in enumerate(self.first):
+            groups.setdefault(k, []).append(i)
+        return sorted(groups.items())
+
+
 def rk_eval(
     kind: str,
     T: KernelOperator,
@@ -84,23 +113,13 @@ def rk_eval(
     to the lowest fragment bitmask.
     """
     _check_kind(kind, T, x, S)
-
-    maximize = kind in ("join", "pos", "abs")
-    frags = fragments(x, cap=cap_support, tol=tol)
-    rows = T.on_fragments(x, frags)
-    if kind in ("join", "meet", "abs"):
-        # T(y) + S(x - y), or T(y) - T(x - y) for abs
-        combine = operator.sub if kind == "abs" else operator.add
-        rests = (T if kind == "abs" else S).on_fragments(x, frags, rest=True)
-        rows = [list(map(combine, t_row, s_row)) for t_row, s_row in zip(rows, rests)]
-        if not all(map(math.isfinite, chain.from_iterable(rows))):
-            raise ValueError("vector coordinates must be finite")
-    best, picks = zip(*(first_extremum(row, maximize) for row in rows))
-    pairs = {k: (y, x - y) for k in set(picks) for y in (frags[k],)}
-
-    if kind == "neg":
-        best = [0.0 - v for v in best]  # 0.0, not -0.0, where T(y) peaks at 0
-    return RKResult(value=Vector(tuple(best)), argwitness=tuple(pairs[k] for k in picks))
+    table = _Table(kind, T, x, S, cap_support, tol)
+    if table.second is not None and not all(map(math.isfinite, chain.from_iterable(table.rows))):
+        raise ValueError("vector coordinates must be finite")
+    # 0.0, not -0.0, where T(y) peaks at 0
+    best = [0.0 - v for v in table.best] if kind == "neg" else table.best
+    pairs = {k: (y, x - y) for k in set(table.first) for y in (table.frags[k],)}
+    return RKResult(value=Vector(tuple(best)), argwitness=tuple(pairs[k] for k in table.first))
 
 
 def rk_eval_separable(
@@ -157,21 +176,6 @@ class DisjointnessWitness:
     u: Vector
 
 
-class _MeetTable:
-    """tys[i][k] = T(y_k)_i and sxy[i][k] = S(x - y_k)_i over the fragments y_k
-    of x, the pointwise meet min_y (T(y) + S(x - y)), and per output row the
-    first fragment (lowest bitmask) attaining it, for the witness and the probe."""
-
-    def __init__(self, S: KernelOperator, T: KernelOperator, x: Vector, cap_support: int, tol: float):
-        self.frags = fragments(x, cap=cap_support, tol=tol)
-        self.tys = T.on_fragments(x, self.frags)
-        self.sxy = S.on_fragments(x, self.frags, rest=True)
-        sums = [list(map(operator.add, t_row, s_row)) for t_row, s_row in zip(self.tys, self.sxy)]
-        self.meet, first = zip(*(first_extremum(row, False) for row in sums))
-        # (fragment index, rows whose first minimizer it is), ascending
-        self.groups = [(k, [i for i, c in enumerate(first) if c == k]) for k in sorted(set(first))]
-
-
 def disjoint_witness(
     S: KernelOperator,
     T: KernelOperator,
@@ -197,14 +201,16 @@ def disjoint_witness(
     if any(c <= tol for c in u.coords):
         raise NotPositiveUnit("regulating unit must be strictly positive")
 
-    table = _MeetTable(S, T, x, cap_support, tol)
-    if any(v > tol for v in table.meet):
-        raise NotDisjoint(f"pointwise meet is nonzero: {table.meet}")
+    table = _Table("meet", T, x, S, cap_support, tol)
+    frags, meet, groups = table.frags, table.best, table.groups
+    del table  # a NotDisjoint traceback keeps this frame, but not the rows
+    if any(v > tol for v in meet):
+        raise NotDisjoint(f"pointwise meet is nonzero: {meet}")
 
-    labels = tuple(str(k) for k, _ in table.groups)
+    labels = tuple(str(k) for k, _ in groups)
     return DisjointnessWitness(
-        masks=IndexedFamily(labels, tuple(Mask.from_indices(T.m, rows) for _, rows in table.groups)),
-        frags=IndexedFamily(labels, tuple(table.frags[k] for k, _ in table.groups)),
+        masks=IndexedFamily(labels, tuple(Mask.from_indices(T.m, rows) for _, rows in groups)),
+        frags=IndexedFamily(labels, tuple(frags[k] for k, _ in groups)),
         eps=eps,
         u=u,
     )
@@ -248,9 +254,11 @@ def check_disjoint_iff(
     all_disjoint = True
     for x in xs:
         check_pair_dims(T, S, x)
-        table = _MeetTable(S, T, x, cap_support, tol)
+        table = _Table("meet", T, x, S, cap_support, tol)
+        frags, tys, sxy, meet = table.frags, table.tys, table.second, table.best
+        groups = table.groups
+        del table  # the candidate rows are not needed past their minimum
         tx, sx = T(x).coords, S(x).coords
-        tys, sxy, meet, groups = table.tys, table.sxy, table.meet, table.groups
         disjoint = all(v <= tol for v in meet)
 
         # per row, the fragments sorted by T(y)_i with the running min of
@@ -286,7 +294,7 @@ def check_disjoint_iff(
             forward = {
                 "labels": [str(k) for k, _ in groups],
                 "masks": [[1 if i in rows else 0 for i in range(T.m)] for _, rows in groups],
-                "fragments": [list(table.frags[k].coords) for k, _ in groups],
+                "fragments": [list(frags[k].coords) for k, _ in groups],
                 "bounds_ok": two_sided,
             }
             ok = two_sided and all(c["witness_exists"] and c["bound_ok"] for c in converse)

@@ -78,8 +78,13 @@ VERBS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # usage errors end in JSON, exit 2
+        raise BadCommand(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uryson",
         description="Lattice calculus for kernel operators: evaluation, "
         "disjointness witnesses, band projections, and a self-check suite.",
@@ -310,10 +315,10 @@ def _error_exit(exc: UrysonError, exit_code: int, json_path: str | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _build_parser().parse_args(argv)
-    json_path = ns.json
-
+    json_path = None
     try:
+        ns = _build_parser().parse_args(argv)
+        json_path = ns.json
         try:
             with open(ns.model, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -323,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             model = parse_model(text)
             st = _effective_settings(model, ns)
-        except (ModelSyntaxError, ModelSemanticError, BadCommand) as exc:
+        except (ModelSyntaxError, ModelSemanticError) as exc:
             return _error_exit(exc, 2, json_path)
 
         verb, args = ns.verb, list(ns.args)
@@ -336,8 +341,6 @@ def main(argv: list[str] | None = None) -> int:
                 "inputs": sess.inputs,
                 "result": result,
             })
-        except BadCommand as exc:
-            return _error_exit(exc, 2, json_path)
         except (ValueError, OverflowError) as exc:
             return _error_exit(NumericError(str(exc)), 1, json_path)
 
@@ -350,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             return _error_exit(_io_error(exc, "write --csv file"), 1, json_path)
         return _emit(text, json_path, 3 if verb == "suite" and not result["suite"]["ok"] else 0)
+    except BadCommand as exc:
+        return _error_exit(exc, 2, json_path)
     except UrysonError as exc:
         return _error_exit(exc, 1, json_path)
 

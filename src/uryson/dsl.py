@@ -497,13 +497,11 @@ def override_settings(st: Settings, overrides: dict[str, float | int]) -> Settin
 
 def parse_model(text: str) -> Model:
     spaces: dict[str, int] = {}
-    space_lines: dict[str, int] = {}
-    kernels: list[tuple[str, ScalarKernel]] = []
-    kernel_map: dict[str, ScalarKernel] = {}
+    kernels: dict[str, ScalarKernel] = {}
     operators: list[OpDef] = []
-    def_lines: dict[str, int] = {}
     probes: list[tuple[str, Vector]] = []
     setting_values: dict[str, float | int] = {}
+    # the line of every kernel, operator and probe name
     claimed: dict[str, int] = {}
 
     def claim(name: str, lineno: int) -> None:
@@ -533,7 +531,6 @@ def parse_model(text: str) -> Model:
             if dim < 1:
                 raise ModelSemanticError("space dimension must be >= 1", lineno)
             spaces[which] = dim
-            space_lines[which] = lineno
             cur.require_end()
 
         elif head.text == "kernel":
@@ -574,13 +571,11 @@ def parse_model(text: str) -> Model:
             except ValueError as exc:
                 raise ModelSemanticError(str(exc), lineno) from exc
             cur.require_end()
-            kernels.append((name, kern))
-            kernel_map[name] = kern
+            kernels[name] = kern
 
         elif head.text == "op":
             name = cur.expect_name("an operator name").text
             claim(name, lineno)
-            def_lines[name] = lineno
             tok = cur.peek()
             if tok is not None and tok.kind == "DIM":
                 cur.take()
@@ -599,7 +594,7 @@ def parse_model(text: str) -> Model:
                         raise cur.error("expected ']'")
                     if t2.kind == "NAME":
                         cur.take()
-                        if t2.text not in kernel_map:
+                        if t2.text not in kernels:
                             raise ModelSemanticError(
                                 f"unknown kernel {t2.text!r}",
                                 lineno,
@@ -701,7 +696,6 @@ def parse_model(text: str) -> Model:
         elif head.text == "probe":
             name = cur.expect_name("a probe name").text
             claim(name, lineno)
-            def_lines[name] = lineno
             cur.expect_punct("=")
             coords = cur.vector_literal()
             cur.require_end()
@@ -725,8 +719,12 @@ def parse_model(text: str) -> Model:
                 f"unknown directive {head.text!r}", lineno, head.col
             )
 
-    return _finish_model(
-        spaces, space_lines, kernels, operators, def_lines, probes, setting_values
+    return Model(
+        dims=_finish_model(spaces, operators, probes, claimed),
+        kernels=tuple(kernels.items()),
+        operators=tuple(operators),
+        probes=tuple(probes),
+        settings=Settings(**setting_values),
     )
 
 
@@ -741,20 +739,18 @@ def _parse_scale_opt(cur: _Cursor) -> float:
 
 def _finish_model(
     spaces: dict[str, int],
-    space_lines: dict[str, int],
-    kernels: list[tuple[str, ScalarKernel]],
     operators: list[OpDef],
-    def_lines: dict[str, int],
     probes: list[tuple[str, Vector]],
-    setting_values: dict[str, float | int],
-) -> Model:
-    """Cross-line checks: dimension agreement and inference."""
+    lines: dict[str, int],
+) -> tuple[int, int]:
+    """Cross-line checks: dimension agreement and inference of (n, m);
+    lines gives the line of each operator and probe name."""
     n = spaces.get("E")
     m = spaces.get("F")
 
     for d in operators:
         m_op, n_op = op_shape(operators, d.name)
-        line = def_lines[d.name]
+        line = lines[d.name]
         if n is None:
             n = n_op
         elif n_op != n:
@@ -780,7 +776,7 @@ def _finish_model(
         elif v.dim != n:
             raise ModelSemanticError(
                 f"probe {name!r} has dimension {v.dim}, expected {n}",
-                def_lines[name],
+                lines[name],
                 code="dimension_mismatch",
             )
 
@@ -790,14 +786,7 @@ def _finish_model(
         )
     if m is None:
         m = 1 if any(op_shape(operators, d.name)[0] == 1 for d in operators) else n
-
-    return Model(
-        dims=(n, m),
-        kernels=tuple(kernels),
-        operators=tuple(operators),
-        probes=tuple(probes),
-        settings=Settings(**setting_values),
-    )
+    return n, m
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Union
 
 from .errors import DimensionMismatch, NotConverged, NotPositiveUnit, SupportTooLarge
@@ -128,8 +127,10 @@ class Fragments(Sequence):
 
     supp lists the support columns of x ascending, and bit b of a fragment
     index k says whether fragment k keeps x_supp[b]: fragment k is x_j on the
-    kept columns and 0.0 elsewhere.  The table programs read supp (or the
-    keep flags); indexing or iterating builds the validated Vector on demand.
+    kept columns and 0.0 elsewhere.  The table programs read supp alone;
+    indexing or iterating builds the validated Vector on demand, for the
+    witnesses a result returns and the application fallback of
+    `on_fragments`.
     """
 
     __slots__ = ("x", "supp")
@@ -149,15 +150,6 @@ class Fragments(Sequence):
             if k >> b & 1:
                 coords[j] = xs[j]
         return Vector(tuple(coords))
-
-    @property
-    def keeps(self) -> list[tuple[bool, ...]]:
-        """keeps[k][j] is True iff fragment k keeps the support coordinate
-        x_j; built on each access, for the fsum fallback and tests."""
-        # product varies its last factor fastest, so list the coordinates
-        # backwards: the first support coordinate then carries bit 0
-        choices = [(False, True) if j in self.supp else (False,) for j in range(self.x.dim)]
-        return [keep[::-1] for keep in product(*reversed(choices))]
 
 
 def fragments(x: Vector, cap: int = DEFAULT_SUPPORT_CAP, tol: float = DEFAULT_TOL) -> Fragments:

@@ -6,11 +6,13 @@ action is orthogonally additive by construction: T(y + z) = T(y) + T(z)
 whenever y and z are disjoint.  Functionals are operators with m = 1.
 
 The fragment programs read T(y) and T(x - y) over all fragments y of x from
-`on_fragments`, which has each kernel evaluated at x_j and at 0 once per
-call, builds no fragment Vector, and returns one list per output row in
-fragment order.  Entries are exact subset sums of the table entries
-(integers over a power-of-two denominator, one doubling per support column),
-rounded once: the same floats as fsum, without an fsum per fragment.
+`on_fragments`, which returns one list per output row in fragment order.
+Its entries are the floats an application per fragment gives.  It has each
+kernel evaluated at x_j and at 0 once per call, builds no fragment Vector,
+and computes exact subset sums of those addends (integers over a
+power-of-two denominator, one doubling per support column), rounded once.
+Only a table with a non-finite entry or near the float range applies the
+operator to each fragment, so it fails exactly as an application does.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .kernels import (
     kernel_pos_part,
 )
 from .lattice import Fragments, Vector
-
-_pick = tuple.__getitem__
 
 
 @dataclass(frozen=True)
@@ -80,23 +80,24 @@ class KernelOperator:
     ) -> list[list[float]]:
         """rows[i][k] = T(y_k)_i for the fragments y_k of x, or T(x - y_k)_i with rest.
 
-        Each kernel is evaluated once at x_j and once at 0, and no fragment
-        Vector is built: y_j is x_j on the kept support columns and 0.0
-        elsewhere, so (x - y)_j is 0.0 or x_j, and every addend of a row is
-        one of two table entries.  The entries are written as integers over
-        one power-of-two denominator.  Per output row, the sum of the dropped
-        entries is doubled once per support column (frags.supp; bit b of a
-        fragment index keeps supp[b]), which lists the exact subset sums in
-        fragment order, and each is divided by the denominator once.  Integer
-        true division (or, off the subnormal and overflow range, rounding to
-        a float and scaling by a power of two) and fsum both round correctly,
-        so each entry is the float an application gives (an exact zero is
-        0.0 on both).
+        The entries are the floats that applying T to every fragment (or to
+        its complement) gives.  A table with a non-finite entry, or so large
+        that fsum's partial sums may overflow, is computed that way, one
+        application per fragment, transposed; so it fails as an application
+        does: OverflowError from fsum, or ValueError for a non-finite T(y).
 
-        A table with a non-finite entry, or so large that fsum's partial sums
-        may overflow, keeps the per-fragment fsum, so it fails as an
-        application does: OverflowError from fsum, or ValueError for a
-        non-finite T(y); its fragment rows are transposed at the end.
+        Any other table has each kernel evaluated once at x_j and once at 0,
+        and builds no fragment Vector: y_j is x_j on the kept support columns
+        and 0.0 elsewhere, so (x - y)_j is 0.0 or x_j, and every addend of a
+        row is one of two table entries.  The entries are written as integers
+        over one power-of-two denominator.  Per output row, the sum of the
+        dropped entries is doubled once per support column (frags.supp; bit b
+        of a fragment index keeps supp[b]), which lists the exact subset sums
+        in fragment order, and each is divided by the denominator once.
+        Integer true division (or, off the subnormal and overflow range,
+        rounding to a float and scaling by a power of two) and fsum both
+        round correctly, so each entry is the float an application gives (an
+        exact zero is 0.0 on both).
         """
         at_x = self.kernel_values(x)
         at_0 = [[k(0.0) for k in row] for row in self.kernels]
@@ -105,15 +106,8 @@ class KernelOperator:
         total = sum(map(abs, flat))
         # fsum's partial sums stay below sum(|v|); NaN and inf fail too
         if not total < 2.0**1020:
-            # pairs[i][j][keep_j]: the addend of cell (i, j)
-            pairs = [tuple(zip(d, k)) for d, k in zip(dropped, kept)]
-            out = []
-            for keep in frags.keeps:
-                v = [math.fsum(map(_pick, row, keep)) for row in pairs]
-                if not all(map(math.isfinite, v)):
-                    raise ValueError("vector coordinates must be finite")
-                out.append(v)
-            return [list(row) for row in zip(*out)]
+            table = [self(x - y if rest else y).coords for y in frags]
+            return [list(row) for row in zip(*table)]
         # each entry as an integer over one power-of-two denominator, in the
         # order of flat: the dropped rows, then the kept rows
         nums, dens = zip(*[v.as_integer_ratio() for v in flat])

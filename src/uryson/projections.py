@@ -444,20 +444,25 @@ def project_functional(
     """Projection of the functional T onto the band of the positive
     functional phi, at x:  sup_eps inf { T(y) : phi(x - y) <= eps * phi(x) }.
 
-    A signed T is split into positive and negative parts (kernelwise, which
-    is the lattice split for kernel operators) and each part projected."""
+    A T not decided positive is split once into positive and negative parts
+    (kernelwise, which is the lattice split for kernel operators) and each
+    part projected; a part not decided positive either raises NotPositive."""
     if phi.m != 1 or T.m != 1:
         raise DimensionMismatch("phi and T must be functionals (one row)")
     require_positive("phi", phi, tol)
     check_pair_dims(T, phi, x)
 
-    if not operator_is_positive(T, tol):
-        pos = project_functional(phi, positive_part(T), x, sched, cap_support, tol)
-        neg = project_functional(phi, negative_part(T), x, sched, cap_support, tol)
-        return pos - neg
+    def band(part: KernelOperator) -> float:
+        prog = next(_programs("band", (phi,), part, x, cap_support, tol))
+        return prog.run(sched).value.coords[0]
 
-    band = next(_programs("band", (phi,), T, x, cap_support, tol))
-    return band.run(sched).value.coords[0]
+    if operator_is_positive(T, tol):
+        return band(T)
+    values = []
+    for name, part in (("T+", positive_part(T)), ("T-", negative_part(T))):
+        require_positive(name, part, tol)
+        values.append(band(part))
+    return values[0] - values[1]
 
 
 def masking_oracle(

@@ -5,8 +5,9 @@
 float arithmetic in between.  `fsum_rows` is the per-fragment `math.fsum`
 loop that `KernelOperator.on_fragments` ran before its rows became exact
 subset sums; it is kept here as the reference for values and for errors.
-Both list one row per fragment; `by_row` lays such a table out as
-`on_fragments` returns it, one list per output row in fragment order.
+Both list one row per fragment, reading the keep flags of `keep_flags`;
+`by_row` lays such a table out as `on_fragments` returns it, one list per
+output row in fragment order.
 
 `planted_operators` is a hypothesis strategy for operators whose kernels
 return planted values: exact cancellation (a value next to its negation,
@@ -17,6 +18,7 @@ zeros and exponents from 2^-1074 to 2^100.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -45,6 +47,15 @@ def tables(T: KernelOperator, x: Vector, rest: bool):
     return (at_0, at_x) if rest else (at_x, at_0)
 
 
+def keep_flags(frags):
+    """keep_flags(frags)[k][j] is True iff fragment k keeps the support
+    coordinate x_j: bit b of k keeps frags.supp[b]."""
+    # product varies its last factor fastest, so list the coordinates
+    # backwards: the first support coordinate then carries bit 0
+    choices = [(False, True) if j in frags.supp else (False,) for j in range(frags.x.dim)]
+    return [keep[::-1] for keep in product(*reversed(choices))]
+
+
 def exact_rows(T: KernelOperator, x: Vector, frags, rest: bool = False):
     """Per fragment, the exact row sums of its addends as Fractions."""
     kept, dropped = tables(T, x, rest)
@@ -53,7 +64,7 @@ def exact_rows(T: KernelOperator, x: Vector, frags, rest: bool = False):
             sum(Fraction(k if keep_j else d) for d, k, keep_j in zip(d_row, k_row, keep))
             for d_row, k_row in zip(dropped, kept)
         )
-        for keep in frags.keeps
+        for keep in keep_flags(frags)
     ]
 
 
@@ -62,7 +73,7 @@ def fsum_rows(T: KernelOperator, x: Vector, frags, rest: bool = False):
     sums; a non-finite row raises like a Vector of it."""
     kept, dropped = tables(T, x, rest)
     out = []
-    for keep in frags.keeps:
+    for keep in keep_flags(frags):
         row = tuple(
             math.fsum(k if keep_j else d for d, k, keep_j in zip(d_row, k_row, keep))
             for d_row, k_row in zip(dropped, kept)

@@ -5,7 +5,9 @@ exit code contract is 0 success / 1 domain error / 2 parse or command error /
 3 suite failure.
 """
 
+import contextlib
 import importlib.resources
+import io
 import json
 import os
 import pathlib
@@ -13,6 +15,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import uryson.cli as cli_mod
 from uryson.cli import main
@@ -41,6 +45,15 @@ space F 1
 kernel k pwl (-1,1e308) (0,0) (1,1e308)
 op T 1x2 [k k]
 op S 1x2 [k k]
+probe x = (1,1)
+"""
+
+
+# U is nan off 0 (inf * 0), so neither U nor its kernelwise positive part is
+# decided positive: project-functional rejects the part with not_positive
+NAN_PART_MODEL = """\
+op U integral ((r*1e308*1e308)*0) s=(1) t=(1,2) w=(1,1)
+op P integral (abs(r)) s=(1) t=(1,2) w=(1,1)
 probe x = (1,1)
 """
 
@@ -350,10 +363,11 @@ def test_tiny_probe_coordinate_projects_to_target_value(capsys, tmp_path, verb):
         ("space E 1\nkernel k clamp(-1e999,1)\nop T 1x1 [k]\nprobe x = (-2)\n", ("eval", "T", "x")),
         (OVERFLOW_MODEL, ("eval", "T", "x")),
         (OVERFLOW_MODEL, ("project", "S", "T", "x")),
+        (NAN_PART_MODEL, ("project-functional", "P", "U", "x")),
     ],
     ids=[
         "tiny-probe", "infinite-probe", "infinite-space", "infinite-scale",
-        "infinite-clamp", "overflow-eval", "overflow-project",
+        "infinite-clamp", "overflow-eval", "overflow-project", "nan-part-functional",
     ],
 )
 def test_cli_never_tracebacks(tmp_path, text, argv):
@@ -398,3 +412,96 @@ def test_suite_reports_overflow_as_failed_rows(capsys, tmp_path):
     failed = [r for r in rows if not r["ok"]]
     assert failed
     assert all(r["detail"].startswith("error [numeric_error]: ") for r in failed)
+
+
+def test_functional_part_not_positive(capsys, tmp_path):
+    model = tmp_path / "nan.ury"
+    model.write_text(NAN_PART_MODEL)
+    code, rep = run_json(capsys, "run", str(model), "project-functional", "P", "U", "x")
+    assert code == 1
+    assert rep == {"error": {"code": "not_positive", "message": "operator T+ must be positive"}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("run",),
+        ("run", DEMO),
+        ("run", DEMO, "eval", "T", "x1", "--max-steps", "1.5"),
+        ("frobnicate", DEMO),
+        ("suite", DEMO, "--seed"),
+        ("run", DEMO, "eval", "T", "x1", "--no-such-flag"),
+    ],
+)
+def test_usage_errors_are_bad_commands(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "bad_command"
+    assert err == ""
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: uryson run")
+
+
+# argv words: every verb and flag, the names of demo.ury, and numbers from a
+# bounded set, so that no schedule runs for more than 40 steps
+ARGV_OPS = ("T", "S", "D", "SD", "W", "phi", "psi", "R", "U", "S,SD", "nope")
+ARGV_PROBES = ("x1", "x2", "x3")
+ARGV_NUMBERS = ("0", "-0", "1", "-1", "2", "0.5", "1.5", "1e-9", "40", "nan", "inf", "1e999")
+ARGV_FLAGS = ("--tol", "--eps0", "--factor", "--max-steps", "--cap-support", "--seed")
+
+
+@st.composite
+def argvs(draw, out_dir):
+    """A head that names a mode, the demo model and a verb (or stops short),
+    then names, flags with values, and stray words."""
+    # the only paths after --json and --csv; the model is only ever read
+    paths = (
+        str(out_dir / "out.json"), str(out_dir / "out.csv"), str(out_dir / "missing" / "out.json"),
+    )
+    head = draw(st.sampled_from([(), ("run",), ("suite", DEMO)] + [("run", DEMO)] * 5))
+    if head == ("run", DEMO):
+        head += (draw(st.sampled_from(cli_mod.VERBS + ("frobnicate",))),)
+    # one or two operators then a probe, as most verbs take, or any names
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(ARGV_OPS), min_size=1, max_size=2))
+        names.append(draw(st.sampled_from(ARGV_PROBES)))
+    else:
+        names = draw(st.lists(st.sampled_from(ARGV_OPS + ARGV_PROBES), max_size=3))
+    names = [(name,) for name in names]
+    flags = draw(st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(ARGV_FLAGS), st.sampled_from(ARGV_NUMBERS)),
+            st.tuples(st.sampled_from(("--json", "--csv")), st.sampled_from(paths)),
+            st.just(("--all",)),
+        ),
+        max_size=3,
+    ))
+    stray = ("run", "suite", *cli_mod.VERBS, *ARGV_NUMBERS, *ARGV_FLAGS, *paths)
+    strays = [(draw(st.sampled_from(stray)),)] if draw(st.integers(0, 3)) == 0 else []
+    units = draw(st.permutations(names + flags + strays))
+    return [*head, *(word for words in units for word in words)]
+
+
+def test_any_argv_ends_in_one_json_document(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    demo = pathlib.Path(DEMO).read_bytes()
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argvs(tmp_path))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+
+    check()
+    assert pathlib.Path(DEMO).read_bytes() == demo

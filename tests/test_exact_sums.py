@@ -4,8 +4,9 @@
 rounded once.  Each row must be the correctly rounded exact sum of its
 addends (a Fraction sum, see `exact_oracle`) and the float the per-fragment
 fsum loop gave, compared by repr so the sign of a zero counts.  Tables with a
-non-finite entry or near the float range keep that loop, and must fail with
-the same exception type and message.
+non-finite entry or near the float range apply the operator to each
+fragment, and must fail like that loop, with the same exception type and
+message.
 
 Two clock-free guards follow: a count of the fsum calls made from
 `uryson.operators` (none for a finite table, some for the fallback), and the

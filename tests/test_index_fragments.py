@@ -1,6 +1,7 @@
 """Index-only fragments and the two-scalar stabilization rule.
 
-`lattice.fragments` returns keep flags and builds a fragment Vector only
+`lattice.fragments` returns fragment indices over the support columns (the
+keep flags of `exact_oracle.keep_flags`) and builds a fragment Vector only
 when one is indexed, so the fragment programs build Vectors only for the
 witnesses they return.  `_MemberProgram.run` decides feasible(eps) == limit
 from the largest constraint inside the limit set and the smallest outside
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracle import by_row
+from exact_oracle import by_row, keep_flags
 from uryson import instances as inst
 from uryson.calculus import check_disjoint_iff, disjoint_witness, rk_eval
 from uryson.errors import NoStabilization, SupportTooLarge
@@ -142,12 +143,12 @@ def test_fragments_match_vector_enumeration(tol):
     for x in fragment_probes():
         frags = fragments(x, tol=tol)
         want = ref_fragments(x, tol=tol)
-        assert len(frags) == len(want) == len(frags.keeps)
+        assert len(frags) == len(want) == len(keep_flags(frags))
         assert [y.coords for y in frags] == [y.coords for y in want]
         assert [frags[k] for k in range(len(frags))] == want
         assert frags[-1] == want[-1]
         supp = x.support(tol)
-        for keep, y in zip(frags.keeps, want):
+        for keep, y in zip(keep_flags(frags), want):
             assert keep == tuple(j in supp and y.coords[j] != 0.0 for j in range(x.dim))
 
 

@@ -15,7 +15,7 @@ from uryson.errors import (
     NotIncreasing,
     NotPositive,
 )
-from uryson.kernels import BuiltinKernel, PwlKernel, ZERO_KERNEL
+from uryson.kernels import BuiltinKernel, FuncKernel, PwlKernel, ZERO_KERNEL
 from uryson.lattice import Vector, vec
 from uryson.operators import KernelOperator, operator_add, rank_one
 from uryson.projections import (
@@ -213,6 +213,16 @@ def test_functional_projection_signed_target():
     phi = KernelOperator(((GAP,),))
     T = KernelOperator(((BuiltinKernel("id"),),))
     assert project_functional(phi, T, vec(-2.0)) == -2.0
+
+
+def test_functional_projection_rejects_a_part_not_decided_positive():
+    # the kernel is nan for r < -1, so neither T nor its kernelwise positive
+    # part is decided positive: T is split once, and T+ is rejected
+    nan_kernel = FuncKernel(lambda r: math.nan if r < -1.0 else abs(r))
+    T = KernelOperator(((nan_kernel, ABS),))
+    phi = KernelOperator(((ABS, ABS),))
+    with pytest.raises(NotPositive, match="operator T\\+ must be positive"):
+        project_functional(phi, T, vec(1.0, 1.0))
 
 
 def test_functional_projection_requires_functionals():
