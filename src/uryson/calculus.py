@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
-from .errors import DimensionMismatch, NotDisjoint, NotPositiveUnit
+from .errors import NotDisjoint
 from .kernels import DEFAULT_TOL
 from .lattice import (
     DEFAULT_SUPPORT_CAP,
@@ -41,6 +41,7 @@ from .lattice import (
     fragments,
     require_count,
     require_positive_finite,
+    require_unit,
 )
 from .operators import KernelOperator, check_pair_dims, require_positive
 
@@ -196,10 +197,7 @@ def disjoint_witness(
     require_positive("T", T, tol)
     check_pair_dims(T, S, x)
     require_positive_finite("eps", eps)
-    if u.dim != T.m:
-        raise DimensionMismatch(f"unit dim {u.dim} vs output dim {T.m}")
-    if any(c <= tol for c in u.coords):
-        raise NotPositiveUnit("regulating unit must be strictly positive")
+    require_unit(u, T.m, tol)
 
     table = _Table("meet", T, x, S, cap_support, tol)
     frags, meet, groups = table.frags, table.best, table.groups

@@ -9,7 +9,9 @@ project-complement, project-rank1, project-functional, oracle, suite.
 Reports are canonical JSON on stdout (sorted keys, 12-significant-digit
 floats), so identical (model, command, seed) runs are byte-identical.
 ``--json FILE`` additionally writes the same bytes to a file; ``--csv FILE``
-writes a probe/value table and is only available for ``eval OP --all``.
+writes a probe/value table and is only available for ``eval OP --all``.  An
+output path that resolves to the model file or to the other output is refused
+(bad_command) before anything is written.
 
 Settings precedence: CLI flag > URYSON_SEED (seed only) > model ``set`` lines
 > defaults.  Exit codes: 0 success, 1 domain error, 2 parse/command error,
@@ -287,6 +289,18 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
     raise BadCommand(f"unknown verb {verb!r} (expected one of: {', '.join(VERBS)})")
 
 
+def _check_outputs(ns: argparse.Namespace) -> None:
+    """Refuse, before anything is written, an output path that resolves to
+    the model file or to the other output."""
+    taken = {os.path.realpath(ns.model): "the model file"}
+    for flag, path in (("--json", ns.json), ("--csv", ns.csv)):
+        if path:
+            real = os.path.realpath(path)
+            if real in taken:
+                raise BadCommand(f"{flag} {path} would overwrite {taken[real]}")
+            taken[real] = f"the {flag} file"
+
+
 def _io_error(exc: Exception, action: str) -> UrysonError:
     err = UrysonError(f"cannot {action}: {exc}")
     err.code = "io_error"
@@ -318,6 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     json_path = None
     try:
         ns = _build_parser().parse_args(argv)
+        _check_outputs(ns)
         json_path = ns.json
         try:
             with open(ns.model, "r", encoding="utf-8") as fh:

@@ -15,20 +15,23 @@ they are used.  The directives:
     set KEY VALUE
 
 ``EXPR`` is an arithmetic expression in the variables ``s``, ``t``, ``r``
-with ``+ - * / ^`` and the functions abs, min, max, exp, sin, cos.
-``set`` keys: tol, eps0, factor, max_steps, cap_support, seed.
+with ``+ - * / ^`` and the functions abs, min, max, exp, sin, cos, at most
+``_MAX_DEPTH`` deep.  The ``set`` keys are the fields of `Settings`.
 
-Tokenization failures and malformed lines raise ModelSyntaxError with
-line/column; violations of model invariants (unknown or duplicate names,
-dimension disagreements, kernels that do not vanish at 0, bad grids) raise
-ModelSemanticError with the line.  ``parse_model`` -> ``render`` -> ``parse_model``
-is the identity on models.
+The parser keeps the grammar, names and the checks that span lines; the
+library objects check the rest (`Settings` its values, the kernel classes
+their forms, `discretize_integral` an integral line).  Tokenization failures
+and malformed lines raise ModelSyntaxError with line/column; violations of
+model invariants raise ModelSemanticError with the line, and the library
+error's code where it has one.  ``parse_model`` -> ``render`` ->
+``parse_model`` is the identity on models.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -38,9 +41,12 @@ from .errors import (
     KernelEvalError,
     ModelSemanticError,
     ModelSyntaxError,
+    UrysonError,
 )
 from .kernels import BuiltinKernel, PwlKernel, ScalarKernel
-from .lattice import DEFAULT_SUPPORT_CAP, DEFAULT_TOL, Vector
+from .lattice import (
+    DEFAULT_SUPPORT_CAP, DEFAULT_TOL, Vector, require_count, require_positive_finite,
+)
 from .operators import (
     IntegralKernelSpec,
     KernelOperator,
@@ -108,6 +114,7 @@ class _Cursor:
     def __init__(self, toks: list[_Token], lineno: int, line_len: int):
         self.toks = toks
         self.i = 0
+        self.depth = 0  # expressions being parsed: parentheses and call arguments
         self.lineno = lineno
         self.end_col = (toks[-1].col + len(toks[-1].text)) if toks else line_len + 1
 
@@ -150,6 +157,15 @@ class _Cursor:
 
     # literals ------------------------------------------------------------
 
+    def pair(self) -> tuple[float, float]:
+        """The numbers of ``(a,b)``."""
+        self.expect_punct("(")
+        a = self.number()
+        self.expect_punct(",")
+        b = self.number()
+        self.expect_punct(")")
+        return a, b
+
     def number(self) -> float:
         sign = 1.0
         if self.at_punct("-"):
@@ -179,6 +195,14 @@ class _Cursor:
         if not all(math.isfinite(v) for v in vals):
             raise ModelSemanticError("vector coordinates must be finite", self.lineno)
         return tuple(vals)
+
+    def keyed_vector(self, key: str) -> tuple[float, ...]:
+        """The vector literal of ``KEY=(...)``."""
+        tok = self.expect_name(f"{key}=(...)")
+        if tok.text != key:
+            raise ModelSyntaxError(f"expected {key}=(...)", self.lineno, tok.col)
+        self.expect_punct("=")
+        return self.vector_literal()
 
 
 # --------------------------------------------------------------------------
@@ -215,14 +239,48 @@ class Call:
 Expr = Union[Num, Var, Neg, Bin, Call]
 
 _EXPR_VARS = ("s", "t", "r")
-_EXPR_FUNCS = {"abs": 1, "min": 2, "max": 2, "exp": 1, "sin": 1, "cos": 1}
+# name: (arity, function)
+_EXPR_FUNCS = {
+    "abs": (1, abs), "min": (2, min), "max": (2, max),
+    "exp": (1, math.exp), "sin": (1, math.sin), "cos": (1, math.cos),
+}
+_BIN_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow,
+}
+# the deepest expression accepted: parentheses and calls nested, and nodes on
+# a path of the tree (unary minus, '^', and + - * / chains), so that neither
+# parsing nor eval_expr nor render_expr recurses further
+_MAX_DEPTH = 64
+
+
+def _too_deep(lineno: int) -> ModelSemanticError:
+    return ModelSemanticError(f"expression nested or chained deeper than {_MAX_DEPTH}", lineno)
+
+
+def _height(e: Expr) -> int:
+    """Nodes on the longest root-to-leaf path of e, counted without recursion."""
+    height, stack = 0, [(e, 1)]
+    while stack:
+        node, h = stack.pop()
+        height = max(height, h)
+        if isinstance(node, Neg):
+            stack.append((node.arg, h + 1))
+        elif isinstance(node, Bin):
+            stack += [(node.left, h + 1), (node.right, h + 1)]
+        elif isinstance(node, Call):
+            stack += [(a, h + 1) for a in node.args]
+    return height
 
 
 def _parse_expr(cur: _Cursor) -> Expr:
+    cur.depth += 1
+    if cur.depth > _MAX_DEPTH:
+        raise _too_deep(cur.lineno)
     node = _parse_term(cur)
     while cur.at_punct("+") or cur.at_punct("-"):
         op = cur.take().text
         node = Bin(op, node, _parse_term(cur))
+    cur.depth -= 1
     return node
 
 
@@ -235,17 +293,21 @@ def _parse_term(cur: _Cursor) -> Expr:
 
 
 def _parse_factor(cur: _Cursor) -> Expr:
-    if cur.at_punct("-"):
+    """Unary minus and right-associative '^', which binds tighter than a
+    minus before it, read in a loop and folded from the right."""
+    pending: list[Expr | None] = []  # None for a minus, else the base of a '^'
+    while True:
+        if cur.at_punct("-"):
+            cur.take()
+            pending.append(None)
+            continue
+        node = _parse_atom(cur)
+        if not cur.at_punct("^"):
+            break
         cur.take()
-        return Neg(_parse_factor(cur))
-    return _parse_power(cur)
-
-
-def _parse_power(cur: _Cursor) -> Expr:
-    node = _parse_atom(cur)
-    if cur.at_punct("^"):
-        cur.take()
-        return Bin("^", node, _parse_factor(cur))
+        pending.append(node)
+    for base in reversed(pending):
+        node = Neg(node) if base is None else Bin("^", base, node)
     return node
 
 
@@ -259,11 +321,11 @@ def _parse_atom(cur: _Cursor) -> Expr:
     if tok.kind == "NAME":
         cur.take()
         if cur.at_punct("("):
-            arity = _EXPR_FUNCS.get(tok.text)
-            if arity is None:
+            if tok.text not in _EXPR_FUNCS:
                 raise ModelSemanticError(
                     f"unknown function {tok.text!r}", cur.lineno, code="unknown_name"
                 )
+            arity = _EXPR_FUNCS[tok.text][0]
             cur.take()
             args = [_parse_expr(cur)]
             while cur.at_punct(","):
@@ -271,9 +333,7 @@ def _parse_atom(cur: _Cursor) -> Expr:
                 args.append(_parse_expr(cur))
             cur.expect_punct(")")
             if len(args) != arity:
-                raise ModelSemanticError(
-                    f"{tok.text} takes {arity} argument(s)", cur.lineno
-                )
+                raise ModelSemanticError(f"{tok.text} takes {arity} argument(s)", cur.lineno)
             return Call(tok.text, tuple(args))
         if tok.text not in _EXPR_VARS:
             raise ModelSemanticError(
@@ -298,25 +358,8 @@ def eval_expr(e: Expr, s: float, t: float, r: float) -> float:
     if isinstance(e, Neg):
         return -eval_expr(e.arg, s, t, r)
     if isinstance(e, Bin):
-        a = eval_expr(e.left, s, t, r)
-        b = eval_expr(e.right, s, t, r)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-        return math.pow(a, b)
-    args = [eval_expr(a, s, t, r) for a in e.args]
-    if e.fn == "abs":
-        return abs(args[0])
-    if e.fn == "min":
-        return min(args)
-    if e.fn == "max":
-        return max(args)
-    return getattr(math, e.fn)(args[0])
+        return _BIN_OPS[e.op](eval_expr(e.left, s, t, r), eval_expr(e.right, s, t, r))
+    return _EXPR_FUNCS[e.fn][1](*[eval_expr(a, s, t, r) for a in e.args])
 
 
 def _num_text(x: float) -> str:
@@ -354,12 +397,35 @@ def _expr_fn(expr: Expr) -> Callable[[float, float, float], float]:
 
 @dataclass(frozen=True)
 class Settings:
+    """The settings of a model, and the one home of their rules: every field
+    is finite, an integer field holds an integral value (an integral float
+    becomes an int), tol is positive, cap_support at least 1, and eps0,
+    factor and max_steps make an `EpsSchedule`.  A value that breaks one
+    raises ValueError("setting <rule>"); ``set`` lines and CLI flags apply
+    their values through this check."""
+
     tol: float = DEFAULT_TOL
     eps0: float = 1.0
     factor: float = 0.5
     max_steps: int = 40
     cap_support: int = DEFAULT_SUPPORT_CAP
     seed: int = 0
+
+    def __post_init__(self):
+        try:
+            for f in dataclasses.fields(self):
+                value = getattr(self, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite")
+                if isinstance(f.default, int):
+                    if value != int(value):
+                        raise ValueError(f"{f.name} must be an integer")
+                    object.__setattr__(self, f.name, int(value))
+            require_positive_finite("tol", self.tol)
+            require_count("cap_support", self.cap_support)
+            self.schedule()
+        except ValueError as exc:
+            raise ValueError(f"setting {exc}") from None
 
     def schedule(self) -> EpsSchedule:
         return EpsSchedule(self.eps0, self.factor, self.max_steps)
@@ -432,67 +498,39 @@ class Model:
         return tuple(k for k, _ in self.probes)
 
 
-def op_shape(model_or_defs, name: str) -> tuple[int, int]:
-    """(m, n) of a declared operator (resolving rank-one factors)."""
-    defs = (
-        model_or_defs.operators
-        if isinstance(model_or_defs, Model)
-        else tuple(model_or_defs)
-    )
-    by_name = {d.name: d for d in defs}
-    d = by_name[name]
-    if isinstance(d, MatrixOpDef):
-        return d.shape
-    if isinstance(d, RankOneOpDef):
-        return (len(d.u), op_shape(defs, d.phi)[1])
-    return (len(d.s_grid), len(d.t_grid))
-
-
 def build_operator(model: Model, name: str) -> KernelOperator:
+    """The operator declared as name; a chain of rank-one factors is resolved
+    in a loop, innermost factor first."""
     d = model.operator_def(name)
+    directions = []
+    while isinstance(d, RankOneOpDef):
+        directions.append(d.u)
+        d = model.operator_def(d.phi)
     if isinstance(d, MatrixOpDef):
-        return KernelOperator(
-            tuple(tuple(model.kernel(k) for k in row) for row in d.rows)
-        )
-    if isinstance(d, RankOneOpDef):
-        return rank_one(
-            build_operator(model, d.phi), Vector(d.u), tol=model.settings.tol
-        )
-    spec = IntegralKernelSpec(_expr_fn(d.expr), d.s_grid, d.t_grid, d.weights)
-    return discretize_integral(spec, tol=model.settings.tol)
+        T = KernelOperator(tuple(tuple(model.kernel(k) for k in row) for row in d.rows))
+    else:
+        spec = IntegralKernelSpec(_expr_fn(d.expr), d.s_grid, d.t_grid, d.weights)
+        T = discretize_integral(spec, tol=model.settings.tol)
+    for u in reversed(directions):
+        T = rank_one(T, Vector(u), tol=model.settings.tol)
+    return T
 
 
 # --------------------------------------------------------------------------
 # parsing
 
-_SETTING_KEYS = ("tol", "eps0", "factor", "max_steps", "cap_support", "seed")
-_INT_SETTINGS = ("max_steps", "cap_support", "seed")
-
-
-def _setting_problem(key: str, value: float) -> str | None:
-    """Why value is not allowed for setting key, or None when it is."""
-    if not math.isfinite(value):
-        return f"setting {key} must be finite"
-    if key in _INT_SETTINGS:
-        if value != int(value):
-            return f"setting {key} must be an integer"
-        if key != "seed" and value < 1:
-            return f"setting {key} must be >= 1"
-    if key in ("tol", "eps0") and value <= 0.0:
-        return f"setting {key} must be positive"
-    if key == "factor" and not (0.0 < value < 1.0):
-        return "setting factor must lie strictly in (0,1)"
-    return None
+_SETTING_KEYS = tuple(f.name for f in dataclasses.fields(Settings))
 
 
 def override_settings(st: Settings, overrides: dict[str, float | int]) -> Settings:
-    """st with the given values replaced, each checked by the ``set`` rules;
-    a value they reject raises BadCommand naming its command-line flag."""
+    """st with the given values replaced one at a time; a value `Settings`
+    rejects raises BadCommand naming its command-line flag."""
     for key, value in overrides.items():
-        problem = _setting_problem(key, value)
-        if problem is not None:
-            raise BadCommand(f"--{key.replace('_', '-')} {value}: {problem}")
-    return dataclasses.replace(st, **overrides)
+        try:
+            st = dataclasses.replace(st, **{key: value})
+        except ValueError as exc:
+            raise BadCommand(f"--{key.replace('_', '-')} {value}: {exc}") from None
+    return st
 
 
 def parse_model(text: str) -> Model:
@@ -500,15 +538,16 @@ def parse_model(text: str) -> Model:
     kernels: dict[str, ScalarKernel] = {}
     operators: list[OpDef] = []
     probes: list[tuple[str, Vector]] = []
-    setting_values: dict[str, float | int] = {}
-    # the line of every kernel, operator and probe name
+    settings, set_keys = Settings(), set()
+    # (m, n) of every operator, and the line of every kernel, operator and
+    # probe name
+    shapes: dict[str, tuple[int, int]] = {}
     claimed: dict[str, int] = {}
 
     def claim(name: str, lineno: int) -> None:
         if name in claimed:
             raise ModelSemanticError(
-                f"duplicate name {name!r} (first declared on line {claimed[name]})",
-                lineno,
+                f"duplicate name {name!r} (first declared on line {claimed[name]})", lineno
             )
         claimed[name] = lineno
 
@@ -541,12 +580,7 @@ def parse_model(text: str) -> Model:
                 if form == "pwl":
                     pts = []
                     while cur.at_punct("("):
-                        cur.take()
-                        px = cur.number()
-                        cur.expect_punct(",")
-                        py = cur.number()
-                        cur.expect_punct(")")
-                        pts.append((px, py))
+                        pts.append(cur.pair())
                     if not pts:
                         raise cur.error("expected at least one (x,y) breakpoint")
                     scale = _parse_scale_opt(cur)
@@ -554,20 +588,12 @@ def parse_model(text: str) -> Model:
                     if scale != 1.0:
                         kern = kern.scaled(scale)
                 elif form in ("abs", "id", "relu"):
-                    scale = _parse_scale_opt(cur)
-                    kern = BuiltinKernel(form, scale)
+                    kern = BuiltinKernel(form, _parse_scale_opt(cur))
                 elif form == "clamp":
-                    cur.expect_punct("(")
-                    lo = cur.number()
-                    cur.expect_punct(",")
-                    hi = cur.number()
-                    cur.expect_punct(")")
-                    scale = _parse_scale_opt(cur)
-                    kern = BuiltinKernel("clamp", scale, (lo, hi))
+                    params = cur.pair()
+                    kern = BuiltinKernel("clamp", _parse_scale_opt(cur), params)
                 else:
-                    raise ModelSemanticError(
-                        f"unknown kernel form {form!r}", lineno
-                    )
+                    raise ModelSemanticError(f"unknown kernel form {form!r}", lineno)
             except ValueError as exc:
                 raise ModelSemanticError(str(exc), lineno) from exc
             cur.require_end()
@@ -582,9 +608,7 @@ def parse_model(text: str) -> Model:
                 m_str, n_str = tok.text.split("x")
                 shape = (int(m_str), int(n_str))
                 if shape[0] < 1 or shape[1] < 1:
-                    raise ModelSemanticError(
-                        "operator dimensions must be >= 1", lineno
-                    )
+                    raise ModelSemanticError("operator dimensions must be >= 1", lineno)
                 cur.expect_punct("[")
                 rows: list[tuple[str, ...]] = []
                 row: list[str] = []
@@ -596,9 +620,7 @@ def parse_model(text: str) -> Model:
                         cur.take()
                         if t2.text not in kernels:
                             raise ModelSemanticError(
-                                f"unknown kernel {t2.text!r}",
-                                lineno,
-                                code="unknown_name",
+                                f"unknown kernel {t2.text!r}", lineno, code="unknown_name"
                             )
                         row.append(t2.text)
                     elif cur.at_punct(";"):
@@ -620,76 +642,44 @@ def parse_model(text: str) -> Model:
                         code="dimension_mismatch",
                     )
                 operators.append(MatrixOpDef(name, shape, tuple(rows)))
+                shapes[name] = shape
             elif tok is not None and tok.kind == "NAME" and tok.text == "rank1":
                 cur.take()
                 phi = cur.expect_name("a functional name").text
-                if phi not in {d.name for d in operators}:
+                if phi not in shapes:
                     raise ModelSemanticError(
                         f"unknown operator {phi!r}", lineno, code="unknown_name"
                     )
-                if op_shape(operators, phi)[0] != 1:
+                if shapes[phi][0] != 1:
                     raise ModelSemanticError(
                         f"rank-one factor {phi!r} must be a functional (one row)",
                         lineno,
                     )
-                key = cur.expect_name("u=(...)")
-                if key.text != "u":
-                    raise ModelSyntaxError("expected u=(...)", lineno, key.col)
-                cur.expect_punct("=")
-                u = cur.vector_literal()
+                u = cur.keyed_vector("u")
                 cur.require_end()
                 if any(c < 0.0 for c in u):
                     raise ModelSemanticError(
-                        "rank-one direction u must be nonnegative",
-                        lineno,
-                        code="negative_u",
+                        "rank-one direction u must be nonnegative", lineno, code="negative_u"
                     )
                 operators.append(RankOneOpDef(name, phi, u))
+                shapes[name] = (len(u), shapes[phi][1])
             elif tok is not None and tok.kind == "NAME" and tok.text == "integral":
                 cur.take()
                 cur.expect_punct("(")
                 expr = _parse_expr(cur)
                 cur.expect_punct(")")
-                grids: dict[str, tuple[float, ...]] = {}
-                for want in ("s", "t", "w"):
-                    key = cur.expect_name(f"{want}=(...)")
-                    if key.text != want:
-                        raise ModelSyntaxError(
-                            f"expected {want}=(...)", lineno, key.col
-                        )
-                    cur.expect_punct("=")
-                    grids[want] = cur.vector_literal()
+                if _height(expr) > _MAX_DEPTH:
+                    raise _too_deep(lineno)
+                s, t, w = [cur.keyed_vector(key) for key in "stw"]
                 cur.require_end()
-                if len(grids["w"]) != len(grids["t"]):
+                try:
+                    discretize_integral(IntegralKernelSpec(_expr_fn(expr), s, t, w))
+                except (UrysonError, ValueError) as exc:
                     raise ModelSemanticError(
-                        "one weight per input node required",
-                        lineno,
-                        code="dimension_mismatch",
-                    )
-                if any(w <= 0.0 for w in grids["w"]):
-                    raise ModelSemanticError(
-                        "quadrature weights must be strictly positive", lineno
-                    )
-                for s_node in grids["s"]:
-                    for t_node in grids["t"]:
-                        try:
-                            v0 = eval_expr(expr, s_node, t_node, 0.0)
-                        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                            raise ModelSemanticError(
-                                f"kernel expression failed to evaluate at node "
-                                f"(s={s_node:g}, t={t_node:g}): {exc}",
-                                lineno,
-                            ) from exc
-                        if abs(v0) > DEFAULT_TOL:
-                            raise ModelSemanticError(
-                                f"kernel does not vanish at 0 at node "
-                                f"(s={s_node:g}, t={t_node:g})",
-                                lineno,
-                                code="c0_violation",
-                            )
-                operators.append(
-                    IntegralOpDef(name, expr, grids["s"], grids["t"], grids["w"])
-                )
+                        str(exc), lineno, code=getattr(exc, "code", None)
+                    ) from exc
+                operators.append(IntegralOpDef(name, expr, s, t, w))
+                shapes[name] = (len(s), len(t))
             else:
                 raise cur.error("expected MxN, rank1, or integral")
 
@@ -705,26 +695,25 @@ def parse_model(text: str) -> Model:
             key = cur.expect_name("a setting key").text
             if key not in _SETTING_KEYS:
                 raise ModelSemanticError(f"unknown setting {key!r}", lineno)
-            if key in setting_values:
+            if key in set_keys:
                 raise ModelSemanticError(f"duplicate setting {key!r}", lineno)
             value = cur.number()
             cur.require_end()
-            problem = _setting_problem(key, value)
-            if problem is not None:
-                raise ModelSemanticError(problem, lineno)
-            setting_values[key] = int(value) if key in _INT_SETTINGS else value
+            try:
+                settings = dataclasses.replace(settings, **{key: value})
+            except ValueError as exc:
+                raise ModelSemanticError(str(exc), lineno) from exc
+            set_keys.add(key)
 
         else:
-            raise ModelSyntaxError(
-                f"unknown directive {head.text!r}", lineno, head.col
-            )
+            raise ModelSyntaxError(f"unknown directive {head.text!r}", lineno, head.col)
 
     return Model(
-        dims=_finish_model(spaces, operators, probes, claimed),
+        dims=_finish_model(spaces, shapes, probes, claimed),
         kernels=tuple(kernels.items()),
         operators=tuple(operators),
         probes=tuple(probes),
-        settings=Settings(**setting_values),
+        settings=settings,
     )
 
 
@@ -739,53 +728,37 @@ def _parse_scale_opt(cur: _Cursor) -> float:
 
 def _finish_model(
     spaces: dict[str, int],
-    operators: list[OpDef],
+    shapes: dict[str, tuple[int, int]],
     probes: list[tuple[str, Vector]],
     lines: dict[str, int],
 ) -> tuple[int, int]:
     """Cross-line checks: dimension agreement and inference of (n, m);
-    lines gives the line of each operator and probe name."""
+    shapes gives the (m, n) of each operator in declaration order, and lines
+    the line of each operator and probe name."""
     n = spaces.get("E")
     m = spaces.get("F")
 
-    for d in operators:
-        m_op, n_op = op_shape(operators, d.name)
-        line = lines[d.name]
-        if n is None:
-            n = n_op
-        elif n_op != n:
+    def fit(fixed: int | None, dim: int, name: str, what: str) -> int:
+        """dim, unless it disagrees with the dimension fixed so far."""
+        if fixed is not None and dim != fixed:
             raise ModelSemanticError(
-                f"operator {d.name!r} has input dimension {n_op}, expected {n}",
-                line,
-                code="dimension_mismatch",
-            )
-        if m_op != 1:  # one-row operators are functionals; always admissible
-            if m is None:
-                m = m_op
-            elif m_op != m:
-                raise ModelSemanticError(
-                    f"operator {d.name!r} has output dimension {m_op}, "
-                    f"expected {m}",
-                    line,
-                    code="dimension_mismatch",
-                )
-
-    for name, v in probes:
-        if n is None:
-            n = v.dim
-        elif v.dim != n:
-            raise ModelSemanticError(
-                f"probe {name!r} has dimension {v.dim}, expected {n}",
+                f"{what.format(repr(name))} {dim}, expected {fixed}",
                 lines[name],
                 code="dimension_mismatch",
             )
+        return dim
+
+    for name, (m_op, n_op) in shapes.items():
+        n = fit(n, n_op, name, "operator {} has input dimension")
+        if m_op != 1:  # one-row operators are functionals; always admissible
+            m = fit(m, m_op, name, "operator {} has output dimension")
+    for name, v in probes:
+        n = fit(n, v.dim, name, "probe {} has dimension")
 
     if n is None:
-        raise ModelSemanticError(
-            "model declares no dimensions (add a space, operator, or probe)", 1
-        )
+        raise ModelSemanticError("model declares no dimensions (add a space, operator, or probe)", 1)
     if m is None:
-        m = 1 if any(op_shape(operators, d.name)[0] == 1 for d in operators) else n
+        m = 1 if any(m_op == 1 for m_op, _ in shapes.values()) else n
     return n, m
 
 

@@ -39,6 +39,15 @@ def require_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an integer")
 
 
+def require_unit(u: Vector, dim: int, tol: float) -> None:
+    """Raise unless u is a regulating unit of R^dim: DimensionMismatch for
+    another dimension, NotPositiveUnit for a coordinate <= tol."""
+    if u.dim != dim:
+        raise DimensionMismatch(f"unit dim {u.dim} vs {dim}")
+    if any(c <= tol for c in u.coords):
+        raise NotPositiveUnit("regulating unit must be strictly positive")
+
+
 @dataclass(frozen=True)
 class Vector:
     """Element of R^d with the coordinatewise lattice order."""
@@ -351,10 +360,7 @@ def order_limit_witness(
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
     require_positive_finite("eps", eps)
-    if u.dim != x.dim:
-        raise DimensionMismatch(f"unit dim {u.dim} vs {x.dim}")
-    if any(c <= tol for c in u.coords):
-        raise NotPositiveUnit("regulating unit must be strictly positive")
+    require_unit(u, x.dim, tol)
 
     vectors = []
     for label, item in seq.pairs():

@@ -166,12 +166,18 @@ def rank_one(
     Positivity-based calculus assumes u >= 0, so a negative coordinate of u
     raises NegativeU.
     """
+    require_rank_one(phi, u, tol)
+    row = phi.kernels[0]
+    return KernelOperator(tuple(tuple(k.scaled(ui) for k in row) for ui in u.coords))
+
+
+def require_rank_one(phi: KernelOperator, u: Vector, tol: float) -> None:
+    """Raise unless phi(.) * u is a rank-one operator the calculus accepts:
+    DimensionMismatch unless phi is a functional, NegativeU unless u >= -tol."""
     if phi.m != 1:
         raise DimensionMismatch("rank-one factor phi must be a functional (one row)")
     if any(c < -tol for c in u.coords):
         raise NegativeU("direction u must be nonnegative")
-    row = phi.kernels[0]
-    return KernelOperator(tuple(tuple(k.scaled(ui) for k in row) for ui in u.coords))
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
-    NegativeU,
     NoStabilization,
     NotIncreasing,
     NotPositive,
@@ -75,6 +74,7 @@ from .operators import (
     operator_leq,
     positive_part,
     require_positive,
+    require_rank_one,
 )
 
 
@@ -89,7 +89,7 @@ class EpsSchedule:
     def __post_init__(self):
         require_positive_finite("eps0", self.eps0)
         if not (0.0 < self.factor < 1.0):
-            raise ValueError("factor must lie strictly between 0 and 1")
+            raise ValueError("factor must lie strictly in (0,1)")
         require_count("max_steps", self.max_steps)
 
     def values(self) -> Iterator[float]:
@@ -400,12 +400,9 @@ def project_rank_one(
     Both run on every row and are masked by mask_u afterwards, so the
     stabilization steps do not depend on u.
     """
-    if phi.m != 1:
-        raise DimensionMismatch("phi must be a functional (one row)")
+    require_rank_one(phi, u, tol)
     require_positive("phi", phi, tol)
     require_positive("T", T, tol)
-    if any(c < -tol for c in u.coords):
-        raise NegativeU("direction u must be nonnegative")
     if u.dim != T.m:
         raise DimensionMismatch(f"direction dim {u.dim} vs output dim {T.m}")
     check_pair_dims(phi, None, x)

@@ -58,6 +58,15 @@ probe x = (1,1)
 """
 
 
+# an integral operator U with the body {} and a probe for it
+DEEP_MODEL = "op U integral ({}) s=(1) t=(1) w=(1)\nprobe x = (1)\n"
+
+# 1200 rank-one operators, each over the one before
+RANK_ONE_CHAIN = "kernel k abs\nop R0 1x1 [k]\n" + "".join(
+    f"op R{i} rank1 R{i - 1} u=(1)\n" for i in range(1, 1200)
+) + "probe x = (1)\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -292,6 +301,29 @@ def test_unwritable_output_file(capsys, tmp_path, argv, bad_flag, mirror):
         assert ok.read_text() == out
 
 
+def test_json_output_over_the_model_is_refused(capsys, tmp_path):
+    model = tmp_path / "m.ury"
+    model.write_bytes(pathlib.Path(DEMO).read_bytes())
+    # the same file under another spelling of its path
+    code = main(["run", str(model), "eval", "T", "x1", "--json", str(tmp_path / "." / "m.ury")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert json.loads(out)["error"]["code"] == "bad_command"
+    assert model.read_bytes() == pathlib.Path(DEMO).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ury"]
+
+
+def test_csv_and_json_on_one_path_are_refused(capsys, tmp_path):
+    target = tmp_path / "out"
+    code = main(["run", DEMO, "eval", "T", "--all", "--csv", str(target), "--json", str(target)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert json.loads(out)["error"] == {
+        "code": "bad_command", "message": f"--csv {target} would overwrite the --json file",
+    }
+    assert not target.exists()
+
+
 def test_syntax_error_exit(capsys, tmp_path):
     bad = tmp_path / "bad.ury"
     bad.write_text("kernel k abs\nop T 2x2 [k k; k\n")
@@ -364,10 +396,17 @@ def test_tiny_probe_coordinate_projects_to_target_value(capsys, tmp_path, verb):
         (OVERFLOW_MODEL, ("eval", "T", "x")),
         (OVERFLOW_MODEL, ("project", "S", "T", "x")),
         (NAN_PART_MODEL, ("project-functional", "P", "U", "x")),
+        (DEEP_MODEL.format("(" * 3000 + "r" + ")" * 3000), ("eval", "U", "x")),
+        (DEEP_MODEL.format("-" * 3000 + "r"), ("eval", "U", "x")),
+        (DEEP_MODEL.format("+".join(["r"] * 5000)), ("eval", "U", "x")),
+        (DEEP_MODEL.format("r*" + "^".join(["1"] * 3000)), ("eval", "U", "x")),
+        (RANK_ONE_CHAIN, ("eval", "R0", "x")),
+        (RANK_ONE_CHAIN, ("eval", "R1199", "x")),
     ],
     ids=[
         "tiny-probe", "infinite-probe", "infinite-space", "infinite-scale",
         "infinite-clamp", "overflow-eval", "overflow-project", "nan-part-functional",
+        "deep-parens", "deep-minus", "long-sum", "long-power", "chain-head", "chain-tail",
     ],
 )
 def test_cli_never_tracebacks(tmp_path, text, argv):
@@ -381,6 +420,37 @@ def test_cli_never_tracebacks(tmp_path, text, argv):
     assert proc.returncode in (0, 1, 2)
     json.loads(proc.stdout)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "(" * 3000 + "r" + ")" * 3000,
+        "-" * 3000 + "r",
+        "+".join(["r"] * 5000),
+        "r*" + "^".join(["1"] * 3000),
+    ],
+    ids=["deep-parens", "deep-minus", "long-sum", "long-power"],
+)
+def test_deep_expressions_are_semantic_errors(capsys, tmp_path, body):
+    model = tmp_path / "deep.ury"
+    model.write_text(DEEP_MODEL.format(body))
+    code, rep = run_json(capsys, "run", str(model), "eval", "U", "x")
+    assert code == 2
+    assert rep["error"] == {
+        "code": "semantic_error",
+        "line": 1,
+        "message": "line 1: expression nested or chained deeper than 64",
+    }
+
+
+@pytest.mark.parametrize("op", ["R0", "R1199"])
+def test_long_rank_one_chains_evaluate(capsys, tmp_path, op):
+    model = tmp_path / "chain.ury"
+    model.write_text(RANK_ONE_CHAIN)
+    code, rep = run_json(capsys, "run", str(model), "eval", op, "x")
+    assert code == 0
+    assert rep["result"]["value"] == [1]
 
 
 @pytest.mark.parametrize(
@@ -459,14 +529,18 @@ ARGV_FLAGS = ("--tol", "--eps0", "--factor", "--max-steps", "--cap-support", "--
 
 @st.composite
 def argvs(draw, out_dir):
-    """A head that names a mode, the demo model and a verb (or stops short),
-    then names, flags with values, and stray words."""
-    # the only paths after --json and --csv; the model is only ever read
+    """A head that names a mode, a copy of the demo model (out_dir/model.ury)
+    and a verb (or stops short), then names, flags with values, and stray
+    words."""
+    model = str(out_dir / "model.ury")
+    # the only paths after --json and --csv: the model copy under two
+    # spellings, which must be refused, and files it may write
     paths = (
         str(out_dir / "out.json"), str(out_dir / "out.csv"), str(out_dir / "missing" / "out.json"),
+        model, "model.ury",
     )
-    head = draw(st.sampled_from([(), ("run",), ("suite", DEMO)] + [("run", DEMO)] * 5))
-    if head == ("run", DEMO):
+    head = draw(st.sampled_from([(), ("run",), ("suite", model)] + [("run", model)] * 5))
+    if head == ("run", model):
         head += (draw(st.sampled_from(cli_mod.VERBS + ("frobnicate",))),)
     # one or two operators then a probe, as most verbs take, or any names
     if draw(st.booleans()):
@@ -492,6 +566,7 @@ def argvs(draw, out_dir):
 def test_any_argv_ends_in_one_json_document(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     demo = pathlib.Path(DEMO).read_bytes()
+    (tmp_path / "model.ury").write_bytes(demo)
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(argvs(tmp_path))
@@ -504,4 +579,4 @@ def test_any_argv_ends_in_one_json_document(tmp_path, monkeypatch):
         assert err.getvalue() == ""
 
     check()
-    assert pathlib.Path(DEMO).read_bytes() == demo
+    assert (tmp_path / "model.ury").read_bytes() == demo

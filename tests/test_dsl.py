@@ -18,7 +18,6 @@ from uryson.dsl import (
     RankOneOpDef,
     Settings,
     build_operator,
-    op_shape,
     parse_model,
     render,
 )
@@ -58,10 +57,11 @@ def test_build_operator_and_shapes():
     m = parse_model(MINI)
     T = build_operator(m, "T")
     assert T(vec(1.0, -2.0)).coords == (3.0, 3.0)
-    assert op_shape(m, "T") == (2, 2)
-    assert op_shape(m, "phi") == (1, 2)
-    assert op_shape(m, "R") == (2, 2)
+    assert (T.m, T.n) == (2, 2)
+    phi = build_operator(m, "phi")
+    assert (phi.m, phi.n) == (1, 2)
     R = build_operator(m, "R")
+    assert (R.m, R.n) == (2, 2)
     assert R(vec(1.0, -2.0)).coords == (3.0, 3.0)
     with pytest.raises(BadCommand, match="unknown operator"):
         build_operator(m, "nope")
@@ -166,6 +166,14 @@ SEMANTIC_CASES = [
     ("kernel k abs\nop T 2x2 [k k; k k]\nop phi 1x2 [k k]\n"
      "op R rank1 phi u=(1,1,1)\n", "dimension_mismatch", 4,
      "operator 'R' has output dimension 3, expected 2"),
+    ("op U integral (" + "-" * 64 + "r) s=(1) t=(1) w=(1)\n", "semantic_error", 1,
+     "expression nested or chained deeper than 64"),
+    ("op U integral ((1/(s-1))*r) s=(1) t=(1) w=(1)\n", "eval_error", 1,
+     "kernel expression failed to evaluate at \\(s=1, t=1, r=0\\): float division by zero"),
+    ("op U integral (r+5e-10) s=(1) t=(1) w=(4)\n", "semantic_error", 1,
+     "kernel must vanish at 0 \\(got 2e-09\\)"),
+    ("op U integral (s*t+1) s=(1) t=(2) w=(1)\n", "c0_violation", 1,
+     "kernel does not vanish at 0 at node \\(s=1, t=2\\): 3.0"),
 ]
 
 
@@ -241,6 +249,44 @@ def test_demo_model_parses(demo_model):
     assert "T" in demo_model.operator_names()
     assert demo_model.settings.seed == 7
     assert parse_model(render(demo_model)) == demo_model
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "(" * 63 + "r" + ")" * 63,  # with the expression itself, 64 levels
+        "-" * 63 + "r",
+        "+".join(["r"] * 64),
+        "r*" + "^".join(["1"] * 63),
+        "abs(" * 63 + "r" + ")" * 63,
+    ],
+    ids=["parens", "minus", "sum", "power", "calls"],
+)
+def test_expressions_at_the_depth_bound_parse_and_round_trip(body):
+    m = parse_model(f"op U integral ({body}) s=(1) t=(1) w=(1)\n")
+    assert parse_model(render(m)) == m
+    with pytest.raises(ModelSemanticError, match="deeper than 64"):
+        parse_model(f"op U integral (-({body})) s=(1) t=(1) w=(1)\n")
+
+
+def test_long_rank_one_chain_builds_in_a_loop():
+    text = "kernel k abs scale=2\nop R0 1x1 [k]\n" + "".join(
+        f"op R{i} rank1 R{i - 1} u=(0.5)\n" for i in range(1, 1500)
+    )
+    m = parse_model(text)
+    assert m.dims == (1, 1)
+    R = build_operator(m, "R1499")
+    assert R(vec(-3.0)).coords == (6.0 * 0.5**1499,)
+
+
+def test_settings_check_themselves():
+    with pytest.raises(ValueError, match="^setting tol must be positive$"):
+        Settings(tol=-1, factor=7, max_steps=0)
+    with pytest.raises(ValueError, match="^setting factor must lie strictly in \\(0,1\\)$"):
+        Settings(factor=7)
+    got = Settings(max_steps=3.0, seed=-2.0)
+    assert (got.max_steps, got.seed) == (3, -2)
+    assert type(got.max_steps) is int and type(got.seed) is int
 
 
 def test_settings_schedule():

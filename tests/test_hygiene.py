@@ -1,5 +1,7 @@
 """Source hygiene of the package: no unused module-level imports, no
-unreferenced private helpers, and an explicit export list.
+unreferenced private helpers, an explicit export list, and one home for the
+settings (`Settings`: its fields are the ``set`` keys, the CLI flags and the
+README's flag list, and it rejects what a ``set`` line rejects).
 
 The import scan reads each module of src/uryson with `ast`: a name bound by a
 module-level import must be read somewhere in the module, in code, in a
@@ -9,13 +11,19 @@ constant to be referenced by some other top-level statement of the package,
 so a helper left behind by a refactor cannot linger.
 """
 
+import argparse
 import ast
+import dataclasses
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 import uryson
+from uryson import cli
+from uryson.dsl import Settings, parse_model
+from uryson.errors import ModelSemanticError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uryson"
 MODULES = sorted(SRC.glob("*.py"))
@@ -179,3 +187,65 @@ def test_scan_finds_unreferenced_private_names():
         "c.py": "def _shared():\n    return 1\n",
     }
     assert unreferenced_private_names(sources) == [("a.py", "_dead"), ("a.py", "_helper")]
+
+
+# -- settings: one home ---------------------------------------------------------
+
+SETTING_FIELDS = {f.name for f in dataclasses.fields(Settings)}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _set_line_problem(key: str, value: str) -> str | None:
+    """The message a ``set KEY VALUE`` line is rejected with, or None."""
+    try:
+        parse_model(f"space E 1\nset {key} {value}\n")
+    except ModelSemanticError as exc:
+        return exc.reason
+    return None
+
+
+def test_set_lines_accept_exactly_the_settings_fields():
+    candidates = SETTING_FIELDS | {"beta", "cap_masks", "maxsteps", "settings"}
+    accepted = {k for k in candidates if _set_line_problem(k, "1") != f"unknown setting {k!r}"}
+    assert accepted == SETTING_FIELDS
+
+
+def test_cli_setting_flags_are_the_settings_fields():
+    parser = cli._build_parser()
+    modes = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for mode in modes.choices.values():
+        # the flags that take a number; --json, --csv and --all do not
+        numeric = {
+            a.option_strings[0] for a in mode._actions if a.option_strings and a.type in (int, float)
+        }
+        assert numeric == {"--" + name.replace("_", "-") for name in SETTING_FIELDS}
+
+
+def test_readme_flags_sentence_lists_the_settings_fields():
+    sentence = re.search(r"Flags: `([^`]*)`", README.read_text(encoding="utf-8"))
+    assert set(sentence.group(1).split()) == {
+        "--" + name.replace("_", "-") for name in SETTING_FIELDS
+    }
+
+
+# per field, values the rules reject: non-finite (1e999 reads as inf), and
+# ones that break the field's own rule
+INVALID_SETTINGS = {
+    "tol": ("1e999", "-1", "0"),
+    "eps0": ("-1e999", "0", "-0.5"),
+    "factor": ("1e999", "1", "1.5", "0"),
+    "max_steps": ("1e999", "0", "2.5"),
+    "cap_support": ("-1e999", "0", "0.5"),
+    "seed": ("1e999", "1.5"),
+}
+
+
+def test_settings_reject_what_set_lines_reject_with_the_same_message():
+    assert set(INVALID_SETTINGS) == SETTING_FIELDS
+    for key, values in INVALID_SETTINGS.items():
+        for value in values:
+            problem = _set_line_problem(key, value)
+            assert problem is not None and problem.startswith(f"setting {key} ")
+            with pytest.raises(ValueError) as info:
+                Settings(**{key: float(value)})
+            assert str(info.value) == problem

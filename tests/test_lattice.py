@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uryson.calculus import disjoint_witness
 from uryson.errors import (
     DimensionMismatch,
     NotConverged,
     NotPositiveUnit,
     SupportTooLarge,
 )
+from uryson.kernels import ZERO_KERNEL
 from uryson.lattice import (
     IndexedFamily,
     Mask,
@@ -24,6 +26,7 @@ from uryson.lattice import (
     principal_projection_sup_form,
     vec,
 )
+from uryson.operators import KernelOperator
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -215,6 +218,21 @@ def test_order_limit_witness_not_converged():
     stuck = _family([x + Vector.ones(2)] * 3)
     with pytest.raises(NotConverged):
         order_limit_witness(stuck, x, eps=0.5, u=Vector.ones(2))
+
+
+@pytest.mark.parametrize("witness", [
+    lambda x, u: order_limit_witness(_family([x]), x, eps=0.5, u=u),
+    lambda x, u: disjoint_witness(
+        KernelOperator(((ZERO_KERNEL,),) * x.dim), KernelOperator(((ZERO_KERNEL,),) * x.dim),
+        vec(1.0), 0.5, u,
+    ),
+], ids=["order_limit_witness", "disjoint_witness"])
+def test_regulating_unit_has_one_rule(witness):
+    x = vec(1.0, 2.0)
+    with pytest.raises(NotPositiveUnit, match="^regulating unit must be strictly positive$"):
+        witness(x, vec(1.0, 1e-12))
+    with pytest.raises(DimensionMismatch, match="^unit dim 3 vs 2$"):
+        witness(x, vec(1.0, 1.0, 1.0))
 
 
 def test_order_limit_witness_rejects_degenerate_unit():

@@ -25,6 +25,7 @@ from uryson.operators import (
     validate,
     zero_operator,
 )
+from uryson.projections import project_rank_one
 
 ABS = BuiltinKernel("abs")
 ID = BuiltinKernel("id")
@@ -88,6 +89,17 @@ def test_rank_one_rejections():
         rank_one(phi, vec(1.0, -1.0))
     with pytest.raises(DimensionMismatch, match="one row"):
         rank_one(KernelOperator(((ABS,), (ABS,))), vec(1.0, 1.0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda phi, u: rank_one(phi, u),
+    lambda phi, u: project_rank_one(phi, u, KernelOperator(((ABS,),) * u.dim), vec(1.0)),
+], ids=["rank_one", "project_rank_one"])
+def test_rank_one_factor_and_direction_have_one_rule(build):
+    with pytest.raises(NegativeU, match="^direction u must be nonnegative$"):
+        build(KernelOperator(((ABS,),)), vec(1.0, -1.0))
+    with pytest.raises(DimensionMismatch, match="^rank-one factor phi must be a functional"):
+        build(KernelOperator(((ABS,), (ABS,))), vec(1.0, 1.0))
 
 
 def test_order_and_positivity():
