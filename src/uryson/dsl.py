@@ -20,11 +20,13 @@ with ``+ - * / ^`` and the functions abs, min, max, exp, sin, cos, at most
 
 The parser keeps the grammar, names and the checks that span lines; the
 library objects check the rest (`Settings` its values, the kernel classes
-their forms, `discretize_integral` an integral line).  Tokenization failures
-and malformed lines raise ModelSyntaxError with line/column; violations of
-model invariants raise ModelSemanticError with the line, and the library
-error's code where it has one.  ``parse_model`` -> ``render`` ->
-``parse_model`` is the identity on models.
+their forms, `discretize_integral` an integral line at the default tol, and
+`rank_one` a rank-one line), as each operator is built, once, at its line.
+The `Model` keeps what was built, and `build_operator` looks it up.
+Tokenization failures and malformed lines raise ModelSyntaxError with
+line/column; violations of model invariants raise ModelSemanticError with the
+line, and the library error's code where it has one.  ``parse_model`` ->
+``render`` -> ``parse_model`` is the identity on models.
 """
 
 from __future__ import annotations
@@ -464,6 +466,8 @@ class Model:
     operators: tuple[OpDef, ...]
     probes: tuple[tuple[str, Vector], ...]
     settings: Settings
+    # the operator of each name, in declaration order, as parse_model built it
+    built: dict[str, KernelOperator] = dataclasses.field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -499,21 +503,11 @@ class Model:
 
 
 def build_operator(model: Model, name: str) -> KernelOperator:
-    """The operator declared as name; a chain of rank-one factors is resolved
-    in a loop, innermost factor first."""
-    d = model.operator_def(name)
-    directions = []
-    while isinstance(d, RankOneOpDef):
-        directions.append(d.u)
-        d = model.operator_def(d.phi)
-    if isinstance(d, MatrixOpDef):
-        T = KernelOperator(tuple(tuple(model.kernel(k) for k in row) for row in d.rows))
-    else:
-        spec = IntegralKernelSpec(_expr_fn(d.expr), d.s_grid, d.t_grid, d.weights)
-        T = discretize_integral(spec, tol=model.settings.tol)
-    for u in reversed(directions):
-        T = rank_one(T, Vector(u), tol=model.settings.tol)
-    return T
+    """The operator declared as name, as parse_model built it (the same
+    object on every call)."""
+    if name not in model.built:
+        raise BadCommand(f"unknown operator {name!r}")
+    return model.built[name]
 
 
 # --------------------------------------------------------------------------
@@ -539,9 +533,8 @@ def parse_model(text: str) -> Model:
     operators: list[OpDef] = []
     probes: list[tuple[str, Vector]] = []
     settings, set_keys = Settings(), set()
-    # (m, n) of every operator, and the line of every kernel, operator and
-    # probe name
-    shapes: dict[str, tuple[int, int]] = {}
+    # the operator of each name, and the line of each kernel, operator and probe name
+    built: dict[str, KernelOperator] = {}
     claimed: dict[str, int] = {}
 
     def claim(name: str, lineno: int) -> None:
@@ -641,19 +634,17 @@ def parse_model(text: str) -> Model:
                         lineno,
                         code="dimension_mismatch",
                     )
-                operators.append(MatrixOpDef(name, shape, tuple(rows)))
-                shapes[name] = shape
+                d: OpDef = MatrixOpDef(name, shape, tuple(rows))
             elif tok is not None and tok.kind == "NAME" and tok.text == "rank1":
                 cur.take()
                 phi = cur.expect_name("a functional name").text
-                if phi not in shapes:
+                if phi not in built:
                     raise ModelSemanticError(
                         f"unknown operator {phi!r}", lineno, code="unknown_name"
                     )
-                if shapes[phi][0] != 1:
+                if built[phi].m != 1:
                     raise ModelSemanticError(
-                        f"rank-one factor {phi!r} must be a functional (one row)",
-                        lineno,
+                        f"rank-one factor {phi!r} must be a functional (one row)", lineno
                     )
                 u = cur.keyed_vector("u")
                 cur.require_end()
@@ -661,8 +652,7 @@ def parse_model(text: str) -> Model:
                     raise ModelSemanticError(
                         "rank-one direction u must be nonnegative", lineno, code="negative_u"
                     )
-                operators.append(RankOneOpDef(name, phi, u))
-                shapes[name] = (len(u), shapes[phi][1])
+                d = RankOneOpDef(name, phi, u)
             elif tok is not None and tok.kind == "NAME" and tok.text == "integral":
                 cur.take()
                 cur.expect_punct("(")
@@ -672,16 +662,14 @@ def parse_model(text: str) -> Model:
                     raise _too_deep(lineno)
                 s, t, w = [cur.keyed_vector(key) for key in "stw"]
                 cur.require_end()
-                try:
-                    discretize_integral(IntegralKernelSpec(_expr_fn(expr), s, t, w))
-                except (UrysonError, ValueError) as exc:
-                    raise ModelSemanticError(
-                        str(exc), lineno, code=getattr(exc, "code", None)
-                    ) from exc
-                operators.append(IntegralOpDef(name, expr, s, t, w))
-                shapes[name] = (len(s), len(t))
+                d = IntegralOpDef(name, expr, s, t, w)
             else:
                 raise cur.error("expected MxN, rank1, or integral")
+            try:
+                built[name] = _build(d, kernels, built)
+            except (UrysonError, ValueError) as exc:
+                raise ModelSemanticError(str(exc), lineno, code=getattr(exc, "code", None)) from exc
+            operators.append(d)
 
         elif head.text == "probe":
             name = cur.expect_name("a probe name").text
@@ -709,12 +697,22 @@ def parse_model(text: str) -> Model:
             raise ModelSyntaxError(f"unknown directive {head.text!r}", lineno, head.col)
 
     return Model(
-        dims=_finish_model(spaces, shapes, probes, claimed),
+        dims=_finish_model(spaces, built, probes, claimed),
         kernels=tuple(kernels.items()),
         operators=tuple(operators),
         probes=tuple(probes),
         settings=settings,
+        built=built,
     )
+
+
+def _build(d: OpDef, kernels: dict, built: dict) -> KernelOperator:
+    """The operator of d, whose kernels and functional are built already."""
+    if isinstance(d, MatrixOpDef):
+        return KernelOperator(tuple(tuple(kernels[k] for k in row) for row in d.rows))
+    if isinstance(d, RankOneOpDef):
+        return rank_one(built[d.phi], Vector(d.u))
+    return discretize_integral(IntegralKernelSpec(_expr_fn(d.expr), d.s_grid, d.t_grid, d.weights))
 
 
 def _parse_scale_opt(cur: _Cursor) -> float:
@@ -728,13 +726,12 @@ def _parse_scale_opt(cur: _Cursor) -> float:
 
 def _finish_model(
     spaces: dict[str, int],
-    shapes: dict[str, tuple[int, int]],
+    built: dict[str, KernelOperator],
     probes: list[tuple[str, Vector]],
     lines: dict[str, int],
 ) -> tuple[int, int]:
-    """Cross-line checks: dimension agreement and inference of (n, m);
-    shapes gives the (m, n) of each operator in declaration order, and lines
-    the line of each operator and probe name."""
+    """Cross-line checks: dimension agreement and inference of (n, m) from the
+    operators in declaration order; lines gives each operator's and probe's line."""
     n = spaces.get("E")
     m = spaces.get("F")
 
@@ -748,17 +745,17 @@ def _finish_model(
             )
         return dim
 
-    for name, (m_op, n_op) in shapes.items():
-        n = fit(n, n_op, name, "operator {} has input dimension")
-        if m_op != 1:  # one-row operators are functionals; always admissible
-            m = fit(m, m_op, name, "operator {} has output dimension")
+    for name, op in built.items():
+        n = fit(n, op.n, name, "operator {} has input dimension")
+        if op.m != 1:  # one-row operators are functionals; always admissible
+            m = fit(m, op.m, name, "operator {} has output dimension")
     for name, v in probes:
         n = fit(n, v.dim, name, "probe {} has dimension")
 
     if n is None:
         raise ModelSemanticError("model declares no dimensions (add a space, operator, or probe)", 1)
     if m is None:
-        m = 1 if any(m_op == 1 for m_op, _ in shapes.values()) else n
+        m = 1 if any(op.m == 1 for op in built.values()) else n
     return n, m
 
 

@@ -280,18 +280,21 @@ class FuncKernel(ScalarKernel):
 
     fn: Callable[[float], float]
     label: str = "callable"
+    factors: tuple[float, ...] = ()  # scalings, applied in order to fn's value
 
     def __post_init__(self):
-        v0 = float(self.fn(0.0))
+        v0 = self(0.0)
         if abs(v0) > DEFAULT_TOL:
             raise ValueError(f"kernel must vanish at 0 (got {v0!r})")
 
     def __call__(self, r: float) -> float:
-        return float(self.fn(r))
+        v = float(self.fn(r))
+        for a in self.factors:
+            v = a * v
+        return v
 
     def scaled(self, a: float) -> "FuncKernel":
-        inner = self.fn
-        return FuncKernel(lambda r: a * inner(r), label=f"{a:g}*({self.label})")
+        return FuncKernel(self.fn, f"{a:g}*({self.label})", self.factors + (a,))
 
     def descriptor(self) -> dict:
         return {"form": "callable", "label": self.label}

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import uryson.cli as cli_mod
 from uryson.cli import main
+from uryson.errors import BadCommand
 
 DEMO = str(importlib.resources.files("uryson") / "demo.ury")
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -65,6 +66,11 @@ DEEP_MODEL = "op U integral ({}) s=(1) t=(1) w=(1)\nprobe x = (1)\n"
 RANK_ONE_CHAIN = "kernel k abs\nop R0 1x1 [k]\n" + "".join(
     f"op R{i} rank1 R{i - 1} u=(1)\n" for i in range(1, 1200)
 ) + "probe x = (1)\n"
+
+# the same chain over an integral operator: one quadrature kernel scaled 1199 times
+INTEGRAL_CHAIN = "op R0 integral (r) s=(1) t=(1) w=(1)\n" + "".join(
+    f"op R{i} rank1 R{i - 1} u=(1)\n" for i in range(1, 1200)
+) + "probe x = (2)\n"
 
 
 def run_cli(capsys, *argv):
@@ -402,11 +408,13 @@ def test_tiny_probe_coordinate_projects_to_target_value(capsys, tmp_path, verb):
         (DEEP_MODEL.format("r*" + "^".join(["1"] * 3000)), ("eval", "U", "x")),
         (RANK_ONE_CHAIN, ("eval", "R0", "x")),
         (RANK_ONE_CHAIN, ("eval", "R1199", "x")),
+        (INTEGRAL_CHAIN, ("eval", "R1199", "x")),
     ],
     ids=[
         "tiny-probe", "infinite-probe", "infinite-space", "infinite-scale",
         "infinite-clamp", "overflow-eval", "overflow-project", "nan-part-functional",
         "deep-parens", "deep-minus", "long-sum", "long-power", "chain-head", "chain-tail",
+        "integral-chain-tail",
     ],
 )
 def test_cli_never_tracebacks(tmp_path, text, argv):
@@ -451,6 +459,15 @@ def test_long_rank_one_chains_evaluate(capsys, tmp_path, op):
     code, rep = run_json(capsys, "run", str(model), "eval", op, "x")
     assert code == 0
     assert rep["result"]["value"] == [1]
+
+
+def test_long_integral_rank_one_chain_evaluates(capsys, tmp_path):
+    model = tmp_path / "chain.ury"
+    model.write_text(INTEGRAL_CHAIN)
+    code = main(["run", str(model), "eval", "R1199", "x"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["value"] == [2]
 
 
 @pytest.mark.parametrize(
@@ -566,17 +583,33 @@ def argvs(draw, out_dir):
 def test_any_argv_ends_in_one_json_document(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     demo = pathlib.Path(DEMO).read_bytes()
-    (tmp_path / "model.ury").write_bytes(demo)
+    copy = tmp_path / "model.ury"
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(argvs(tmp_path))
     def check(argv):
+        copy.write_bytes(demo)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2, 3)
         json.loads(out.getvalue())
         assert err.getvalue() == ""
+        # an argv whose model is the copy never changes it; another argv may
+        # name the copy as its --json output (see the test below)
+        try:
+            ns = cli_mod._build_parser().parse_args(argv)
+        except BadCommand:
+            return
+        if os.path.realpath(ns.model) == os.path.realpath(copy):
+            assert copy.read_bytes() == demo
 
     check()
-    assert (tmp_path / "model.ury").read_bytes() == demo
+
+
+def test_unreadable_model_writes_its_error_to_json(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "run", "missing.ury", "eval", "T", "x1", "--json", "out.json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "io_error"
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == out

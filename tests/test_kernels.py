@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -122,6 +123,29 @@ def test_func_kernel_requires_origin():
     assert f(3.0) == 9.0
     assert f.scaled(2.0)(3.0) == 18.0
     assert f.to_pwl() is None
+
+
+def test_func_kernel_scalings_match_nested_products():
+    """2000 scalings keep the values and label of nested multiplication,
+    a * (... * (a1 * fn(r))), built without nesting a call per factor."""
+    rng = random.Random(11)
+    base = FuncKernel(lambda r: r * r - r / 3.0, label="quad")
+    factors = [rng.choice((-1.0, 1.0)) * rng.uniform(0.8, 1.25) for _ in range(2000)]
+    k, label = base, base.label
+    for a in factors:
+        k, label = k.scaled(a), f"{a:g}*({label})"
+    assert k.descriptor() == {"form": "callable", "label": label}
+    for r in (-7.5, -1.0, -1e-300, 0.0, 0.1, 2.0, 1e150):
+        want = base.fn(r)
+        for a in factors:
+            want = a * want
+        assert repr(k(r)) == repr(want)
+
+
+def test_func_kernel_scaling_checks_the_scaled_origin():
+    small = FuncKernel(lambda r: r + 2e-10)
+    with pytest.raises(ValueError, match="vanish at 0 \\(got 2e-08\\)"):
+        small.scaled(100.0)
 
 
 def test_zero_kernel():
