@@ -13,13 +13,22 @@ and computes exact subset sums of those addends (integers over a
 power-of-two denominator, one doubling per support column), rounded once.
 Only a table with a non-finite entry or near the float range applies the
 operator to each fragment, so it fails exactly as an application does.
+
+Positivity and the operator order are decided once per operator and once
+per ordered pair: each operator keeps its positivity deficit and, per lower
+operator S, the order deficit of the pair (the smallest tol at which the
+decision holds, see `kernels.max_deficit`), so every later decision, at any
+tol, is one comparison.  This assumes what the kernels already require:
+they are frozen, and a callable kernel's `fn` is pure.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from .errors import C0Violation, DimensionMismatch, NegativeU, NotPositive
@@ -28,19 +37,27 @@ from .kernels import (
     FuncKernel,
     ScalarKernel,
     ZERO_KERNEL,
+    holds,
     kernel_add,
-    kernel_diff_nonneg,
+    kernel_diff_deficits,
     kernel_neg_part,
     kernel_pos_part,
+    max_deficit,
 )
 from .lattice import Fragments, Vector
 
 
 @dataclass(frozen=True)
 class KernelOperator:
-    """m x n matrix of scalar kernels; rows index output coordinates."""
+    """m x n matrix of scalar kernels; rows index output coordinates.  The
+    private fields keep decisions (`operator_is_positive`, `operator_leq`)
+    and take no part in ==, hash or repr."""
 
     kernels: tuple[tuple[ScalarKernel, ...], ...]
+    # positivity deficit, once decided
+    _positive_deficit: float | None = field(default=None, init=False, repr=False, compare=False)
+    # id(S) -> (weakref to S, order deficit of S <= self)
+    _leq_deficits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.kernels)
@@ -301,8 +318,23 @@ def validate(
 
 
 def operator_is_positive(T: KernelOperator, tol: float = DEFAULT_TOL) -> bool:
-    """Every kernel nonnegative on all of R (exact for pwl/builtin kernels)."""
-    return all(k.nonneg_everywhere(tol) for row in T.kernels for k in row)
+    """Every kernel nonnegative on all of R (exact for pwl/builtin kernels).
+
+    Decided once per operator: T keeps the largest of its kernels' positivity
+    deficits, in kernel order, and each call compares it with tol, so a
+    `FuncKernel.fn` must be pure.  A kernel step that raises is raised only
+    if the decision reaches it at tol, as a kernel-by-kernel check would; T
+    then keeps nothing.
+    """
+    deficit = T._positive_deficit
+    if deficit is None:
+        deficit, exc = max_deficit(
+            chain.from_iterable(k.nonneg_deficits() for row in T.kernels for k in row)
+        )
+        if exc is not None:
+            return holds((deficit, exc), tol)
+        object.__setattr__(T, "_positive_deficit", deficit)
+    return deficit <= tol
 
 
 def require_positive(name: str, T: KernelOperator, tol: float = DEFAULT_TOL) -> None:
@@ -312,14 +344,44 @@ def require_positive(name: str, T: KernelOperator, tol: float = DEFAULT_TOL) -> 
 
 
 def operator_leq(S: KernelOperator, T: KernelOperator, tol: float = DEFAULT_TOL) -> bool:
-    """S <= T in the operator order, i.e. T - S positive, decided kernelwise."""
+    """S <= T in the operator order, i.e. T - S positive, decided kernelwise.
+
+    Decided once per ordered pair: T keeps the order deficit of (S, T), the
+    largest of the kernel pairs' deficits, under id(S) beside a weak
+    reference to S whose callback drops the entry when S is collected, so T
+    keeps no operator alive.  Kernels must be pure, and a kernel step that
+    raises is handled, as in `operator_is_positive`.
+    """
     if (S.m, S.n) != (T.m, T.n):
         raise DimensionMismatch("operators must share shape")
-    return all(
-        kernel_diff_nonneg(sk, tk, tol)
-        for srow, trow in zip(S.kernels, T.kernels)
-        for sk, tk in zip(srow, trow)
-    )
+    entry = T._leq_deficits.get(id(S))
+    if entry is None:
+        deficit, exc = max_deficit(
+            chain.from_iterable(
+                kernel_diff_deficits(sk, tk)
+                for srow, trow in zip(S.kernels, T.kernels)
+                for sk, tk in zip(srow, trow)
+            )
+        )
+        if exc is not None:
+            return holds((deficit, exc), tol)
+        entry = (weakref.ref(S, _entry_dropper(T, id(S))), deficit)
+        T._leq_deficits[id(S)] = entry
+    return entry[1] <= tol
+
+
+def _entry_dropper(T: KernelOperator, key: int) -> Callable[[weakref.ref], None]:
+    """A weakref callback that drops T's order entry under key.  It holds T
+    weakly too: a strong reference would close the cycle T -> entry ->
+    weakref -> callback -> T, which only the cycle collector frees."""
+    owner = weakref.ref(T)
+
+    def drop(_ref: weakref.ref) -> None:
+        T = owner()
+        if T is not None:
+            T._leq_deficits.pop(key, None)
+
+    return drop
 
 
 def operator_add(S: KernelOperator, T: KernelOperator) -> KernelOperator:

@@ -509,6 +509,25 @@ def test_functional_part_not_positive(capsys, tmp_path):
     assert rep == {"error": {"code": "not_positive", "message": "operator T+ must be positive"}}
 
 
+# U and V are equal but distinct quadrature operators, +inf on the far
+# samples of the grid (|r| > 7)
+INFINITE_PAIR_MODEL = """\
+op U integral (max(abs(r)-7, 0)*1e308*1e308) s=(1) t=(1) w=(1)
+op V integral (max(abs(r)-7, 0)*1e308*1e308) s=(1) t=(1) w=(1)
+probe x = (1)
+"""
+
+
+def test_equal_infinite_kernels_are_ordered(capsys, tmp_path):
+    model = tmp_path / "inf.ury"
+    model.write_text(INFINITE_PAIR_MODEL)
+    code, pair = run_json(capsys, "run", str(model), "project", "U,V", "V", "x")
+    assert code == 0, pair
+    code, single = run_json(capsys, "run", str(model), "project", "U", "V", "x")
+    assert code == 0
+    assert pair["result"]["value"] == single["result"]["value"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

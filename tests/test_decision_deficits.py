@@ -1,0 +1,428 @@
+"""Positivity and the operator order, decided once per operator and pair.
+
+Each decision is a deficit, the smallest tol at which it holds, so an
+operator keeps it and decides again at any tol with one comparison.  The
+references below are the kernel-by-kernel checks the deficits replace,
+short-circuiting at the first failing kernel or sample.  Every case must
+give the same bool, or the same exception type and message, cold and
+cached, at two tols in both orders.  The one intended difference: equal
+kernels that are infinite at the same grid samples are ordered (the
+reference reads inf - inf = nan there).
+
+The cache tests need no clock: they count kernel evaluations, and check that
+a cache keeps no operator alive and stays out of ==, hash and repr.
+"""
+
+import gc
+import math
+import weakref
+
+import pytest
+
+from uryson.instances import rng_for
+from uryson.kernels import (
+    _SAMPLE_GRID,
+    DEFAULT_TOL,
+    BuiltinKernel,
+    FuncKernel,
+    PwlKernel,
+    ZERO_KERNEL,
+    _points_deficit,
+    kernel_diff_nonneg,
+)
+from uryson.errors import DimensionMismatch
+from uryson.operators import KernelOperator, operator_is_positive, operator_leq
+
+TOLS = (0.0, 1e-12, DEFAULT_TOL, 1e-3, 1.0)
+TOL_PAIRS = [pair for a, b in zip(TOLS, TOLS[1:]) for pair in ((a, b), (b, a))]
+
+
+# -- references: the decisions before deficits ------------------------------------
+
+
+def ref_points_nonneg(pts, tol):
+    if any(y < -tol for _, y in pts):
+        return False
+    if len(pts) == 1:
+        return 0.0 <= tol
+    (x0, y0), (x1, y1) = pts[0], pts[1]
+    (xm, ym), (xl, yl) = pts[-2], pts[-1]
+    return (y1 - y0) / (x1 - x0) <= tol and (yl - ym) / (xl - xm) >= -tol
+
+
+def ref_nonneg_everywhere(k, tol):
+    pwl = k.to_pwl()
+    if pwl is not None:
+        return ref_points_nonneg(pwl.points, tol)
+    return all(k(r) >= -tol for r in _SAMPLE_GRID)
+
+
+def ref_kernel_diff_nonneg(low, high, tol):
+    if low is high:
+        return True
+    lp, hp = low.to_pwl(), high.to_pwl()
+    if lp is None or hp is None:
+        return all(high(r) - low(r) >= -tol for r in _SAMPLE_GRID)
+    pts = [(x, hp(x) - lp(x)) for x in sorted(set(hp._xs) | set(lp._xs))]
+    if not all(math.isfinite(y) for _, y in pts):
+        raise ValueError("breakpoints must be finite")
+    return ref_points_nonneg(pts, tol)
+
+
+def ref_operator_is_positive(T, tol):
+    return all(ref_nonneg_everywhere(k, tol) for row in T.kernels for k in row)
+
+
+def ref_operator_leq(S, T, tol):
+    if (S.m, S.n) != (T.m, T.n):
+        raise DimensionMismatch("operators must share shape")
+    return all(
+        ref_kernel_diff_nonneg(sk, tk, tol)
+        for srow, trow in zip(S.kernels, T.kernels)
+        for sk, tk in zip(srow, trow)
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # every failure is compared by type and message
+        return "error", type(exc).__name__, str(exc)
+
+
+# -- inputs -------------------------------------------------------------------------
+
+# values near every tol of TOLS, of both signs
+LEVELS = (-0.5, -5e-4, -5e-10, -1e-13, 0.0, 1e-13, 5e-10, 0.25, 1.0)
+XS = (-3.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+
+
+def seeded_pwl(rng):
+    xs = sorted({0.0, *rng.sample(XS, rng.randint(0, 3))})
+    return PwlKernel(tuple((x, 0.0 if x == 0.0 else rng.choice(LEVELS)) for x in xs))
+
+
+def seeded_kernel(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return seeded_pwl(rng)
+    if kind == 1:
+        name = rng.choice(("abs", "id", "relu", "clamp"))
+        params = (rng.choice((-1.0, 0.0)), rng.choice((0.0, 2.0))) if name == "clamp" else ()
+        return BuiltinKernel(name, rng.choice((1.0, -1e-10, -2.0, 0.5)), params)
+    if kind == 2:
+        return ZERO_KERNEL
+    a, b = rng.choice(LEVELS), rng.choice(LEVELS)
+    return FuncKernel(lambda r, a=a, b=b: a * r * r + b * abs(r), label="quad")
+
+
+def at(value, where, base=abs):
+    """A callable kernel equal to base except value at the samples in where."""
+    return FuncKernel(lambda r: value if r in where else base(r), label=f"at({value})")
+
+
+def raising(where, message="kernel blew up", base=abs):
+    def fn(r):
+        if r in where:
+            raise ValueError(message)
+        return base(r)
+
+    return FuncKernel(fn, label="raising")
+
+
+FIRST, MIDDLE, LAST = _SAMPLE_GRID[0], _SAMPLE_GRID[100], _SAMPLE_GRID[-1]
+assert (FIRST, MIDDLE, LAST) == (-8.0, -3.0, 8.0)
+
+
+def inf_beyond_7(r):
+    return max(abs(r) - 7.0, 0.0) * 1e308 * 1e308
+
+
+def planted_kernels():
+    fails = {FIRST + 1.0}  # a sample of -5e-4, failing below tol 1e-3
+    return {
+        "nan-first": at(math.nan, {FIRST}),
+        "nan-middle": at(math.nan, {MIDDLE}),
+        "nan-last": at(math.nan, {LAST}),
+        "nan-after-failing": FuncKernel(
+            lambda r: -5e-4 if r in fails else (math.nan if r == LAST else abs(r))
+        ),
+        "plus-inf": at(math.inf, {MIDDLE}),
+        "minus-inf": at(-math.inf, {MIDDLE}),
+        "raises-first": raising({FIRST}),
+        "raises-before-failing": FuncKernel(
+            lambda r: -5e-4 if r == LAST else raising({MIDDLE}).fn(r)
+        ),
+        "raises-after-failing": FuncKernel(
+            lambda r: -5e-4 if r in fails else raising({MIDDLE}).fn(r)
+        ),
+        "raises-after-nan": FuncKernel(
+            lambda r: math.nan if r == FIRST else raising({LAST}).fn(r)
+        ),
+        "infinite-far": FuncKernel(inf_beyond_7),
+        "one-point": ZERO_KERNEL,
+        "one-point-copy": PwlKernel(((0.0, 0.0),)),
+        "slope-overflows-up": PwlKernel(((-1.0, 1.5e308), (-0.5, -1.5e308), (0.0, 0.0))),
+        "slope-overflows-down": PwlKernel(((0.0, 0.0), (1e-10, 1e300))),
+        "last-slope-overflows": PwlKernel(((0.0, 0.0), (0.5, 1.5e308), (1.0, -1.5e308))),
+        "huge": PwlKernel(((0.0, 0.0), (1.0, 1.5e308))),
+        "huge-negative": PwlKernel(((0.0, 0.0), (1.0, -1.5e308))),
+        "to-pwl-overflows": BuiltinKernel("clamp", 1e200, (-1e200, 1e200)),
+        "tiny-negative": PwlKernel(((-1.0, -5e-10), (0.0, 0.0), (1.0, 0.0))),
+        "abs": BuiltinKernel("abs"),
+        "abs-callable": FuncKernel(abs, label="abs"),
+    }
+
+
+PLANTED = planted_kernels()
+# equal but distinct objects: the same data, built again
+TWINS = planted_kernels()
+# kernels whose verdict depends on tol, or that end a check early: placed
+# before another kernel, they decide whether it is reached
+LEADING = (
+    "nan-middle", "minus-inf", "raises-first", "raises-after-failing",
+    "tiny-negative", "to-pwl-overflows", "slope-overflows-down", "abs",
+)
+# equal kernels infinite at the same samples: the one intended difference
+INFINITE_TWINS = ("plus-inf", "minus-inf", "infinite-far")
+
+
+def infinite_twins(low, high):
+    return any(low is PLANTED[n] and high is TWINS[n] for n in INFINITE_TWINS)
+
+
+def planted_operators():
+    """One-kernel operators, then each leading kernel followed by any kernel."""
+    ops = [KernelOperator(((k,),)) for k in PLANTED.values()]
+    for a in LEADING:
+        ops += [KernelOperator(((PLANTED[a], k),)) for k in PLANTED.values()]
+        ops += [KernelOperator(((PLANTED[a],), (k,))) for k in TWINS.values()]
+    return ops
+
+
+def planted_pairs():
+    """Ordered pairs of one-kernel operators, then of two-kernel operators
+    whose first pair is a leading kernel below itself, its twin or abs."""
+    pairs = []
+    for low in PLANTED.values():
+        for high in [*PLANTED.values(), *TWINS.values()]:
+            if not infinite_twins(low, high):
+                pairs.append((KernelOperator(((low,),)), KernelOperator(((high,),))))
+    for a in LEADING:
+        # the same kernel, its twin, or abs above the leading kernel
+        for lead in (PLANTED[a], TWINS[a], PLANTED["abs"]):
+            for name, low in PLANTED.items():
+                if not (infinite_twins(PLANTED[a], lead) or infinite_twins(low, TWINS[name])):
+                    S = KernelOperator(((PLANTED[a], low),))
+                    T = KernelOperator(((lead, TWINS[name]),))
+                    pairs.append((S, T))
+    return pairs
+
+
+def seeded_operators(count=120):
+    rng = rng_for(13, "decision-deficits")
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(1, 2), rng.randint(1, 3)
+        out.append(
+            KernelOperator(tuple(tuple(seeded_kernel(rng) for _ in range(n)) for _ in range(m)))
+        )
+    return out
+
+
+def fresh(T):
+    """An operator equal to T with nothing decided yet."""
+    return KernelOperator(T.kernels)
+
+
+def assert_cold_and_cached(decide, reference, *ops):
+    """decide(*ops, tol) agrees with the reference on fresh operators, cold
+    at one tol of each neighbouring pair of TOLS and cached at the other, in
+    both orders."""
+    want = {tol: outcome(reference, *ops, tol) for tol in TOLS}
+    for t1, t2 in TOL_PAIRS:
+        fresh_ops = [fresh(op) for op in ops]
+        for tol in (t1, t2):
+            assert outcome(decide, *fresh_ops, tol) == want[tol], (ops, tol)
+
+
+# -- differential tests -------------------------------------------------------------
+
+
+def test_points_deficit_matches_reference():
+    rng = rng_for(13, "points")
+    cases = [
+        [(0.0, 0.0)],
+        [(-1.0, 1.5e308), (-0.5, -1.5e308), (0.0, 0.0)],
+        [(0.0, 0.0), (1e-10, 1e300)],
+        [(-2.0, -5e-10), (0.0, 0.0)],
+    ]
+    cases += [list(seeded_pwl(rng).points) for _ in range(200)]
+    for pts in cases:
+        for tol in TOLS:
+            assert (_points_deficit(pts) <= tol) == ref_points_nonneg(pts, tol)
+
+
+@pytest.mark.parametrize("name", list(PLANTED))
+def test_planted_kernel_positivity_matches_reference(name):
+    k = PLANTED[name]
+    for tol in TOLS:
+        assert outcome(k.nonneg_everywhere, tol) == outcome(ref_nonneg_everywhere, k, tol)
+
+
+def test_planted_kernel_order_matches_reference():
+    differing = []
+    for a, low in PLANTED.items():
+        for b, high in [*PLANTED.items(), *(("twin " + n, k) for n, k in TWINS.items())]:
+            for tol in TOLS:
+                got = outcome(kernel_diff_nonneg, low, high, tol)
+                want = outcome(ref_kernel_diff_nonneg, low, high, tol)
+                if got != want:
+                    differing.append((a, b, tol, got, want))
+    # the fix: equal infinite samples are a zero difference, not nan
+    assert differing == [
+        (a, "twin " + a, tol, ("ok", True), ("ok", False))
+        for a in INFINITE_TWINS
+        for tol in TOLS
+    ]
+
+
+def test_seeded_kernels_match_reference():
+    rng = rng_for(13, "kernels")
+    kernels = [seeded_kernel(rng) for _ in range(150)]
+    for low, high in zip(kernels, kernels[1:] + kernels[:1]):
+        for tol in TOLS:
+            assert outcome(low.nonneg_everywhere, tol) == outcome(ref_nonneg_everywhere, low, tol)
+            assert outcome(kernel_diff_nonneg, low, high, tol) == outcome(
+                ref_kernel_diff_nonneg, low, high, tol
+            )
+
+
+def test_operator_positivity_matches_reference_cold_and_cached():
+    for T in planted_operators() + seeded_operators():
+        assert_cold_and_cached(operator_is_positive, ref_operator_is_positive, T)
+
+
+def test_operator_order_matches_reference_cold_and_cached():
+    seeded = seeded_operators()
+    for S, T in planted_pairs() + list(zip(seeded, seeded[1:])):
+        assert_cold_and_cached(operator_leq, ref_operator_leq, S, T)
+
+
+def test_operator_order_of_an_operator_with_itself():
+    for T in planted_operators()[:40] + seeded_operators(30):
+        for t1, t2 in TOL_PAIRS:
+            T2 = fresh(T)
+            assert [operator_leq(T2, T2, t1), operator_leq(T2, T2, t2)] == [True, True]
+
+
+def test_equal_infinite_operators_are_ordered():
+    for name in INFINITE_TWINS:
+        S = KernelOperator(((PLANTED[name], PLANTED["abs"]),))
+        T = KernelOperator(((TWINS[name], PLANTED["abs"]),))
+        for t1, t2 in TOL_PAIRS:
+            T2 = fresh(T)
+            assert [operator_leq(S, T2, t1), operator_leq(S, T2, t2)] == [True, True]
+            assert not ref_operator_leq(S, T, t1)
+
+
+def test_mismatched_shapes_raise_before_any_cache():
+    S = KernelOperator(((ZERO_KERNEL, ZERO_KERNEL),))
+    T = KernelOperator(((ZERO_KERNEL,),))
+    for _ in range(2):
+        assert outcome(operator_leq, S, T, DEFAULT_TOL) == (
+            "error", "DimensionMismatch", "operators must share shape"
+        )
+    assert T._leq_deficits == {}
+
+
+# -- the caches -----------------------------------------------------------------------
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    counter = {"calls": 0}
+    original = PwlKernel.__call__
+
+    def counted(self, r):
+        counter["calls"] += 1
+        return original(self, r)
+
+    monkeypatch.setattr(PwlKernel, "__call__", counted)
+
+    def counted_fn(fn):
+        def wrapper(r):
+            counter["calls"] += 1
+            return fn(r)
+
+        return wrapper
+
+    def run(fn, *args):
+        counter["calls"] = 0
+        fn(*args)
+        return counter["calls"]
+
+    run.counted_fn = counted_fn
+    return run
+
+
+def cache_operands(evaluations):
+    rng = rng_for(13, "cache")
+    pwl = [[seeded_pwl(rng) for _ in range(3)] for _ in range(2)]
+    S = KernelOperator(pwl)
+    T = KernelOperator([[k.scaled(2.0) for k in row] for row in pwl])
+    F = KernelOperator(((FuncKernel(evaluations.counted_fn(abs)), BuiltinKernel("relu")),))
+    double = evaluations.counted_fn(lambda r: 2.0 * abs(r))
+    G = KernelOperator(((FuncKernel(double), BuiltinKernel("abs")),))
+    return S, T, F, G
+
+
+def test_second_decisions_evaluate_no_kernel(evaluations):
+    S, T, F, G = cache_operands(evaluations)
+    assert evaluations(operator_is_positive, F, 0.0) == len(_SAMPLE_GRID)
+    assert evaluations(operator_leq, S, T, 0.0) > 0
+    # sampled callables, and relu and abs at their three breakpoints
+    assert evaluations(operator_leq, F, G, 0.0) == 2 * len(_SAMPLE_GRID) + 6
+    for tol in TOLS:
+        assert evaluations(operator_is_positive, F, tol) == 0
+        assert evaluations(operator_leq, S, T, tol) == 0
+        assert evaluations(operator_leq, F, G, tol) == 0
+    # the order is kept per ordered pair
+    assert evaluations(operator_leq, T, S, 0.0) > 0
+
+
+def test_raising_decisions_are_not_kept(evaluations):
+    calls = evaluations.counted_fn(raising({LAST}).fn)
+    T = KernelOperator(((FuncKernel(calls),),))
+    for _ in range(2):
+        assert evaluations(outcome, operator_is_positive, T, 0.0) == len(_SAMPLE_GRID)
+    assert T._positive_deficit is None
+
+
+def test_order_cache_keeps_no_operator_alive():
+    S, T = KernelOperator(((BuiltinKernel("relu"),),)), KernelOperator(((BuiltinKernel("abs"),),))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert operator_leq(S, T) and operator_leq(T, T)
+        assert set(T._leq_deficits) == {id(S), id(T)}
+        s_ref, t_ref = weakref.ref(S), weakref.ref(T)
+        del S
+        assert s_ref() is None
+        assert set(t_ref()._leq_deficits) == {id(t_ref())}
+        del T
+        assert t_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_caches_stay_out_of_equality_hash_and_repr():
+    for T in seeded_operators(20):
+        S = fresh(T)
+        operator_is_positive(T)
+        operator_leq(S, T)
+        operator_leq(T, T)
+        cold = fresh(T)
+        assert T._positive_deficit is not None and T._leq_deficits
+        assert (T == cold, hash(T) == hash(cold), repr(T) == repr(cold)) == (True, True, True)

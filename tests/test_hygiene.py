@@ -24,6 +24,7 @@ import uryson
 from uryson import cli
 from uryson.dsl import Settings, parse_model
 from uryson.errors import ModelSemanticError
+from uryson.operators import KernelOperator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uryson"
 MODULES = sorted(SRC.glob("*.py"))
@@ -187,6 +188,12 @@ def test_scan_finds_unreferenced_private_names():
         "c.py": "def _shared():\n    return 1\n",
     }
     assert unreferenced_private_names(sources) == [("a.py", "_dead"), ("a.py", "_helper")]
+
+
+def test_operator_caches_stay_out_of_compare_and_repr():
+    # what KernelOperator caches must not reach ==, hash, repr or report bytes
+    shown = [f.name for f in dataclasses.fields(KernelOperator) if f.compare or f.repr]
+    assert shown == ["kernels"]
 
 
 # -- settings: one home ---------------------------------------------------------
