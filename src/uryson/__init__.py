@@ -14,76 +14,41 @@ T(x - y) is an exact subset sum of those addends rounded once, the float an
 application gives (tables near the float range apply T per fragment).
 """
 
-from .calculus import (
-    DisjointnessWitness,
-    RKResult,
-    check_disjoint_iff,
-    check_modulus_bound,
-    disjoint_witness,
-    rk_eval,
-    rk_eval_separable,
-    witness_products,
-)
-from .dsl import Model, Settings, build_operator, parse_model, render
-from .errors import (
-    BadCommand,
-    C0Violation,
-    DimensionMismatch,
-    KernelEvalError,
-    ModelSemanticError,
-    ModelSyntaxError,
-    NegativeU,
-    NoStabilization,
-    NotConverged,
-    NotDisjoint,
-    NotIncreasing,
-    NotPositive,
-    NotPositiveUnit,
-    NumericError,
-    SupportTooLarge,
-    UrysonError,
-)
-from .kernels import BuiltinKernel, FuncKernel, PwlKernel, ZERO_KERNEL
-from .lattice import (
-    IndexedFamily,
-    Mask,
-    Vector,
-    fragments,
-    order_limit_witness,
-    principal_projection_sup_form,
-    vec,
-)
-from .operators import (
-    IntegralKernelSpec,
-    KernelOperator,
-    discretize_integral,
-    functional_value,
-    modulus,
-    negative_part,
-    operator_add,
-    operator_is_positive,
-    operator_leq,
-    operator_scale,
-    positive_part,
-    rank_one,
-    validate,
-    zero_operator,
-)
-from .projections import (
-    EpsSchedule,
-    IncreasingSet,
-    PrincipalProjection,
-    ProjectionResult,
-    RankOneProjection,
-    band_set_profile,
-    masking_oracle,
-    project_band_set,
-    project_band_set_complement,
-    project_functional,
-    project_principal,
-    project_rank_one,
-)
-from .suite import CHECK_IDS, run_suite
+import importlib
+
+# the home module of each public name; the package root imports a module on
+# the first use of one of its names (PEP 562), so `import uryson` loads none
+_HOMES = {
+    "calculus": (
+        "DisjointnessWitness", "RKResult", "check_disjoint_iff", "check_modulus_bound",
+        "disjoint_witness", "rk_eval", "rk_eval_separable", "witness_products",
+    ),
+    "dsl": ("Model", "Settings", "build_operator", "parse_model", "render"),
+    "errors": (
+        "BadCommand", "C0Violation", "DimensionMismatch", "KernelEvalError",
+        "ModelSemanticError", "ModelSyntaxError", "NegativeU", "NoStabilization",
+        "NotConverged", "NotDisjoint", "NotIncreasing", "NotPositive",
+        "NotPositiveUnit", "NumericError", "SupportTooLarge", "UrysonError",
+    ),
+    "kernels": ("BuiltinKernel", "FuncKernel", "PwlKernel", "ZERO_KERNEL"),
+    "lattice": (
+        "EpsSchedule", "IndexedFamily", "Mask", "Vector", "fragments",
+        "order_limit_witness", "principal_projection_sup_form", "vec",
+    ),
+    "operators": (
+        "IntegralKernelSpec", "KernelOperator", "discretize_integral", "functional_value",
+        "modulus", "negative_part", "operator_add", "operator_is_positive", "operator_leq",
+        "operator_scale", "positive_part", "rank_one", "validate", "zero_operator",
+    ),
+    "projections": (
+        "IncreasingSet", "PrincipalProjection", "ProjectionResult", "RankOneProjection",
+        "band_set_profile", "masking_oracle", "project_band_set",
+        "project_band_set_complement", "project_functional", "project_principal",
+        "project_rank_one",
+    ),
+    "suite": ("CHECK_IDS", "run_suite"),
+}
+_SUBMODULES = (*_HOMES, "cli", "instances", "report")
 
 __version__ = "0.1.0"
 
@@ -102,18 +67,32 @@ __all__ = [
     # kernels
     "BuiltinKernel", "FuncKernel", "PwlKernel", "ZERO_KERNEL",
     # lattice
-    "IndexedFamily", "Mask", "Vector", "fragments", "order_limit_witness",
-    "principal_projection_sup_form", "vec",
+    "EpsSchedule", "IndexedFamily", "Mask", "Vector", "fragments",
+    "order_limit_witness", "principal_projection_sup_form", "vec",
     # operators
     "IntegralKernelSpec", "KernelOperator", "discretize_integral",
     "functional_value", "modulus", "negative_part", "operator_add",
     "operator_is_positive", "operator_leq", "operator_scale", "positive_part",
     "rank_one", "validate", "zero_operator",
     # projections
-    "EpsSchedule", "IncreasingSet", "PrincipalProjection", "ProjectionResult",
+    "IncreasingSet", "PrincipalProjection", "ProjectionResult",
     "RankOneProjection", "band_set_profile", "masking_oracle",
     "project_band_set", "project_band_set_complement", "project_functional",
     "project_principal", "project_rank_one",
     # suite
     "CHECK_IDS", "run_suite",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    for home, names in _HOMES.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(f".{home}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,13 +25,6 @@ import dataclasses
 import os
 import sys
 
-from .calculus import (
-    RK_KINDS,
-    check_disjoint_iff,
-    disjoint_witness,
-    rk_eval,
-    witness_products,
-)
 from .dsl import (
     Model,
     RankOneOpDef,
@@ -49,16 +42,7 @@ from .errors import (
 )
 from .lattice import Vector
 from .operators import KernelOperator
-from .projections import (
-    ProjectionResult,
-    masking_oracle,
-    project_band_set,
-    project_band_set_complement,
-    project_functional,
-    project_rank_one,
-)
 from .report import csv_table, dumps
-from .suite import run_suite
 
 __all__ = ["main", "console_entry"]
 
@@ -136,7 +120,6 @@ class _Session:
     def __init__(self, model: Model, st: Settings):
         self.model = model
         self.st = st
-        self.sched = st.schedule()
         self.inputs: dict = {}
 
     def op(self, name: str) -> KernelOperator:
@@ -151,16 +134,6 @@ class _Session:
         self.inputs.setdefault("probes", []).append({"name": name, "value": v})
         return v
 
-    def projection_json(self, res: ProjectionResult) -> dict:
-        return {
-            "value": res.value,
-            "stabilized_at": res.stabilized_at,
-            "feasible_count": list(res.feasible_count),
-            "witness": [
-                {"fragment": frag, "mask": mask} for frag, mask in res.witness
-            ],
-        }
-
 
 def _need(args: list[str], count: int, usage: str) -> list[str]:
     if len(args) != count:
@@ -169,11 +142,15 @@ def _need(args: list[str], count: int, usage: str) -> list[str]:
 
 
 def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str | None]:
-    """Returns (result payload, optional CSV text)."""
-    st = sess.st
-    model = sess.model
+    """Returns (result payload, optional CSV text).  Each verb imports the
+    modules it needs when it runs, so a command loads no other."""
+    if ns.csv is not None and not (verb == "eval" and ns.all):
+        raise BadCommand("--csv is only available for eval --all")
+    if ns.all and verb != "eval":
+        raise BadCommand("--all is only available for eval")
 
     if verb == "eval":
+        model = sess.model
         if ns.all:
             (op_name,) = _need(args, 1, "eval OP --all")
             T = sess.op(op_name)
@@ -191,11 +168,29 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
         x = sess.probe(probe)
         return {"value": T(x)}, None
 
-    if ns.csv is not None:
-        raise BadCommand("--csv is only available for eval --all")
-    if ns.all:
-        raise BadCommand("--all is only available for eval")
+    if verb == "suite":
+        from .suite import run_suite
 
+        _need(args, 0, "suite (no positional arguments)")
+        return {"suite": run_suite(sess.model, sess.st.seed)}, None
+    if verb not in VERBS:
+        raise BadCommand(f"unknown verb {verb!r} (expected one of: {', '.join(VERBS)})")
+    if verb.startswith("project") or verb == "oracle":
+        return _projection_verb(sess, verb, args), None
+    return _calculus_verb(sess, verb, args), None
+
+
+def _calculus_verb(sess: _Session, verb: str, args: list[str]) -> dict:
+    """The RK verbs, disjoint and witness."""
+    from .calculus import (
+        RK_KINDS,
+        check_disjoint_iff,
+        disjoint_witness,
+        rk_eval,
+        witness_products,
+    )
+
+    st = sess.st
     if verb in RK_KINDS:
         binary = verb in ("join", "meet")
         usage = f"{verb} OP1 OP2 PROBE" if binary else f"{verb} OP PROBE"
@@ -204,58 +199,77 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
         r = rk_eval(verb, ops[0], x, *ops[1:], cap_support=st.cap_support, tol=st.tol)
         pairs = enumerate(r.argwitness)
         witness = [{"coord": i, "fragment": y, "complement": z} for i, (y, z) in pairs]
-        return {"value": r.value, "witness": witness}, None
+        return {"value": r.value, "witness": witness}
 
     if verb == "disjoint":
         if len(args) < 2:
             raise BadCommand("expected disjoint OP1 OP2 [PROBE...]")
         S, T = sess.op(args[0]), sess.op(args[1])
-        names = args[2:] or list(model.probe_names())
+        names = args[2:] or list(sess.model.probe_names())
         if not names:
             raise BadCommand("model declares no probes")
         xs = [sess.probe(nm) for nm in names]
         rep = check_disjoint_iff(
             S, T, xs, st.eps0, cap_support=st.cap_support, tol=st.tol
         )
-        return {"report": rep}, None
+        return {"report": rep}
 
-    if verb == "witness":
-        a, b, probe = _need(args, 3, "witness OP1 OP2 PROBE")
-        S, T = sess.op(a), sess.op(b)
-        x = sess.probe(probe)
-        u = Vector.ones(S.m)
-        w = disjoint_witness(S, T, x, st.eps0, u, st.cap_support, st.tol)
-        products = witness_products(S, T, x, w)
-        bound = u.scale(st.eps0)
-        return {
-            "eps": w.eps,
-            "u": w.u,
-            "labels": list(w.masks.labels),
-            "masks": list(w.masks.items),
-            "fragments": list(w.frags.items),
-            "products": products,
-            "bound_ok": all(p.leq(bound, st.tol) for p in products),
-        }, None
+    # witness
+    a, b, probe = _need(args, 3, "witness OP1 OP2 PROBE")
+    S, T = sess.op(a), sess.op(b)
+    x = sess.probe(probe)
+    u = Vector.ones(S.m)
+    w = disjoint_witness(S, T, x, st.eps0, u, st.cap_support, st.tol)
+    products = witness_products(S, T, x, w)
+    bound = u.scale(st.eps0)
+    return {
+        "eps": w.eps,
+        "u": w.u,
+        "labels": list(w.masks.labels),
+        "masks": list(w.masks.items),
+        "fragments": list(w.frags.items),
+        "products": products,
+        "bound_ok": all(p.leq(bound, st.tol) for p in products),
+    }
 
+
+def _projection_verb(sess: _Session, verb: str, args: list[str]) -> dict:
+    """The project* verbs and oracle."""
+    from .projections import (
+        masking_oracle,
+        project_band_set,
+        project_band_set_complement,
+        project_functional,
+        project_rank_one,
+    )
+
+    st, sched = sess.st, sess.st.schedule()
     if verb in ("project", "project-complement"):
         set_arg, t_name, probe = _need(args, 3, f"{verb} S1[,S2...] T PROBE")
         members = tuple(sess.op(nm) for nm in set_arg.split(","))
         T = sess.op(t_name)
         x = sess.probe(probe)
         fn = project_band_set if verb == "project" else project_band_set_complement
-        res = fn(members, T, x, sess.sched, cap_support=st.cap_support, tol=st.tol)
-        return sess.projection_json(res), None
+        res = fn(members, T, x, sched, cap_support=st.cap_support, tol=st.tol)
+        return {
+            "value": res.value,
+            "stabilized_at": res.stabilized_at,
+            "feasible_count": list(res.feasible_count),
+            "witness": [
+                {"fragment": frag, "mask": mask} for frag, mask in res.witness
+            ],
+        }
 
     if verb == "project-rank1":
         r_name, t_name, probe = _need(args, 3, "project-rank1 R T PROBE")
-        d = model.operator_def(r_name)
+        d = sess.model.operator_def(r_name)
         if not isinstance(d, RankOneOpDef):
             raise BadCommand(f"{r_name!r} is not a rank-one operator")
         phi = sess.op(d.phi)
         T = sess.op(t_name)
         x = sess.probe(probe)
         res = project_rank_one(
-            phi, Vector(d.u), T, x, sess.sched,
+            phi, Vector(d.u), T, x, sched,
             cap_support=st.cap_support, tol=st.tol,
         )
         return {
@@ -264,7 +278,7 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
             "band_stabilized_at": res.band_stabilized_at,
             "complement_stabilized_at": res.complement_stabilized_at,
             "u": list(d.u),
-        }, None
+        }
 
     if verb == "project-functional":
         phi_name, t_name, probe = _need(args, 3, "project-functional PHI T PROBE")
@@ -272,21 +286,15 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
         T = sess.op(t_name)
         x = sess.probe(probe)
         val = project_functional(
-            phi, T, x, sess.sched, cap_support=st.cap_support, tol=st.tol
+            phi, T, x, sched, cap_support=st.cap_support, tol=st.tol
         )
-        return {"value": val}, None
+        return {"value": val}
 
-    if verb == "oracle":
-        a, b, probe = _need(args, 3, "oracle S T PROBE")
-        S, T = sess.op(a), sess.op(b)
-        x = sess.probe(probe)
-        return {"value": masking_oracle(S, T, x, tol=st.tol)}, None
-
-    if verb == "suite":
-        _need(args, 0, "suite (no positional arguments)")
-        return {"suite": run_suite(model, st.seed)}, None
-
-    raise BadCommand(f"unknown verb {verb!r} (expected one of: {', '.join(VERBS)})")
+    # oracle
+    a, b, probe = _need(args, 3, "oracle S T PROBE")
+    S, T = sess.op(a), sess.op(b)
+    x = sess.probe(probe)
+    return {"value": masking_oracle(S, T, x, tol=st.tol)}
 
 
 def _check_outputs(ns: argparse.Namespace) -> None:
@@ -294,7 +302,9 @@ def _check_outputs(ns: argparse.Namespace) -> None:
     the model file or to the other output."""
     taken = {os.path.realpath(ns.model): "the model file"}
     for flag, path in (("--json", ns.json), ("--csv", ns.csv)):
-        if path:
+        if path == "":
+            raise BadCommand(f"{flag} needs a file path")
+        if path is not None:
             real = os.path.realpath(path)
             if real in taken:
                 raise BadCommand(f"{flag} {path} would overwrite {taken[real]}")

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .kernels import BuiltinKernel, PwlKernel, ScalarKernel
 from .lattice import (
-    DEFAULT_SUPPORT_CAP, DEFAULT_TOL, Vector, require_count, require_positive_finite,
+    DEFAULT_SUPPORT_CAP, DEFAULT_TOL, EpsSchedule, Vector, require_count, require_positive_finite,
 )
 from .operators import (
     IntegralKernelSpec,
@@ -55,7 +55,6 @@ from .operators import (
     discretize_integral,
     rank_one,
 )
-from .projections import EpsSchedule
 
 __all__ = [
     "Settings",

@@ -5,6 +5,8 @@ coordinatewise structure, and fragments of x are the vectors that agree with x
 on a support subset and vanish elsewhere (enumerated by index over the
 support columns, with a Vector built on demand).  Everything is immutable;
 all tolerance-based comparisons take an explicit ``tol`` (default 1e-9).
+The eps schedule of the projection programs lives here, beside the rules it
+checks, so that model settings can build one without the programs.
 """
 
 from __future__ import annotations
@@ -37,6 +39,27 @@ def require_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1")
     if not isinstance(value, int):
         raise ValueError(f"{name} must be an integer")
+
+
+@dataclass(frozen=True)
+class EpsSchedule:
+    """Geometric epsilon schedule eps0 * factor^k, k = 0..max_steps-1."""
+
+    eps0: float = 1.0
+    factor: float = 0.5
+    max_steps: int = 40
+
+    def __post_init__(self):
+        require_positive_finite("eps0", self.eps0)
+        if not (0.0 < self.factor < 1.0):
+            raise ValueError("factor must lie strictly in (0,1)")
+        require_count("max_steps", self.max_steps)
+
+    def values(self) -> Iterator[float]:
+        eps = self.eps0
+        for _ in range(self.max_steps):
+            yield eps
+            eps *= self.factor
 
 
 def require_unit(u: Vector, dim: int, tol: float) -> None:

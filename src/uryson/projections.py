@@ -57,14 +57,13 @@ from .errors import (
 from .kernels import DEFAULT_TOL
 from .lattice import (
     DEFAULT_SUPPORT_CAP,
+    EpsSchedule,
     Fragments,
     Mask,
     Vector,
     first_extremum,
     fragments,
     principal_mask,
-    require_count,
-    require_positive_finite,
 )
 from .operators import (
     KernelOperator,
@@ -76,27 +75,6 @@ from .operators import (
     require_positive,
     require_rank_one,
 )
-
-
-@dataclass(frozen=True)
-class EpsSchedule:
-    """Geometric epsilon schedule eps0 * factor^k, k = 0..max_steps-1."""
-
-    eps0: float = 1.0
-    factor: float = 0.5
-    max_steps: int = 40
-
-    def __post_init__(self):
-        require_positive_finite("eps0", self.eps0)
-        if not (0.0 < self.factor < 1.0):
-            raise ValueError("factor must lie strictly in (0,1)")
-        require_count("max_steps", self.max_steps)
-
-    def values(self) -> Iterator[float]:
-        eps = self.eps0
-        for _ in range(self.max_steps):
-            yield eps
-            eps *= self.factor
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uryson.cli as cli_mod
+import uryson.suite as suite_mod
 from uryson.cli import main
 from uryson.errors import BadCommand
 
@@ -118,6 +119,22 @@ def test_csv_flag_restricted_to_eval_all(capsys, tmp_path):
     )
     assert code == 2
     assert rep["error"]["code"] == "bad_command"
+
+
+def test_csv_flag_refused_for_eval_at_one_probe(capsys, tmp_path):
+    code, rep = run_json(capsys, "run", DEMO, "eval", "T", "x1", "--csv", str(tmp_path / "no.csv"))
+    assert code == 2
+    assert rep["error"] == {"code": "bad_command", "message": "--csv is only available for eval --all"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_empty_output_path_is_refused(capsys, tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    code, rep = run_json(capsys, "run", DEMO, "eval", "T", "--all", flag, "")
+    assert code == 2
+    assert rep["error"] == {"code": "bad_command", "message": f"{flag} needs a file path"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_flag_mirrors_stdout(capsys, tmp_path):
@@ -369,14 +386,15 @@ def test_domain_error_exit(capsys):
 
 
 def test_suite_failure_exit_code(capsys, monkeypatch):
-    real = cli_mod.run_suite
+    # the suite verb imports run_suite when it runs, so it reads this patch
+    real = suite_mod.run_suite
 
     def broken(model, seed):
         report = real(model, seed)
         report["ok"] = False
         return report
 
-    monkeypatch.setattr(cli_mod, "run_suite", broken)
+    monkeypatch.setattr(suite_mod, "run_suite", broken)
     code, _ = run_cli(capsys, "suite", DEMO)
     assert code == 3
 

@@ -5,7 +5,8 @@ README's flag list, and it rejects what a ``set`` line rejects).
 
 The import scan reads each module of src/uryson with `ast`: a name bound by a
 module-level import must be read somewhere in the module, in code, in a
-string annotation, or (for the package) in the literal `__all__`.  The
+string annotation, or (for the package) in the literal `__all__`; a name
+bound by an import inside a function must be read in that function.  The
 private-name scan requires every private module-level function, class or
 constant to be referenced by some other top-level statement of the package,
 so a helper left behind by a refactor cannot linger.
@@ -30,10 +31,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "uryson"
 MODULES = sorted(SRC.glob("*.py"))
 
 
-def _imported(tree: ast.Module) -> dict[str, int]:
-    """Names bound by module-level imports, with their line numbers."""
+def _imports(scope: ast.AST):
+    """The import statements of a module or function, nested functions aside."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports(node)
+
+
+def _imported(scope: ast.AST) -> dict[str, int]:
+    """Names bound by the imports of a scope, with their line numbers."""
     out = {}
-    for node in tree.body:
+    for node in _imports(scope):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 out[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -43,7 +53,7 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _annotations(tree: ast.Module):
+def _annotations(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
@@ -60,7 +70,7 @@ def _names(tree: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
-def _used(tree: ast.Module) -> set[str]:
+def _used(tree: ast.AST) -> set[str]:
     used = _names(tree)
     for ann in _annotations(tree):
         for const in ast.walk(ann):
@@ -76,11 +86,14 @@ def _used(tree: ast.Module) -> set[str]:
 
 def unused_imports(source: str) -> list[tuple[str, int]]:
     tree = ast.parse(source)
-    used = _used(tree)
-    return sorted(
-        ((name, line) for name, line in _imported(tree).items() if name not in used),
-        key=lambda item: item[1],
-    )
+    scopes = [tree] + [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found = []
+    for scope in scopes:
+        used = _used(scope)
+        found += [(name, line) for name, line in _imported(scope).items() if name not in used]
+    return sorted(found, key=lambda item: item[1])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -96,8 +109,17 @@ def test_scan_finds_unused_imports():
         "from .lattice import Vector, vec\n"
         "def f(x: 'Sequence[int]') -> Vector:\n"
         "    return math.pi\n"
+        "def g():\n"
+        "    import math\n"
+        "    from .calculus import RK_KINDS, rk_eval\n"
+        "    def h():\n"
+        "        from .suite import run_suite\n"
+        "        return run_suite\n"
+        "    return RK_KINDS\n"
     )
-    assert unused_imports(source) == [("Callable", 3), ("vec", 4)]
+    # an import inside g is read in g or reported, even where the module
+    # reads the same name elsewhere
+    assert unused_imports(source) == [("Callable", 3), ("vec", 4), ("math", 8), ("rk_eval", 9)]
 
 
 def test_all_is_explicit_and_matches_public_names():
