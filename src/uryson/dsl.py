@@ -318,7 +318,10 @@ def _parse_atom(cur: _Cursor) -> Expr:
         raise cur.error("expected an expression")
     if tok.kind == "NUM":
         cur.take()
-        return Num(float(tok.text))
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ModelSemanticError("expression numbers must be finite", cur.lineno)
+        return Num(value)
     if tok.kind == "NAME":
         cur.take()
         if cur.at_punct("("):

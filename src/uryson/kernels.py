@@ -6,13 +6,11 @@ canonical exact form; the named builtins convert to it losslessly.  A third,
 opaque callable form carries quadrature-discretized integral kernels, for
 which exact decisions degrade to sampling.
 
-Positivity and the kernel order are decided through deficits: the smallest
-tol at which the decision holds, computed without a tol as the largest of a
-stream of terms (`max_deficit`) and compared with tol afterwards (`holds`),
-so a caller may keep the deficit and decide again at any tol with one
-comparison.  Kernels are frozen, and a callable kernel's `fn` must be pure
-(the DSL and quadrature discretization build only pure ones): a deficit is a
-fact about the kernel, not about the call that computed it.
+Positivity and the kernel order are decided by direct checks at a given
+tol: exact at the breakpoints and end slopes of the pwl form, sampled on a
+fixed grid otherwise, stopping at the first failing sample.  Kernels are
+frozen, and a callable kernel's `fn` must be pure (the DSL and quadrature
+discretization build only pure ones): an operator keeps each decision.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .lattice import DEFAULT_TOL
 
@@ -47,20 +45,13 @@ class ScalarKernel:
         pwl = self.to_pwl()
         return tuple(x for x, _ in pwl.points) if pwl is not None else ()
 
-    def nonneg_deficits(self) -> Iterable[float]:
-        """The terms of the positivity deficit, -min k over R: one, exact,
-        for pwl-representable kernels (`_points_deficit`), or -k(r) per
-        sample of _SAMPLE_GRID, in grid order, computed as they are read."""
+    def nonneg_everywhere(self, tol: float = DEFAULT_TOL) -> bool:
+        """k >= -tol on all of R: exact for pwl-representable kernels,
+        sampled on _SAMPLE_GRID up to the first failing sample otherwise."""
         pwl = self.to_pwl()
         if pwl is not None:
-            return (_points_deficit(pwl.points),)
-        return (-self(r) for r in _SAMPLE_GRID)
-
-    def nonneg_everywhere(self, tol: float = DEFAULT_TOL) -> bool:
-        """k >= -tol on all of R (exact for pwl-representable kernels, sampled
-        otherwise): the positivity deficit is at most tol.  An operator keeps
-        its kernels' deficit once decided, so a callable kernel must be pure."""
-        return holds(max_deficit(self.nonneg_deficits()), tol)
+            return _points_nonneg(pwl.points, tol)
+        return all(self(r) >= -tol for r in _SAMPLE_GRID)
 
     def is_zero(self) -> bool:
         pwl = self.to_pwl()
@@ -292,7 +283,7 @@ class FuncKernel(ScalarKernel):
 
     Must vanish at 0 within tol; exactness guarantees of the pwl form do not
     apply -- positivity checks are sampled.  fn must be pure: an operator
-    decides positivity and order once and keeps the result.
+    decides positivity and order once per tol and keeps the result.
     """
 
     fn: Callable[[float], float]
@@ -301,7 +292,7 @@ class FuncKernel(ScalarKernel):
 
     def __post_init__(self):
         v0 = self(0.0)
-        if abs(v0) > DEFAULT_TOL:
+        if not abs(v0) <= DEFAULT_TOL:  # NaN fails too
             raise ValueError(f"kernel must vanish at 0 (got {v0!r})")
 
     def __call__(self, r: float) -> float:
@@ -317,81 +308,37 @@ class FuncKernel(ScalarKernel):
         return {"form": "callable", "label": self.label}
 
 
-def max_deficit(terms: Iterable[float]) -> tuple[float, Exception | None]:
-    """The deficit of a decision: the largest of its terms, taken in order.
+def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAULT_TOL) -> bool:
+    """high - low >= -tol everywhere; exact when both sides are pwl-representable.
 
-    The decision at tol is "every term <= tol", which holds iff the largest
-    term is <= tol.  A NaN term fails at every tol, so the deficit is NaN and
-    the walk stops there, as a decision at any tol would (the builtin max
-    would not do: its result depends on where a NaN sits).  A term that
-    raises stops the walk too; the pair then carries the largest term before
-    it and the exception, for `holds` to settle at a given tol.  The
-    deficit of no terms is -inf.
-    """
-    worst = -math.inf
-    try:
-        for t in terms:
-            if t != t:
-                return t, None
-            if t > worst:
-                worst = t
-    except Exception as exc:
-        return worst, exc
-    return worst, None
-
-
-def holds(found: tuple[float, Exception | None], tol: float) -> bool:
-    """The decision at tol from a `max_deficit` pair: deficit <= tol.  A term
-    that raised is reached at tol only when every term before it is <= tol;
-    then its exception is raised, otherwise the decision is False."""
-    deficit, exc = found
-    if exc is not None and deficit <= tol:
-        raise exc
-    return deficit <= tol
-
-
-def kernel_diff_deficits(low: ScalarKernel, high: ScalarKernel) -> Iterable[float]:
-    """The terms of the order deficit of high - low: none when low is high.
-
-    When both sides are pwl-representable, the one term is the deficit of
-    the pwl difference read at the union of both breakpoint sets, the same
-    floats (negation is exact) that hp.sub(lp) would store, without building
-    it.  Otherwise it is sampled on _SAMPLE_GRID, low(r) - high(r) per
-    sample, computed as they are read; equal samples give 0, also where both
-    are infinite.
+    The pwl difference is checked at the union of both breakpoint sets and by
+    its two end slopes, the same floats (negation is exact) that hp.sub(lp)
+    would store, without building it.  Otherwise it is sampled on
+    _SAMPLE_GRID up to the first failing sample; equal samples pass, also
+    where both are infinite.
     """
     if low is high:
-        return ()
+        return True
     lp, hp = low.to_pwl(), high.to_pwl()
     if lp is None or hp is None:
-        return (_sample_diff(high(r), low(r)) for r in _SAMPLE_GRID)
+        samples = ((high(r), low(r)) for r in _SAMPLE_GRID)
+        return all(h == lo or h - lo >= -tol for h, lo in samples)
     pts = [(x, hp(x) - lp(x)) for x in sorted(set(hp._xs) | set(lp._xs))]
     if not all(math.isfinite(y) for _, y in pts):
         raise ValueError("breakpoints must be finite")
-    return (_points_deficit(pts),)
+    return _points_nonneg(pts, tol)
 
 
-def _sample_diff(h: float, lo: float) -> float:
-    return 0.0 if h == lo else lo - h
-
-
-def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAULT_TOL) -> bool:
-    """high - low >= -tol everywhere; exact when both sides are pwl-representable."""
-    return holds(max_deficit(kernel_diff_deficits(low, high)), tol)
-
-
-def _points_deficit(pts: Sequence[tuple[float, float]]) -> float:
-    """The positivity deficit of the pwl kernel through the breakpoints pts:
-    the largest of -y per breakpoint, the first slope and minus the last
-    slope (an end slope leads below the ends), or of -y and 0.0 for one
-    point.  Breakpoints are finite and strictly increasing, so no term is
-    NaN (a slope overflows to +-inf at most) and the builtin max applies."""
-    worst = -min(y for _, y in pts)
+def _points_nonneg(pts: Sequence[tuple[float, float]], tol: float) -> bool:
+    """The pwl kernel through the breakpoints pts is >= -tol on all of R:
+    every breakpoint value is, and neither end slope leads below it."""
+    if any(y < -tol for _, y in pts):
+        return False
     if len(pts) == 1:
-        return max(worst, 0.0)
+        return 0.0 <= tol
     (x0, y0), (x1, y1) = pts[0], pts[1]
     (xm, ym), (xl, yl) = pts[-2], pts[-1]
-    return max(worst, (y1 - y0) / (x1 - x0), -((yl - ym) / (xl - xm)))
+    return (y1 - y0) / (x1 - x0) <= tol and (yl - ym) / (xl - xm) >= -tol
 
 
 def kernel_add(a: ScalarKernel, b: ScalarKernel) -> ScalarKernel:

@@ -14,11 +14,10 @@ power-of-two denominator, one doubling per support column), rounded once.
 Only a table with a non-finite entry or near the float range applies the
 operator to each fragment, so it fails exactly as an application does.
 
-Positivity and the operator order are decided once per operator and once
-per ordered pair: each operator keeps its positivity deficit and, per lower
-operator S, the order deficit of the pair (the smallest tol at which the
-decision holds, see `kernels.max_deficit`), so every later decision, at any
-tol, is one comparison.  This assumes what the kernels already require:
+Positivity and the operator order are decided kernel by kernel, stopping
+at the first kernel (or kernel pair) that fails.  Each operator keeps its
+positivity per tol and, per lower operator S and tol, the order of the pair,
+so a decision is made once.  This assumes what the kernels already require:
 they are frozen, and a callable kernel's `fn` is pure.
 """
 
@@ -28,7 +27,6 @@ import math
 import random
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 from .errors import C0Violation, DimensionMismatch, NegativeU, NotPositive
@@ -37,12 +35,10 @@ from .kernels import (
     FuncKernel,
     ScalarKernel,
     ZERO_KERNEL,
-    holds,
     kernel_add,
-    kernel_diff_deficits,
+    kernel_diff_nonneg,
     kernel_neg_part,
     kernel_pos_part,
-    max_deficit,
 )
 from .lattice import Fragments, Vector
 
@@ -54,10 +50,10 @@ class KernelOperator:
     and take no part in ==, hash or repr."""
 
     kernels: tuple[tuple[ScalarKernel, ...], ...]
-    # positivity deficit, once decided
-    _positive_deficit: float | None = field(default=None, init=False, repr=False, compare=False)
-    # id(S) -> (weakref to S, order deficit of S <= self)
-    _leq_deficits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # tol -> whether self is positive at tol
+    _positive: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (id(S), tol) -> (weakref to S, whether S <= self at tol)
+    _leq: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.kernels)
@@ -77,14 +73,7 @@ class KernelOperator:
         return len(self.kernels[0])
 
     def __call__(self, x: Vector) -> Vector:
-        if x.dim != self.n:
-            raise DimensionMismatch(f"operator expects dim {self.n}, got {x.dim}")
-        return Vector(
-            tuple(
-                math.fsum(k(c) for k, c in zip(row, x.coords))
-                for row in self.kernels
-            )
-        )
+        return Vector(tuple(map(math.fsum, self.kernel_values(x))))
 
     def kernel_values(self, x: Vector) -> list[list[float]]:
         """The addend table kernels[i][j](x_j); row sums give the evaluation."""
@@ -219,7 +208,7 @@ class IntegralKernelSpec:
             raise ValueError("grids must be nonempty")
         if len(self.weights) != len(self.t_grid):
             raise DimensionMismatch("one weight per input node required")
-        if any(w <= 0.0 for w in self.weights):
+        if not all(w > 0.0 for w in self.weights):  # NaN fails too
             raise ValueError("quadrature weights must be strictly positive")
 
 
@@ -232,7 +221,7 @@ def discretize_integral(spec: IntegralKernelSpec, tol: float = DEFAULT_TOL) -> K
     for s in spec.s_grid:
         for t in spec.t_grid:
             v0 = float(K(s, t, 0.0))
-            if abs(v0) > tol:
+            if not abs(v0) <= tol:  # NaN fails too
                 raise C0Violation(
                     f"kernel does not vanish at 0 at node (s={s:g}, t={t:g}): {v0!r}"
                 )
@@ -320,21 +309,15 @@ def validate(
 def operator_is_positive(T: KernelOperator, tol: float = DEFAULT_TOL) -> bool:
     """Every kernel nonnegative on all of R (exact for pwl/builtin kernels).
 
-    Decided once per operator: T keeps the largest of its kernels' positivity
-    deficits, in kernel order, and each call compares it with tol, so a
-    `FuncKernel.fn` must be pure.  A kernel step that raises is raised only
-    if the decision reaches it at tol, as a kernel-by-kernel check would; T
-    then keeps nothing.
+    Decided once per tol: T keeps the answer, so a `FuncKernel.fn` must be
+    pure.  A kernel step that raises is raised only if the check reaches
+    it; T then keeps nothing.
     """
-    deficit = T._positive_deficit
-    if deficit is None:
-        deficit, exc = max_deficit(
-            chain.from_iterable(k.nonneg_deficits() for row in T.kernels for k in row)
-        )
-        if exc is not None:
-            return holds((deficit, exc), tol)
-        object.__setattr__(T, "_positive_deficit", deficit)
-    return deficit <= tol
+    positive = T._positive.get(tol)
+    if positive is None:
+        positive = all(k.nonneg_everywhere(tol) for row in T.kernels for k in row)
+        T._positive[tol] = positive
+    return positive
 
 
 def require_positive(name: str, T: KernelOperator, tol: float = DEFAULT_TOL) -> None:
@@ -346,31 +329,28 @@ def require_positive(name: str, T: KernelOperator, tol: float = DEFAULT_TOL) -> 
 def operator_leq(S: KernelOperator, T: KernelOperator, tol: float = DEFAULT_TOL) -> bool:
     """S <= T in the operator order, i.e. T - S positive, decided kernelwise.
 
-    Decided once per ordered pair: T keeps the order deficit of (S, T), the
-    largest of the kernel pairs' deficits, under id(S) beside a weak
-    reference to S whose callback drops the entry when S is collected, so T
-    keeps no operator alive.  Kernels must be pure, and a kernel step that
-    raises is handled, as in `operator_is_positive`.
+    Decided once per ordered pair and tol: T keeps the answer under
+    (id(S), tol) beside a weak reference to S whose callback drops the
+    entry when S is collected, so T keeps no operator alive.  Kernels must
+    be pure, and a kernel step that raises is handled as in
+    `operator_is_positive`.
     """
     if (S.m, S.n) != (T.m, T.n):
         raise DimensionMismatch("operators must share shape")
-    entry = T._leq_deficits.get(id(S))
+    key = (id(S), tol)
+    entry = T._leq.get(key)
     if entry is None:
-        deficit, exc = max_deficit(
-            chain.from_iterable(
-                kernel_diff_deficits(sk, tk)
-                for srow, trow in zip(S.kernels, T.kernels)
-                for sk, tk in zip(srow, trow)
-            )
+        leq = all(
+            kernel_diff_nonneg(sk, tk, tol)
+            for srow, trow in zip(S.kernels, T.kernels)
+            for sk, tk in zip(srow, trow)
         )
-        if exc is not None:
-            return holds((deficit, exc), tol)
-        entry = (weakref.ref(S, _entry_dropper(T, id(S))), deficit)
-        T._leq_deficits[id(S)] = entry
-    return entry[1] <= tol
+        entry = (weakref.ref(S, _entry_dropper(T, key)), leq)
+        T._leq[key] = entry
+    return entry[1]
 
 
-def _entry_dropper(T: KernelOperator, key: int) -> Callable[[weakref.ref], None]:
+def _entry_dropper(T: KernelOperator, key: tuple[int, float]) -> Callable[[weakref.ref], None]:
     """A weakref callback that drops T's order entry under key.  It holds T
     weakly too: a strong reference would close the cycle T -> entry ->
     weakref -> callback -> T, which only the cycle collector frees."""
@@ -379,7 +359,7 @@ def _entry_dropper(T: KernelOperator, key: int) -> Callable[[weakref.ref], None]
     def drop(_ref: weakref.ref) -> None:
         T = owner()
         if T is not None:
-            T._leq_deficits.pop(key, None)
+            T._leq.pop(key, None)
 
     return drop
 

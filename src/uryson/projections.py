@@ -82,9 +82,9 @@ class IncreasingSet:
     """Finite set of positive operators, upward directed: every pair has an
     upper bound inside the set (checked kernelwise, exact for pwl kernels).
     Positivity and the order are decided within tol.  Each operator keeps
-    its positivity, and each ordered pair its order, from the first decision
-    on (`operator_is_positive`, `operator_leq`; callable kernels must be
-    pure), so building a set again, at any tol, compares kept deficits."""
+    its positivity, and each ordered pair its order, per tol from the first
+    decision on (`operator_is_positive`, `operator_leq`; callable kernels
+    must be pure), so building a set again at that tol evaluates no kernel."""
 
     ops: tuple[KernelOperator, ...]
     tol: float = DEFAULT_TOL

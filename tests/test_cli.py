@@ -546,6 +546,26 @@ def test_equal_infinite_kernels_are_ordered(capsys, tmp_path):
     assert pair["result"]["value"] == single["result"]["value"]
 
 
+# an overflowing literal would render as inf, which does not parse back; a
+# nan kernel (inf * 0 at r = 0) does not vanish at 0
+@pytest.mark.parametrize(
+    "line, code, message",
+    [
+        ("op U integral (r*1e400) s=(1) t=(1) w=(1)", "semantic_error",
+         "line 2: expression numbers must be finite"),
+        ("op U integral ((1e200*1e200)*r) s=(1) t=(1) w=(1)", "c0_violation",
+         "line 2: kernel does not vanish at 0 at node (s=1, t=1): nan"),
+    ],
+    ids=["overflowing-literal", "nan-at-zero"],
+)
+def test_non_finite_integral_lines_are_refused(capsys, tmp_path, line, code, message):
+    model = tmp_path / "bad.ury"
+    model.write_text(f"# refused\n{line}\nprobe x = (1)\n")
+    exit_code, rep = run_json(capsys, "run", str(model), "eval", "U", "x")
+    assert exit_code == 2
+    assert rep["error"] == {"code": code, "line": 2, "message": message}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

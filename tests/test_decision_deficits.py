@@ -1,13 +1,11 @@
-"""Positivity and the operator order, decided once per operator and pair.
+"""Positivity and the operator order, decided once per operator, pair and tol.
 
-Each decision is a deficit, the smallest tol at which it holds, so an
-operator keeps it and decides again at any tol with one comparison.  The
-references below are the kernel-by-kernel checks the deficits replace,
-short-circuiting at the first failing kernel or sample.  Every case must
-give the same bool, or the same exception type and message, cold and
-cached, at two tols in both orders.  The one intended difference: equal
-kernels that are infinite at the same grid samples are ordered (the
-reference reads inf - inf = nan there).
+An operator keeps each decision per tol.  The references below are the
+plain kernel-by-kernel checks with nothing kept, short-circuiting at the
+first failing kernel or sample.  Every case must give the same bool, or the
+same exception type and message, cold and cached, at two tols in both
+orders.  The one intended difference: equal kernels that are infinite at the
+same grid samples are ordered (the reference reads inf - inf = nan there).
 
 The cache tests need no clock: they count kernel evaluations, and check that
 a cache keeps no operator alive and stays out of ==, hash and repr.
@@ -27,7 +25,6 @@ from uryson.kernels import (
     FuncKernel,
     PwlKernel,
     ZERO_KERNEL,
-    _points_deficit,
     kernel_diff_nonneg,
 )
 from uryson.errors import DimensionMismatch
@@ -37,7 +34,7 @@ TOLS = (0.0, 1e-12, DEFAULT_TOL, 1e-3, 1.0)
 TOL_PAIRS = [pair for a, b in zip(TOLS, TOLS[1:]) for pair in ((a, b), (b, a))]
 
 
-# -- references: the decisions before deficits ------------------------------------
+# -- references: the checks with nothing kept ----------------------------------------
 
 
 def ref_points_nonneg(pts, tol):
@@ -236,13 +233,13 @@ def fresh(T):
 
 
 def assert_cold_and_cached(decide, reference, *ops):
-    """decide(*ops, tol) agrees with the reference on fresh operators, cold
-    at one tol of each neighbouring pair of TOLS and cached at the other, in
-    both orders."""
+    """decide(*ops, tol) agrees with the reference on fresh operators at
+    each neighbouring pair of TOLS, in both orders: cold at both tols, then
+    cached at both."""
     want = {tol: outcome(reference, *ops, tol) for tol in TOLS}
     for t1, t2 in TOL_PAIRS:
         fresh_ops = [fresh(op) for op in ops]
-        for tol in (t1, t2):
+        for tol in (t1, t2, t1, t2):
             assert outcome(decide, *fresh_ops, tol) == want[tol], (ops, tol)
 
 
@@ -260,7 +257,7 @@ def test_points_deficit_matches_reference():
     cases += [list(seeded_pwl(rng).points) for _ in range(200)]
     for pts in cases:
         for tol in TOLS:
-            assert (_points_deficit(pts) <= tol) == ref_points_nonneg(pts, tol)
+            assert PwlKernel(pts).nonneg_everywhere(tol) == ref_points_nonneg(pts, tol)
 
 
 @pytest.mark.parametrize("name", list(PLANTED))
@@ -333,7 +330,7 @@ def test_mismatched_shapes_raise_before_any_cache():
         assert outcome(operator_leq, S, T, DEFAULT_TOL) == (
             "error", "DimensionMismatch", "operators must share shape"
         )
-    assert T._leq_deficits == {}
+    assert T._leq == {}
 
 
 # -- the caches -----------------------------------------------------------------------
@@ -379,16 +376,38 @@ def cache_operands(evaluations):
 
 def test_second_decisions_evaluate_no_kernel(evaluations):
     S, T, F, G = cache_operands(evaluations)
-    assert evaluations(operator_is_positive, F, 0.0) == len(_SAMPLE_GRID)
-    assert evaluations(operator_leq, S, T, 0.0) > 0
-    # sampled callables, and relu and abs at their three breakpoints
-    assert evaluations(operator_leq, F, G, 0.0) == 2 * len(_SAMPLE_GRID) + 6
     for tol in TOLS:
-        assert evaluations(operator_is_positive, F, tol) == 0
-        assert evaluations(operator_leq, S, T, tol) == 0
-        assert evaluations(operator_leq, F, G, tol) == 0
+        # a new tol is decided once, then kept
+        assert evaluations(operator_is_positive, F, tol) == len(_SAMPLE_GRID)
+        assert evaluations(operator_leq, S, T, tol) > 0
+        # sampled callables, and relu and abs at their three breakpoints
+        assert evaluations(operator_leq, F, G, tol) == 2 * len(_SAMPLE_GRID) + 6
+        for seen in TOLS[: TOLS.index(tol) + 1]:
+            assert evaluations(operator_is_positive, F, seen) == 0
+            assert evaluations(operator_leq, S, T, seen) == 0
+            assert evaluations(operator_leq, F, G, seen) == 0
     # the order is kept per ordered pair
     assert evaluations(operator_leq, T, S, 0.0) > 0
+
+
+def test_first_decisions_stop_at_the_first_failing_kernel(evaluations):
+    vee = PwlKernel(((-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)))
+    zero = PwlKernel(((0.0, 0.0),))
+    # low vee above high zero fails; the other pairs (and kernels) hold
+    fails, holds = (vee, zero), (zero, vee)
+    for pairs, calls in (([fails] + [holds] * 5, 6), ([holds] * 5 + [fails], 36)):
+        S = KernelOperator(((low for low, _ in pairs),))
+        T = KernelOperator(((high for _, high in pairs),))
+        assert evaluations(operator_leq, S, T, DEFAULT_TOL) == calls
+        assert not operator_leq(S, T, DEFAULT_TOL)
+    # sampled: a callable below zero at the first sample fails there
+    negative = FuncKernel(evaluations.counted_fn(lambda r: -abs(r)))
+    above = FuncKernel(evaluations.counted_fn(abs))
+    S = KernelOperator(((above, BuiltinKernel("abs")),))
+    T = KernelOperator(((FuncKernel(evaluations.counted_fn(lambda r: 0.0 * r)), vee),))
+    assert evaluations(operator_leq, S, T, DEFAULT_TOL) == 2
+    P = KernelOperator(((negative, above),))
+    assert evaluations(operator_is_positive, P, DEFAULT_TOL) == 1
 
 
 def test_raising_decisions_are_not_kept(evaluations):
@@ -396,7 +415,7 @@ def test_raising_decisions_are_not_kept(evaluations):
     T = KernelOperator(((FuncKernel(calls),),))
     for _ in range(2):
         assert evaluations(outcome, operator_is_positive, T, 0.0) == len(_SAMPLE_GRID)
-    assert T._positive_deficit is None
+    assert T._positive == {}
 
 
 def test_order_cache_keeps_no_operator_alive():
@@ -404,12 +423,12 @@ def test_order_cache_keeps_no_operator_alive():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        assert operator_leq(S, T) and operator_leq(T, T)
-        assert set(T._leq_deficits) == {id(S), id(T)}
+        assert operator_leq(S, T) and operator_leq(T, T) and operator_leq(S, T, 0.0)
+        assert set(T._leq) == {(id(S), DEFAULT_TOL), (id(T), DEFAULT_TOL), (id(S), 0.0)}
         s_ref, t_ref = weakref.ref(S), weakref.ref(T)
         del S
         assert s_ref() is None
-        assert set(t_ref()._leq_deficits) == {id(t_ref())}
+        assert set(t_ref()._leq) == {(id(t_ref()), DEFAULT_TOL)}
         del T
         assert t_ref() is None
     finally:
@@ -424,5 +443,5 @@ def test_caches_stay_out_of_equality_hash_and_repr():
         operator_leq(S, T)
         operator_leq(T, T)
         cold = fresh(T)
-        assert T._positive_deficit is not None and T._leq_deficits
+        assert T._positive and T._leq
         assert (T == cold, hash(T) == hash(cold), repr(T) == repr(cold)) == (True, True, True)

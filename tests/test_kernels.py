@@ -117,8 +117,9 @@ def test_builtin_to_pwl_matches():
 
 
 def test_func_kernel_requires_origin():
-    with pytest.raises(ValueError, match="vanish at 0"):
-        FuncKernel(lambda r: r + 1.0)
+    for fn in (lambda r: r + 1.0, lambda r: math.inf * r):  # inf * 0 is nan
+        with pytest.raises(ValueError, match="vanish at 0"):
+            FuncKernel(fn)
     f = FuncKernel(lambda r: r * r, label="square")
     assert f(3.0) == 9.0
     assert f.scaled(2.0)(3.0) == 18.0

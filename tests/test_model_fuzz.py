@@ -1,9 +1,10 @@
 """Generative model fuzz: whole model texts drawn from the grammar.
 
 Each draw ends in a `Model` or a model error (syntax or semantic), never in
-another exception.  An accepted model then runs one verb through `cli.main`
-in process, which must exit 0-3 with one JSON document on stdout and nothing
-on stderr.  Dimensions stay at most 3 and schedules at most 8 steps, so one
+another exception.  An accepted model renders to a text that parses back to
+an equal model, and every operator it built vanishes at 0 within the default
+tol.  It then runs one verb through `cli.main` in process, which must exit
+0-3 with one JSON document on stdout and nothing on stderr.  Dimensions stay at most 3 and schedules at most 8 steps, so one
 example takes milliseconds.
 """
 
@@ -16,8 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uryson.cli import main
-from uryson.dsl import Model, Settings, parse_model
+from uryson.dsl import Model, Settings, parse_model, render
 from uryson.errors import ModelSemanticError, ModelSyntaxError
+from uryson.lattice import DEFAULT_TOL
 
 # numbers at the edges of the float range, and signed zeros
 UNSIGNED = ("0", "1", "0.5", "2", "1e308", "1e-300")
@@ -44,11 +46,14 @@ def rarely(draw) -> bool:
 @st.composite
 def expressions(draw, budget=3):
     """An expression over s, t, r with every operator and function; rarely
-    an unknown name or a wrong arity, and at times nested deep."""
+    an unknown name, an overflowing literal or a wrong arity, and at times
+    nested deep."""
     kind = draw(st.integers(0, 7)) if budget else 0
     sub = expressions(budget - 1)
     if kind == 0:
-        return "q" if rarely(draw) else draw(st.sampled_from(("s", "t", "r", "r", *UNSIGNED)))
+        if rarely(draw):
+            return draw(st.sampled_from(("q", "1e999")))
+        return draw(st.sampled_from(("s", "t", "r", "r", *UNSIGNED)))
     if kind in (1, 2):
         return f"{draw(sub)}{draw(st.sampled_from('+-*/^'))}{draw(sub)}"
     if kind == 3:
@@ -158,9 +163,13 @@ def test_generated_models_parse_or_fail_and_run_cleanly(tmp_path):
     def check(drawn, data):
         text, ops, probes = drawn
         try:
-            assert isinstance(parse_model(text), Model)
+            model = parse_model(text)
         except (ModelSyntaxError, ModelSemanticError):
             return
+        assert isinstance(model, Model)
+        assert parse_model(render(model)) == model
+        for op in model.built.values():
+            assert all(abs(k(0.0)) <= DEFAULT_TOL for row in op.kernels for k in row)
         verb, arity = data.draw(st.sampled_from(VERBS))
         names = [data.draw(st.sampled_from(ops)) for _ in range(arity)]
         probe = [data.draw(st.sampled_from(probes))] if probes else []

@@ -152,8 +152,9 @@ def test_validate_report():
 def test_integral_spec_validation():
     with pytest.raises(DimensionMismatch, match="one weight per input node"):
         IntegralKernelSpec(lambda s, t, r: s * t * r, (1.0,), (1.0, 2.0), (1.0,))
-    with pytest.raises(ValueError, match="strictly positive"):
-        IntegralKernelSpec(lambda s, t, r: s * t * r, (1.0,), (1.0,), (0.0,))
+    for w in (0.0, math.nan):
+        with pytest.raises(ValueError, match="strictly positive"):
+            IntegralKernelSpec(lambda s, t, r: s * t * r, (1.0,), (1.0,), (w,))
     with pytest.raises(ValueError, match="nonempty"):
         IntegralKernelSpec(lambda s, t, r: s * t * r, (), (1.0,), (1.0,))
 
@@ -186,3 +187,6 @@ def test_discretize_integral_c0_violation():
     spec = IntegralKernelSpec(lambda s, t, r: s * t + r, (1.0,), (2.0,), (1.0,))
     with pytest.raises(C0Violation, match="vanish"):
         discretize_integral(spec)
+    nan_at_0 = IntegralKernelSpec(lambda s, t, r: math.inf * r, (1.0,), (2.0,), (1.0,))
+    with pytest.raises(C0Violation, match="vanish.*nan"):
+        discretize_integral(nan_at_0)
