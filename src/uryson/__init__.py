@@ -9,9 +9,10 @@ programs split by output row, so each decides feasibility per (fragment,
 row) over the empty mask and the singleton masks only; all five (band,
 complement, principal, rank-one, functional) are instances of one engine
 over per-fragment tables that each call builds once.  Every fragment program
-has each kernel evaluated at x_j and at 0 once per call: a row of T(y) or
-T(x - y) is an exact subset sum of those addends rounded once, the float an
-application gives (tables near the float range apply T per fragment).
+has each kernel evaluated at x_j and at 0 once per operator and probe: a row
+of T(y) or T(x - y) is an exact subset sum of those addends rounded once, the
+float an application gives (tables near the float range apply T per
+fragment).
 """
 
 import importlib

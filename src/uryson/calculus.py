@@ -11,15 +11,15 @@ vanishes; `disjoint_witness` materializes the mask/fragment certificate and
 `check_disjoint_iff` probes the epsilon-quantified two-sided characterization.
 `rk_eval` and both checks read one fragment table per probe, `_Table` (the
 checks its "meet" table of T(y) + S(x - y)): one row per output coordinate
-from `on_fragments` (each kernel evaluated at x_j and at 0 once per call),
-each row's witness picked by `lattice.first_extremum`, the one home of the
-tie rule (lowest fragment bitmask) that the projection programs share.  The
-converse probe of `check_disjoint_iff` sorts each row's pairs
-(T(y)_i, S(x - y)_i) by the first value once and keeps the running min of
-the second, the row's front: each schedule eps then costs one bisection and
-one comparison per row instead of a scan of every fragment.  Fragments are
-tracked by index; a fragment Vector is built only for the witnesses a result
-returns.
+from `on_fragments` (each kernel evaluated at x_j and at 0 once per
+operator and probe), each row's witness picked by `lattice.first_extremum`,
+the one home of the tie rule (lowest fragment bitmask) that the projection
+programs share.  The converse probe of `check_disjoint_iff` sorts each
+row's pairs (T(y)_i, S(x - y)_i) by the first value once and keeps the
+running min of the second, the row's front: each schedule eps then costs one
+bisection and one comparison per row instead of a scan of every fragment.
+Fragments are tracked by index; a fragment Vector is built only for the
+witnesses a result returns.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def rk_eval_separable(
     """
     _check_kind(kind, T, x, S)
 
-    tv = T.kernel_values(x)
-    sv = S.kernel_values(x) if S is not None else None
+    tv = T._values(x)
+    sv = S._values(x) if S is not None else None
     out = []
     for i in range(T.m):
         if kind == "join":

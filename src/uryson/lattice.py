@@ -78,10 +78,10 @@ class Vector:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(float(c) for c in self.coords)
+        pts = tuple(map(float, self.coords))
         if not pts:
             raise ValueError("vector must have at least one coordinate")
-        if any(not math.isfinite(c) for c in pts):
+        if not all(map(math.isfinite, pts)):
             raise ValueError("vector coordinates must be finite")
         object.__setattr__(self, "coords", pts)
 
@@ -222,7 +222,7 @@ class Mask:
     bits: tuple[bool, ...]
 
     def __post_init__(self):
-        bits = tuple(bool(b) for b in self.bits)
+        bits = tuple(map(bool, self.bits))
         if not bits:
             raise ValueError("mask must have at least one coordinate")
         object.__setattr__(self, "bits", bits)

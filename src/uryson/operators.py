@@ -8,17 +8,20 @@ whenever y and z are disjoint.  Functionals are operators with m = 1.
 The fragment programs read T(y) and T(x - y) over all fragments y of x from
 `on_fragments`, which returns one list per output row in fragment order.
 Its entries are the floats an application per fragment gives.  It has each
-kernel evaluated at x_j and at 0 once per call, builds no fragment Vector,
-and computes exact subset sums of those addends (integers over a
-power-of-two denominator, one doubling per support column), rounded once.
-Only a table with a non-finite entry or near the float range applies the
-operator to each fragment, so it fails exactly as an application does.
+kernel evaluated at x_j and at 0 once per operator and probe, builds no
+fragment Vector, and computes exact subset sums of those addends (integers
+over a power-of-two denominator, one doubling per support column), rounded
+once.  Only a table with a non-finite entry or near the float range applies
+the operator to each fragment, so it fails exactly as an application does.
 
 Positivity and the operator order are decided kernel by kernel, stopping
 at the first kernel (or kernel pair) that fails.  Each operator keeps its
 positivity per tol and, per lower operator S and tol, the order of the pair,
-so a decision is made once.  This assumes what the kernels already require:
-they are frozen, and a callable kernel's `fn` is pure.
+so a decision is made once.  It also keeps its zero table kernels[i][j](0.0)
+and the addend table of its last probe, so a table is evaluated once per
+operator and probe.  Kept answers and tables are exact because kernels are
+frozen and a callable kernel's `fn` is pure, which the kernels already
+require.  A pickle or copy of an operator carries only its kernels.
 """
 
 from __future__ import annotations
@@ -47,13 +50,17 @@ from .lattice import Fragments, Vector
 class KernelOperator:
     """m x n matrix of scalar kernels; rows index output coordinates.  The
     private fields keep decisions (`operator_is_positive`, `operator_leq`)
-    and take no part in ==, hash or repr."""
+    and kernel tables, and take no part in ==, hash or repr."""
 
     kernels: tuple[tuple[ScalarKernel, ...], ...]
     # tol -> whether self is positive at tol
     _positive: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (id(S), tol) -> (weakref to S, whether S <= self at tol)
     _leq: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # kernels[i][j](0.0), from the first use on
+    _at_0: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (probe x, kernels[i][j](x_j)) for the last probe
+    _at_x: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.kernels)
@@ -72,14 +79,36 @@ class KernelOperator:
     def n(self) -> int:
         return len(self.kernels[0])
 
+    def __reduce__(self):
+        # rebuilt from the kernels alone: kept decisions and tables stay behind
+        return (type(self), (self.kernels,))
+
     def __call__(self, x: Vector) -> Vector:
-        return Vector(tuple(map(math.fsum, self.kernel_values(x))))
+        return Vector(tuple(map(math.fsum, self._values(x))))
 
     def kernel_values(self, x: Vector) -> list[list[float]]:
         """The addend table kernels[i][j](x_j); row sums give the evaluation."""
+        return [list(row) for row in self._values(x)]
+
+    def _values(self, x: Vector) -> tuple[tuple[float, ...], ...]:
+        """The addend table as tuples, kept for the last probe.  The probe is
+        matched by identity, not by ==: kernels such as abs return -0.0 at
+        -0.0, so equal probes can have different tables."""
+        kept = self._at_x
+        if kept is not None and kept[0] is x:
+            return kept[1]
         if x.dim != self.n:
             raise DimensionMismatch(f"operator expects dim {self.n}, got {x.dim}")
-        return [[k(c) for k, c in zip(row, x.coords)] for row in self.kernels]
+        table = tuple(tuple(k(c) for k, c in zip(row, x.coords)) for row in self.kernels)
+        object.__setattr__(self, "_at_x", (x, table))
+        return table
+
+    def _zeros(self) -> tuple[tuple[float, ...], ...]:
+        """The zero table kernels[i][j](0.0), kept from the first use on."""
+        if self._at_0 is None:
+            table = tuple(tuple(k(0.0) for k in row) for row in self.kernels)
+            object.__setattr__(self, "_at_0", table)
+        return self._at_0
 
     def on_fragments(
         self, x: Vector, frags: Fragments, rest: bool = False
@@ -92,21 +121,21 @@ class KernelOperator:
         application per fragment, transposed; so it fails as an application
         does: OverflowError from fsum, or ValueError for a non-finite T(y).
 
-        Any other table has each kernel evaluated once at x_j and once at 0,
-        and builds no fragment Vector: y_j is x_j on the kept support columns
-        and 0.0 elsewhere, so (x - y)_j is 0.0 or x_j, and every addend of a
-        row is one of two table entries.  The entries are written as integers
-        over one power-of-two denominator.  Per output row, the sum of the
-        dropped entries is doubled once per support column (frags.supp; bit b
-        of a fragment index keeps supp[b]), which lists the exact subset sums
-        in fragment order, and each is divided by the denominator once.
+        Any other table reads the kept addend tables at x and at 0
+        (`_values`, `_zeros`) and builds no fragment Vector: y_j is x_j on
+        the kept support columns and 0.0 elsewhere, so (x - y)_j is 0.0 or
+        x_j, and every addend of a row is one of two table entries.  The
+        entries are written as integers over one power-of-two denominator.
+        Per output row, the sum of the dropped entries is doubled once per
+        support column (frags.supp; bit b of a fragment index keeps
+        supp[b]), which lists the exact subset sums in fragment order, and
+        each is divided by the denominator once.
         Integer true division (or, off the subnormal and overflow range,
         rounding to a float and scaling by a power of two) and fsum both
         round correctly, so each entry is the float an application gives (an
         exact zero is 0.0 on both).
         """
-        at_x = self.kernel_values(x)
-        at_0 = [[k(0.0) for k in row] for row in self.kernels]
+        at_x, at_0 = self._values(x), self._zeros()
         kept, dropped = (at_0, at_x) if rest else (at_x, at_0)
         flat = [v for row in dropped + kept for v in row]
         total = sum(map(abs, flat))

@@ -30,11 +30,11 @@ fragment order: the constraints, the bound they are held against, the
 objective T(y) and the start value T(x).  One builder, `_programs`,
 enumerates the fragments once and yields a program per generator over
 shared T(y) and T(x) rows (each kernel evaluated at x_j and at 0 once per
-call) for the band and complement of a set, the principal band (whose two
-complement routes reuse its rows with S(y)), the functional band and the
-profile.  Programs track fragments by index and build a fragment Vector
-only for the witnesses a result returns; the profile reuses the limit value
-from the first settled eps on.  A rank-one band phi(.)*u repeats the
+operator and probe) for the band and complement of a set, the principal band
+(whose two complement routes reuse its rows with S(y)), the functional band
+and the profile.  Programs track fragments by index and build a fragment
+Vector only for the witnesses a result returns; the profile reuses the limit
+value from the first settled eps on.  A rank-one band phi(.)*u repeats the
 constraint row phi(x - y) or phi(y) on every output row and masks the
 result by u afterwards.  An independent support-masking oracle cross-checks
 the principal case.  Generating sets are decided positive and upward
@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -141,6 +142,13 @@ def _checked_set(
     return A
 
 
+@lru_cache(maxsize=64)
+def _row_masks(m: int) -> tuple[Mask, ...]:
+    """The empty mask of R^m, then the singleton of each row; masks are
+    immutable, so every program of width m shares them."""
+    return (Mask.empty(m),) + tuple(Mask.from_indices(m, (i,)) for i in range(m))
+
+
 class _MemberProgram:
     """Feasibility/value engine over precomputed rows, one per output row.
 
@@ -176,7 +184,8 @@ class _MemberProgram:
         self.sense = sense
         self.rows = tuple(rows)
         self.m = len(tx)
-        self.masks = [Mask.empty(self.m)] + [Mask.from_indices(self.m, (i,)) for i in self.rows]
+        shared = _row_masks(self.m)
+        self.masks = [shared[0]] + [shared[i + 1] for i in self.rows]
         self.frags = frags
         self.cons = cons
         self.bound = bound
@@ -457,8 +466,8 @@ def masking_oracle(
     require_positive("S", S, tol)
     require_positive("T", T, tol)
     check_pair_dims(T, S, x)
-    sv = S.kernel_values(x)
-    tv = T.kernel_values(x)
+    sv = S._values(x)
+    tv = T._values(x)
     return Vector(
         tuple(
             math.fsum(t for s, t in zip(sv[i], tv[i]) if abs(s) > tol)

@@ -41,8 +41,9 @@ class PlantedKernel:
 
 
 def tables(T: KernelOperator, x: Vector, rest: bool):
-    """The kept and dropped addend tables of on_fragments."""
-    at_x = T.kernel_values(x)
+    """The kept and dropped addend tables of on_fragments, from the kernels
+    themselves (not from the tables the operator keeps)."""
+    at_x = [[k(c) for k, c in zip(row, x.coords)] for row in T.kernels]
     at_0 = [[k(0.0) for k in row] for row in T.kernels]
     return (at_0, at_x) if rest else (at_x, at_0)
 
