@@ -4,15 +4,17 @@ The package models operators T(x)_i = sum_j t_ij(x_j) built from scalar
 kernels vanishing at zero, and computes their lattice structure pointwise:
 Riesz-Kantorovich joins/meets, disjointness witnesses, and band projections
 (onto increasing sets, principal bands, rank-one bands, and functionals),
-by fragment enumeration with deterministic tie-breaks.  The projection
-programs split by output row, so each decides feasibility per (fragment,
-row) over the empty mask and the singleton masks only; all five (band,
-complement, principal, rank-one, functional) are instances of one engine
-over per-fragment tables that each call builds once.  Every fragment program
-has each kernel evaluated at x_j and at 0 once per operator and probe: a row
-of T(y) or T(x - y) is an exact subset sum of those addends rounded once, the
-float an application gives (tables near the float range apply T per
-fragment).
+by fragment enumeration with deterministic tie-breaks.  An increasing set
+is any sequence of operators, decided positive and upward directed at the
+call's tol.  The projection programs split by output row, so each decides
+feasibility per (fragment, row) over the empty mask and the singleton masks
+only; all five (band, complement, principal, rank-one, functional) are
+instances of one engine over per-fragment tables that each call builds
+once.  Every fragment program has each kernel evaluated at x_j and at 0
+once per operator and probe: a row of T(y) or T(x - y) is an exact subset
+sum of those addends rounded once, the float an application gives (tables
+near the float range fsum each fragment's addends).  Reports are emitted
+as byte-stable JSON in one walk.
 """
 
 import importlib
@@ -42,10 +44,9 @@ _HOMES = {
         "operator_scale", "positive_part", "rank_one", "validate", "zero_operator",
     ),
     "projections": (
-        "IncreasingSet", "PrincipalProjection", "ProjectionResult", "RankOneProjection",
-        "band_set_profile", "masking_oracle", "project_band_set",
-        "project_band_set_complement", "project_functional", "project_principal",
-        "project_rank_one",
+        "PrincipalProjection", "ProjectionResult", "RankOneProjection", "band_set_profile",
+        "masking_oracle", "project_band_set", "project_band_set_complement",
+        "project_functional", "project_principal", "project_rank_one",
     ),
     "suite": ("CHECK_IDS", "run_suite"),
 }
@@ -76,10 +77,10 @@ __all__ = [
     "operator_is_positive", "operator_leq", "operator_scale", "positive_part",
     "rank_one", "validate", "zero_operator",
     # projections
-    "IncreasingSet", "PrincipalProjection", "ProjectionResult",
-    "RankOneProjection", "band_set_profile", "masking_oracle",
-    "project_band_set", "project_band_set_complement", "project_functional",
-    "project_principal", "project_rank_one",
+    "PrincipalProjection", "ProjectionResult", "RankOneProjection",
+    "band_set_profile", "masking_oracle", "project_band_set",
+    "project_band_set_complement", "project_functional", "project_principal",
+    "project_rank_one",
     # suite
     "CHECK_IDS", "run_suite",
 ]

@@ -119,9 +119,8 @@ class _Cursor:
         self.lineno = lineno
         self.end_col = (toks[-1].col + len(toks[-1].text)) if toks else line_len + 1
 
-    def peek(self, ahead: int = 0) -> _Token | None:
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
+    def peek(self) -> _Token | None:
+        return self.toks[self.i] if self.i < len(self.toks) else None
 
     def take(self) -> _Token:
         tok = self.peek()

@@ -22,8 +22,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SUPPORT_CAP = 20
 _SUP_FORM_MAX_N = 1_000_000  # step cap of principal_projection_sup_form
 
-_abs = abs  # plain builtin; Vector has a method of the same name
-
 
 def require_positive_finite(name: str, value: float) -> None:
     """Raise ValueError unless value (an eps) is positive and finite."""
@@ -124,7 +122,7 @@ class Vector:
         return Vector(tuple(min(a, b) for a, b in zip(self.coords, other.coords)))
 
     def abs(self) -> "Vector":
-        return Vector(tuple(_abs(c) for c in self.coords))
+        return Vector(tuple(abs(c) for c in self.coords))
 
     def pos_part(self) -> "Vector":
         return Vector(tuple(c if c > 0.0 else 0.0 for c in self.coords))
@@ -138,10 +136,10 @@ class Vector:
 
     def isclose(self, other: "Vector", tol: float = DEFAULT_TOL) -> bool:
         self._check_dim(other)
-        return all(_abs(a - b) <= tol for a, b in zip(self.coords, other.coords))
+        return all(abs(a - b) <= tol for a, b in zip(self.coords, other.coords))
 
     def support(self, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if _abs(c) > tol)
+        return tuple(i for i, c in enumerate(self.coords) if abs(c) > tol)
 
 
 def vec(*coords: float) -> Vector:
@@ -151,7 +149,7 @@ def vec(*coords: float) -> Vector:
 def is_disjoint(v: Vector, w: Vector, tol: float = DEFAULT_TOL) -> bool:
     """|v| ^ |w| = 0 within tol."""
     v._check_dim(w)
-    return all(min(_abs(a), _abs(b)) <= tol for a, b in zip(v.coords, w.coords))
+    return all(min(abs(a), abs(b)) <= tol for a, b in zip(v.coords, w.coords))
 
 
 class Fragments(Sequence):
@@ -161,8 +159,7 @@ class Fragments(Sequence):
     index k says whether fragment k keeps x_supp[b]: fragment k is x_j on the
     kept columns and 0.0 elsewhere.  The table programs read supp alone;
     indexing or iterating builds the validated Vector on demand, for the
-    witnesses a result returns and the application fallback of
-    `on_fragments`.
+    witnesses a result returns.
     """
 
     __slots__ = ("x", "supp")
@@ -210,7 +207,7 @@ def is_fragment(z: Vector, x: Vector, tol: float = DEFAULT_TOL) -> bool:
     """True iff every coordinate of z is 0 or x_i (within tol)."""
     z._check_dim(x)
     return all(
-        min(_abs(zc), _abs(zc - xc)) <= tol
+        min(abs(zc), abs(zc - xc)) <= tol
         for zc, xc in zip(z.coords, x.coords)
     )
 
@@ -296,7 +293,7 @@ def all_masks(dim: int) -> list[Mask]:
 
 def principal_mask(f: Vector, tol: float = DEFAULT_TOL) -> Mask:
     """Mask of the band generated by f: coordinate i selected iff |f_i| > tol."""
-    return Mask(tuple(_abs(c) > tol for c in f.coords))
+    return Mask(tuple(abs(c) > tol for c in f.coords))
 
 
 def principal_projection_sup_form(f: Vector, g: Vector) -> Vector:

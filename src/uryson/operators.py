@@ -11,8 +11,9 @@ Its entries are the floats an application per fragment gives.  It has each
 kernel evaluated at x_j and at 0 once per operator and probe, builds no
 fragment Vector, and computes exact subset sums of those addends (integers
 over a power-of-two denominator, one doubling per support column), rounded
-once.  Only a table with a non-finite entry or near the float range applies
-the operator to each fragment, so it fails exactly as an application does.
+once.  Only a table with a non-finite entry or near the float range sums
+each fragment's addends with fsum, from the same kept tables, so it fails
+exactly as an application does.
 
 Positivity and the operator order are decided kernel by kernel, stopping
 at the first kernel (or kernel pair) that fails.  Each operator keeps its
@@ -117,9 +118,12 @@ class KernelOperator:
 
         The entries are the floats that applying T to every fragment (or to
         its complement) gives.  A table with a non-finite entry, or so large
-        that fsum's partial sums may overflow, is computed that way, one
-        application per fragment, transposed; so it fails as an application
-        does: OverflowError from fsum, or ValueError for a non-finite T(y).
+        that fsum's partial sums may overflow, is computed as an application
+        would be, fragment by fragment, from the kept tables: fsum over each
+        row of table entries, then a Vector; so it fails as an application
+        does, at the same fragment: OverflowError from fsum, or ValueError
+        for a non-finite T(y).  No kernel is evaluated, and x stays the kept
+        probe.
 
         Any other table reads the kept addend tables at x and at 0
         (`_values`, `_zeros`) and builds no fragment Vector: y_j is x_j on
@@ -139,9 +143,17 @@ class KernelOperator:
         kept, dropped = (at_0, at_x) if rest else (at_x, at_0)
         flat = [v for row in dropped + kept for v in row]
         total = sum(map(abs, flat))
+        supp, n = frags.supp, len(at_x[0])
         # fsum's partial sums stay below sum(|v|); NaN and inf fail too
         if not total < 2.0**1020:
-            table = [self(x - y if rest else y).coords for y in frags]
+            table = []
+            for k in range(len(frags)):
+                cols = {j for b, j in enumerate(supp) if k >> b & 1}
+                rows = [
+                    [hi[j] if j in cols else lo[j] for j in range(n)]
+                    for lo, hi in zip(dropped, kept)
+                ]
+                table.append(Vector(tuple(map(math.fsum, rows))).coords)
             return [list(row) for row in zip(*table)]
         # each entry as an integer over one power-of-two denominator, in the
         # order of flat: the dropped rows, then the kept rows
@@ -152,7 +164,7 @@ class KernelOperator:
         # unless a result may be subnormal (den > 2^1022) or s may overflow
         # a float; those tables divide
         scale = None if den.bit_length() > 1023 or not total * den < 2.0**1022 else 1.0 / den
-        supp, size, n = frags.supp, len(ints) // 2, len(at_x[0])
+        size = len(ints) // 2
         rows = []
         for i in range(0, size, n):
             lo, hi = ints[i:i + n], ints[size + i:size + i + n]

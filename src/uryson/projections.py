@@ -37,8 +37,9 @@ Vector only for the witnesses a result returns; the profile reuses the limit
 value from the first settled eps on.  A rank-one band phi(.)*u repeats the
 constraint row phi(x - y) or phi(y) on every output row and masks the
 result by u afterwards.  An independent support-masking oracle cross-checks
-the principal case.  Generating sets are decided positive and upward
-directed at the caller's tol, like every other operator check.
+the principal case.  A generating set is any sequence of operators, decided
+by one check (`_checked_set`) positive and upward directed at the call's
+tol, like every other operator check.
 """
 
 from __future__ import annotations
@@ -79,40 +80,6 @@ from .operators import (
 
 
 @dataclass(frozen=True)
-class IncreasingSet:
-    """Finite set of positive operators, upward directed: every pair has an
-    upper bound inside the set (checked kernelwise, exact for pwl kernels).
-    Positivity and the order are decided within tol.  Each operator keeps
-    its positivity, and each ordered pair its order, per tol from the first
-    decision on (`operator_is_positive`, `operator_leq`; callable kernels
-    must be pure), so building a set again at that tol evaluates no kernel."""
-
-    ops: tuple[KernelOperator, ...]
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        ops = tuple(self.ops)
-        object.__setattr__(self, "ops", ops)
-        if not ops:
-            raise ValueError("increasing set must be nonempty")
-        shape = (ops[0].m, ops[0].n)
-        for op in ops:
-            if (op.m, op.n) != shape:
-                raise DimensionMismatch("increasing set members must share shape")
-            if not operator_is_positive(op, self.tol):
-                raise NotPositive("increasing set members must be positive")
-        for a_idx, a in enumerate(ops):
-            for b in ops[a_idx + 1:]:
-                if not any(
-                    operator_leq(a, v, self.tol) and operator_leq(b, v, self.tol)
-                    for v in ops
-                ):
-                    raise NotIncreasing(
-                        "no internal upper bound for a pair of members"
-                    )
-
-
-@dataclass(frozen=True)
 class ProjectionResult:
     """Stabilized projection value with diagnostics.
 
@@ -129,17 +96,30 @@ class ProjectionResult:
 
 
 def _checked_set(
-    A: IncreasingSet | Sequence[KernelOperator], T: KernelOperator, x: Vector, tol: float
-) -> IncreasingSet:
-    """A as an IncreasingSet decided at tol, then T positive and all shapes
-    matching."""
-    if not isinstance(A, IncreasingSet):
-        A = IncreasingSet(tuple(A), tol)
-    elif A.tol != tol:
-        A = IncreasingSet(A.ops, tol)
+    A: Sequence[KernelOperator], T: KernelOperator, x: Vector, tol: float
+) -> tuple[KernelOperator, ...]:
+    """A as a tuple, decided at tol to be a generating set: nonempty, its
+    members of one shape and positive, and upward directed (every pair has
+    an upper bound in A, decided kernelwise, exact for pwl kernels); then T
+    positive and all shapes matching.  Each operator keeps its positivity,
+    and each ordered pair its order, per tol from the first decision on, so
+    deciding a set again at that tol evaluates no kernel."""
+    ops = tuple(A)
+    if not ops:
+        raise ValueError("increasing set must be nonempty")
+    shape = (ops[0].m, ops[0].n)
+    for op in ops:
+        if (op.m, op.n) != shape:
+            raise DimensionMismatch("increasing set members must share shape")
+        if not operator_is_positive(op, tol):
+            raise NotPositive("increasing set members must be positive")
+    for a_idx, a in enumerate(ops):
+        for b in ops[a_idx + 1:]:
+            if not any(operator_leq(a, v, tol) and operator_leq(b, v, tol) for v in ops):
+                raise NotIncreasing("no internal upper bound for a pair of members")
     require_positive("T", T, tol)
-    check_pair_dims(T, A.ops[0], x)
-    return A
+    check_pair_dims(T, ops[0], x)
+    return ops
 
 
 @lru_cache(maxsize=64)
@@ -278,7 +258,7 @@ def _programs(
 
 def _project_set(
     sense: str,
-    A: IncreasingSet | Sequence[KernelOperator],
+    A: Sequence[KernelOperator],
     T: KernelOperator,
     x: Vector,
     sched: EpsSchedule,
@@ -287,8 +267,8 @@ def _project_set(
 ) -> ProjectionResult:
     """Band (sup over members) or complement (inf over members) program; at
     each coordinate the first member attaining the outer extremum wins."""
-    A = _checked_set(A, T, x, tol)
-    runs = [p.run(sched) for p in _programs(sense, A.ops, T, x, cap_support, tol)]
+    ops = _checked_set(A, T, x, tol)
+    runs = [p.run(sched) for p in _programs(sense, ops, T, x, cap_support, tol)]
     outer = max if sense == "band" else min
     pick = [outer(runs, key=lambda r: r.value.coords[i]) for i in range(T.m)]
     return ProjectionResult(
@@ -300,19 +280,20 @@ def _project_set(
 
 
 def project_band_set(
-    A: IncreasingSet | Sequence[KernelOperator],
+    A: Sequence[KernelOperator],
     T: KernelOperator,
     x: Vector,
     sched: EpsSchedule = EpsSchedule(),
     cap_support: int = DEFAULT_SUPPORT_CAP,
     tol: float = DEFAULT_TOL,
 ) -> ProjectionResult:
-    """Projection of T onto the band generated by the increasing set A, at x."""
+    """Projection of T onto the band generated by the increasing set A (a
+    sequence of positive operators, upward directed at tol), at x."""
     return _project_set("band", A, T, x, sched, cap_support, tol)
 
 
 def project_band_set_complement(
-    A: IncreasingSet | Sequence[KernelOperator],
+    A: Sequence[KernelOperator],
     T: KernelOperator,
     x: Vector,
     sched: EpsSchedule = EpsSchedule(),

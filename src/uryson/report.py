@@ -5,7 +5,8 @@ Reports are rendered to JSON text by a small custom emitter rather than
 versions: keys are sorted, floats are printed with 12 significant digits,
 ``-0.0`` is normalized to ``0.0``, and non-finite numbers are rejected
 outright (a report containing NaN is a bug upstream, not a formatting
-problem).
+problem).  The emitter walks a report once, rendering the domain objects
+(``Vector``, ``Mask``), tuples and non-string keys itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any
 
 from .lattice import Mask, Vector
 
-__all__ = ["format_float", "jsonable", "dumps", "csv_table"]
+__all__ = ["format_float", "dumps", "csv_table"]
 
 _INDENT = 2
 
@@ -34,26 +35,15 @@ def format_float(x: float) -> str:
     return s
 
 
-def jsonable(obj: Any) -> Any:
-    """Translate domain objects into plain JSON-ready primitives."""
-    if isinstance(obj, Vector):
-        return [float(c) for c in obj.coords]
-    if isinstance(obj, Mask):
-        return sorted(obj.indices())
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _emit(obj: Any, out: list[str], level: int) -> None:
+    """Append the JSON text of obj: a Vector as its coordinates, a Mask as
+    its sorted indices, a tuple as a list, and a dict under ``str`` keys."""
     pad = " " * (_INDENT * level)
     pad_in = " " * (_INDENT * (level + 1))
+    if isinstance(obj, Vector):
+        obj = obj.coords
+    elif isinstance(obj, Mask):
+        obj = sorted(obj.indices())
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -80,11 +70,11 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
         if not obj:
             out.append("{}")
             return
+        # keys as strings; a later key equal as a string replaces the value
+        obj = {str(k): v for k, v in obj.items()}
         keys = sorted(obj)
         out.append("{\n")
         for i, k in enumerate(keys):
-            if not isinstance(k, str):
-                raise TypeError("report keys must be strings")
             out.append(pad_in + json.dumps(k, ensure_ascii=True) + ": ")
             _emit(obj[k], out, level + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
@@ -97,7 +87,7 @@ def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, ``.12g`` floats, two-space indent,
     trailing newline."""
     out: list[str] = []
-    _emit(jsonable(obj), out, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 

@@ -288,6 +288,22 @@ def test_demo_reports_match_golden_bytes(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("project", "S,D", "T", "x1"), "error_project_S-D_T_x1.json"),
+        (("project-complement", "S,D", "T", "x1"), "error_project-complement_S-D_T_x1.json"),
+        (("project", "W", "T", "x1"), "error_project_W_T_x1.json"),
+        (("project", "S,SD", "W", "x1"), "error_project_S-SD_W_x1.json"),
+    ],
+)
+def test_demo_refusals_match_golden_bytes(capsys, argv, golden):
+    # S and D have no upper bound in {S, D}; W is not positive
+    code, out = run_cli(capsys, "run", DEMO, *argv)
+    assert code == 1
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_missing_model_file(capsys, tmp_path):
     code, rep = run_json(capsys, "run", str(tmp_path / "nope.ury"), "eval", "T", "x1")
     assert code == 1

@@ -9,7 +9,10 @@ string annotation, or (for the package) in the literal `__all__`; a name
 bound by an import inside a function must be read in that function.  The
 private-name scan requires every private module-level function, class or
 constant to be referenced by some other top-level statement of the package,
-so a helper left behind by a refactor cannot linger.
+so a helper left behind by a refactor cannot linger.  The default scan
+requires every defaulted parameter of a private function, or of a method of
+a private class, to be passed by some call in the package or its tests, so
+a knob that no caller sets cannot linger either.
 """
 
 import argparse
@@ -136,7 +139,7 @@ def test_all_is_explicit_and_matches_public_names():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert set(exported) == public
-    assert len(exported) == 68
+    assert len(exported) == 67
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
@@ -210,6 +213,96 @@ def test_scan_finds_unreferenced_private_names():
         "c.py": "def _shared():\n    return 1\n",
     }
     assert unreferenced_private_names(sources) == [("a.py", "_dead"), ("a.py", "_helper")]
+
+
+def _private_callables(tree: ast.Module):
+    """(call name, function, count of leading parameters a call does not
+    pass) for each private module-level function and each method of a
+    private class; a class's __init__ is called by the class name, and other
+    dunders are skipped."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    yield node.name, fn, 1
+                elif isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    yield fn.name, fn, 1
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
+    """(name, index among the call's positional arguments, or None for a
+    keyword-only one) of each parameter with a default."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether a call may pass a parameter: by keyword, by position, or
+    through a starred argument."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unpassed_defaults(
+    sources: dict[str, str], callers: dict[str, str]
+) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each defaulted parameter of a
+    private function of sources, or of a method of a private class, that no
+    call in sources or callers passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for src in (*sources.values(), *callers.values()):
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for mod, src in sources.items():
+        for name, fn, skip in _private_callables(ast.parse(src)):
+            for param, index in _defaulted(fn, skip):
+                if not any(_passes(call, param, index) for call in calls.get(name, ())):
+                    found.append((mod, fn.name, param))
+    return sorted(found)
+
+
+def test_private_defaults_are_passed():
+    sources = {path.name: path.read_text() for path in MODULES}
+    tests = {path.name: path.read_text() for path in Path(__file__).parent.glob("*.py")}
+    assert unpassed_defaults(sources, tests) == []
+
+
+def test_scan_finds_unpassed_private_defaults():
+    sources = {
+        "a.py": (
+            "def _f(a, b=1, c=2, *, d=3, e=4):\n"
+            "    return _f(a, 5, e=6)\n"
+            "def _g(a, b=1):\n"
+            "    return a + b\n"
+            "def public(x=0):\n"
+            "    return _g(*x)\n"
+            "class _C:\n"
+            "    def __init__(self, a, b=1):\n"
+            "        self.a = a\n"
+            "    def m(self, k=0, j=1):\n"
+            "        return _C(self.a).m(j=2)\n"
+            "class Public:\n"
+            "    def m(self, k=0):\n"
+            "        return k\n"
+        ),
+    }
+    callers = {"test_a.py": "from a import _C\n_C(1, 2).m\n"}
+    assert unpassed_defaults(sources, callers) == [
+        ("a.py", "_f", "c"), ("a.py", "_f", "d"), ("a.py", "m", "k"),
+    ]
 
 
 def test_operator_caches_stay_out_of_compare_and_repr():

@@ -122,3 +122,17 @@ def test_pickle_and_copy_carry_kernels_only():
         assert repr(twin) == repr(T)
         after = (operator_leq(S, twin), twin(x), twin.on_fragments(x, fragments(x), rest=True))
         assert repr(after) == repr(before)
+
+
+def test_fallback_rows_read_the_kept_tables(evaluations):
+    # a finite table past the 2^1020 guard: its rows are fsum'd per fragment
+    # from the kept tables at x and at 0, so x stays the kept probe
+    k = PwlKernel(((-1.0, -1e308), (0.0, 0.0), (1.0, 1e308)))
+    T = KernelOperator(((k, k),))
+    x = Vector((1.0, -1.0))
+    frags = fragments(x)
+    assert sorted(evaluations(T.on_fragments, x, frags)) == [-1.0, 0.0, 0.0, 1.0]
+    for rest in (False, True, False):
+        assert evaluations(T.on_fragments, x, frags, rest) == []
+    assert T.on_fragments(x, frags) == [[0.0, 1e308, -1e308, 0.0]]
+    assert T.on_fragments(x, frags, rest=True) == [[0.0, -1e308, 1e308, 0.0]]

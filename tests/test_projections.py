@@ -20,7 +20,6 @@ from uryson.lattice import Vector, vec
 from uryson.operators import KernelOperator, operator_add, rank_one
 from uryson.projections import (
     EpsSchedule,
-    IncreasingSet,
     band_set_profile,
     masking_oracle,
     project_band_set,
@@ -62,14 +61,78 @@ def test_eps_schedule_values():
 
 
 def test_increasing_set_validation():
+    # a generating set is decided by the projections themselves
+    T = KernelOperator(((ABS, ABS),))
+    x = vec(1.0, -2.0)
     with pytest.raises(NotPositive, match="positive"):
-        IncreasingSet((KernelOperator(((BuiltinKernel("id"),),)),))
+        project_band_set((KernelOperator(((BuiltinKernel("id"), ZERO_KERNEL),)),), T, x)
     disjoint_a = KernelOperator(((ABS, ZERO_KERNEL),))
     disjoint_b = KernelOperator(((ZERO_KERNEL, ABS),))
     with pytest.raises(NotIncreasing, match="upper bound"):
-        IncreasingSet((disjoint_a, disjoint_b))
-    chain = IncreasingSet((disjoint_a, operator_add(disjoint_a, disjoint_b)))
-    assert len(chain.ops) == 2
+        project_band_set((disjoint_a, disjoint_b), T, x)
+    chain = project_band_set((disjoint_a, operator_add(disjoint_a, disjoint_b)), T, x)
+    assert chain.value == vec(3.0)
+
+
+# one row each; LEFT and RIGHT are disjoint, BOTH bounds them, ID_ROW is not
+# positive, and DIP dips to -0.1 at 0.5 (positive within 0.25, not within 1e-9)
+LEFT = KernelOperator(((ABS, ZERO_KERNEL),))
+RIGHT = KernelOperator(((ZERO_KERNEL, ABS),))
+BOTH = operator_add(LEFT, RIGHT)
+ID_ROW = KernelOperator(((BuiltinKernel("id"), ZERO_KERNEL),))
+DIP_KERNEL = PwlKernel(((-1.0, 1.0), (0.0, 0.0), (0.5, -0.1), (1.0, 1.0)))
+DIP = KernelOperator(((DIP_KERNEL, ZERO_KERNEL),))
+T_ROW = KernelOperator(((ABS, HALF),))
+NOT_POSITIVE = "NotPositive('increasing set members must be positive')"
+
+# case -> (A, T, x, tol, band outcome, complement outcome); an outcome is the
+# repr of the value or of the exception raised
+GENERATING_SETS = {
+    "empty": ((), T_ROW, X1, 1e-9, *["ValueError('increasing set must be nonempty')"] * 2),
+    "two_shapes": (
+        (LEFT, S_DEMO), T_ROW, X1, 1e-9,
+        *["DimensionMismatch('increasing set members must share shape')"] * 2,
+    ),
+    "non_positive_first": ((ID_ROW, S_DEMO), T_ROW, X1, 1e-9, NOT_POSITIVE, NOT_POSITIVE),
+    "no_upper_bound": (
+        (LEFT, RIGHT), T_ROW, X1, 1e-9,
+        *["NotIncreasing('no internal upper bound for a pair of members')"] * 2,
+    ),
+    "chain": ((LEFT, BOTH), T_ROW, X1, 1e-9, repr(vec(2.0)), repr(vec(0.0))),
+    "T_not_positive": (
+        (LEFT,), ID_ROW, X1, 1e-9, *["NotPositive('operator T must be positive')"] * 2,
+    ),
+    "probe_dim": (
+        (LEFT,), T_ROW, vec(1.0), 1e-9,
+        *["DimensionMismatch('operator expects dim 2, got 1')"] * 2,
+    ),
+    "dip_at_1e-9": ((DIP,), T_ROW, X1, 1e-9, NOT_POSITIVE, NOT_POSITIVE),
+    "dip_at_0.25": ((DIP,), T_ROW, X1, 0.25, repr(vec(1.0)), repr(vec(1.0))),
+}
+
+
+def _outcome(run) -> str:
+    try:
+        return repr(run())
+    except Exception as exc:  # the refusal is the outcome compared
+        return repr(exc)
+
+
+@pytest.mark.parametrize("case", GENERATING_SETS)
+def test_generating_sets_are_refused_in_order(case):
+    A, T, x, tol, band, complement = GENERATING_SETS[case]
+    runs = [
+        (lambda: project_band_set(A, T, x, tol=tol).value, band),
+        (lambda: project_band_set_complement(A, T, x, tol=tol).value, complement),
+    ]
+    if len(A) == 1:
+        # the principal band of S is the band of {S}, decided the same way
+        runs += [
+            (lambda: project_principal(A[0], T, x, tol=tol).band.value, band),
+            (lambda: project_principal(A[0], T, x, tol=tol).complement.value, complement),
+        ]
+    for run, expected in runs:
+        assert _outcome(run) == expected
 
 
 def test_principal_projection_hand_case():
@@ -268,24 +331,26 @@ def test_increasing_set_decides_at_the_callers_tol():
     S = KernelOperator(((PwlKernel(((-1.0, 1.0), (0.0, 0.0), (0.5, -0.1), (1.0, 1.0))),),))
     T = KernelOperator(((ABS,),))
     x = vec(1.0)
-    with pytest.raises(NotPositive):
-        IncreasingSet((S,))
-    assert IncreasingSet((S,), tol=0.25).tol == 0.25
     # every entry point takes S as a generator at tol = 0.25 and refuses it
     # at the default tol
     calls = [
         lambda tol: project_band_set((S,), T, x, tol=tol).value,
-        # a set decided at another tol is decided again at the caller's
-        lambda tol: project_band_set(IncreasingSet((S,), tol=0.25), T, x, tol=tol).value,
+        lambda tol: project_band_set([S], T, x, tol=tol).value,
         lambda tol: project_band_set_complement((S,), T, x, tol=tol).value,
         lambda tol: project_principal(S, T, x, tol=tol).band.value,
         lambda tol: project_rank_one(S, vec(1.0), T, x, tol=tol).band,
         lambda tol: project_functional(S, T, x, tol=tol),
         lambda tol: band_set_profile(S, T, x, tol=tol)[-1][1],
     ]
+    with pytest.raises(NotPositive):
+        project_band_set((S,), T, x)
     for call in calls:
         with pytest.raises(NotPositive):
             call(1e-9)
     band = [call(0.25) for call in calls]
     assert band[0] == band[1] == band[3] == band[4] == band[6] == vec(1.0)
     assert band[5] == 1.0 and band[2] == vec(0.0)
+    # a set decided at one tol is decided again at the caller's
+    for call in calls:
+        with pytest.raises(NotPositive):
+            call(1e-9)

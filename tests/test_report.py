@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from uryson.lattice import Mask, vec
-from uryson.report import csv_table, dumps, format_float, jsonable
+from uryson.report import csv_table, dumps, format_float
 
 
 def test_format_float():
@@ -17,11 +19,11 @@ def test_format_float():
         format_float(float("inf"))
 
 
-def test_jsonable_translates_domain_objects():
+def test_dumps_translates_domain_objects():
     obj = {"v": vec(1.0, -2.0), "m": Mask.from_indices(3, (2, 0)), "n": None}
-    assert jsonable(obj) == {"v": [1.0, -2.0], "m": [0, 2], "n": None}
-    with pytest.raises(TypeError):
-        jsonable(object())
+    assert json.loads(dumps(obj)) == {"v": [1.0, -2.0], "m": [0, 2], "n": None}
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps(object())
 
 
 def test_dumps_golden_bytes():
@@ -60,6 +62,8 @@ def test_dumps_sorts_keys_stably():
 
 def test_dumps_coerces_keys_to_strings():
     assert dumps({1: "x"}) == '{\n  "1": "x"\n}\n'
+    # sorted as strings, so "10" comes before "9"; a tuple renders as a list
+    assert dumps({9: (True,), 10: "a"}) == '{\n  "10": "a",\n  "9": [\n    true\n  ]\n}\n'
 
 
 def test_csv_table():
