@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
 
 from .errors import NotDisjoint
@@ -37,6 +36,7 @@ from .lattice import (
     IndexedFamily,
     Mask,
     Vector,
+    _Record,
     first_extremum,
     fragments,
     require_count,
@@ -49,13 +49,12 @@ RK_KINDS = ("join", "meet", "pos", "neg", "abs")
 _BINARY_KINDS = ("join", "meet")
 
 
-@dataclass(frozen=True)
-class RKResult:
-    """Pointwise lattice value plus, per output coordinate, an attaining
-    complementary fragment pair (lowest fragment bitmask on ties)."""
+class RKResult(_Record):
+    """Pointwise lattice value (a Vector) plus, per output coordinate, an
+    attaining complementary fragment pair (lowest fragment bitmask on ties):
+    argwitness[i] = (y, x - y)."""
 
-    value: Vector
-    argwitness: tuple[tuple[Vector, Vector], ...]
+    __slots__ = _fields = ("value", "argwitness")
 
 
 def _check_kind(kind: str, T: KernelOperator, x: Vector, S: KernelOperator | None) -> None:
@@ -166,15 +165,12 @@ def check_modulus_bound(
     return lhs.leq(rhs, tol)
 
 
-@dataclass(frozen=True)
-class DisjointnessWitness:
+class DisjointnessWitness(_Record):
     """Partition of unity plus matching fragments certifying T ^ S = 0 at x:
-    masks[a] * (T(frag[a]) + S(x - frag[a])) <= eps * u for every label a."""
+    masks[a] * (T(frag[a]) + S(x - frag[a])) <= eps * u for every label a
+    (masks and frags are IndexedFamily values under the same labels)."""
 
-    masks: IndexedFamily
-    frags: IndexedFamily
-    eps: float
-    u: Vector
+    __slots__ = _fields = ("masks", "frags", "eps", "u")
 
 
 def disjoint_witness(

@@ -21,7 +21,6 @@ Settings precedence: CLI flag > URYSON_SEED (seed only) > model ``set`` lines
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -105,10 +104,10 @@ def _effective_settings(model: Model, ns: argparse.Namespace) -> Settings:
     env_seed = os.environ.get("URYSON_SEED")
     if env_seed is not None:
         try:
-            st = dataclasses.replace(st, seed=int(env_seed))
+            st = st._replace(seed=int(env_seed))
         except ValueError:
             raise BadCommand(f"URYSON_SEED must be an integer, got {env_seed!r}")
-    flags = {f.name: getattr(ns, f.name) for f in dataclasses.fields(Settings)}
+    flags = {key: getattr(ns, key) for key in Settings._fields}
     return override_settings(
         st, {k: v for k, v in flags.items() if v is not None}
     )
@@ -162,7 +161,7 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
             ]
             header = ["probe"] + [f"y{i + 1}" for i in range(T.m)]
             rows = [[r["probe"], *r["value"].coords] for r in table]
-            return {"table": table}, csv_table(header, rows)
+            return {"table": table}, csv_table(header, rows) if ns.csv else None
         op_name, probe = _need(args, 2, "eval OP PROBE (or eval OP --all)")
         T = sess.op(op_name)
         x = sess.probe(probe)
@@ -362,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
             result, csv_text = _dispatch(sess, verb, args, ns)
             text = dumps({
                 "command": {"verb": verb, "args": args},
-                "settings": dataclasses.asdict(st),
+                "settings": st._asdict(),
                 "inputs": sess.inputs,
                 "result": result,
             })

@@ -31,11 +31,9 @@ line, and the library error's code where it has one.  ``parse_model`` ->
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import (
@@ -47,7 +45,8 @@ from .errors import (
 )
 from .kernels import BuiltinKernel, PwlKernel, ScalarKernel
 from .lattice import (
-    DEFAULT_SUPPORT_CAP, DEFAULT_TOL, EpsSchedule, Vector, require_count, require_positive_finite,
+    DEFAULT_SUPPORT_CAP, DEFAULT_TOL, EpsSchedule, Vector, _Record, require_count,
+    require_positive_finite,
 )
 from .operators import (
     IntegralKernelSpec,
@@ -74,40 +73,42 @@ __all__ = [
 # --------------------------------------------------------------------------
 # tokens
 
-_TOKEN_RES = (
-    ("DIM", re.compile(r"\d+x\d+(?![\w.])")),
-    ("NUM", re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")),
-    ("NAME", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
-    ("PUNCT", re.compile(r"[()\[\];,=+\-*/^]")),
+# after spaces, the first alternative that matches at a position gives the
+# token; END is a comment or the end of the line, BAD any other character
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<DIM>\d+x\d+(?![\w.]))"
+    r"|(?P<NUM>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<PUNCT>[()\[\];,=+\-*/^])"
+    r"|(?P<END>#|$)"
+    r"|(?P<BAD>.))"
 )
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    """A token of one line: kind (DIM, NUM, NAME or PUNCT), text and column.
+    A plain slotted class, not a frozen record: the parser builds one per
+    token, and a record's guarded field writes would make tokenizing about
+    1.6 times slower."""
+
+    __slots__ = ("kind", "text", "col")
+
+    def __init__(self, kind: str, text: str, col: int):
+        self.kind = kind
+        self.text = text
+        self.col = col
 
 
 def _tokenize_line(raw: str, lineno: int) -> list[_Token]:
     toks: list[_Token] = []
-    pos = 0
-    while pos < len(raw):
-        ch = raw[pos]
-        if ch == "#":
+    for m in _TOKEN_RE.finditer(raw):
+        kind = m.lastgroup
+        if kind == "END":
             break
-        if ch in " \t\r":
-            pos += 1
-            continue
-        for kind, rx in _TOKEN_RES:
-            m = rx.match(raw, pos)
-            if m:
-                toks.append(_Token(kind, m.group(), lineno, pos + 1))
-                pos = m.end()
-                break
-        else:
-            raise ModelSyntaxError(f"unexpected character {ch!r}", lineno, pos + 1)
+        if kind == "BAD":
+            raise ModelSyntaxError(f"unexpected character {m[kind]!r}", lineno, m.start(kind) + 1)
+        toks.append(_Token(kind, m[kind], m.start(kind) + 1))
     return toks
 
 
@@ -206,34 +207,28 @@ class _Cursor:
 
 
 # --------------------------------------------------------------------------
-# expressions over s, t, r
+# expressions over s, t, r: a number, a variable, a negation, a binary
+# operation (op in + - * / ^) and a call of a function with a tuple of
+# argument expressions
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Num(_Record):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Var(_Record):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Neg(_Record):
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple["Expr", ...]
+class Bin(_Record):
+    __slots__ = _fields = ("op", "left", "right")
+
+
+class Call(_Record):
+    __slots__ = _fields = ("fn", "args")
 
 
 Expr = Union[Num, Var, Neg, Bin, Call]
@@ -398,8 +393,7 @@ def _expr_fn(expr: Expr) -> Callable[[float, float, float], float]:
 # --------------------------------------------------------------------------
 # model
 
-@dataclass(frozen=True)
-class Settings:
+class Settings(_Record):
     """The settings of a model, and the one home of their rules: every field
     is finite, an integer field holds an integral value (an integral float
     becomes an int), tol is positive, cap_support at least 1, and eps0,
@@ -407,23 +401,26 @@ class Settings:
     raises ValueError("setting <rule>"); ``set`` lines and CLI flags apply
     their values through this check."""
 
-    tol: float = DEFAULT_TOL
-    eps0: float = 1.0
-    factor: float = 0.5
-    max_steps: int = 40
-    cap_support: int = DEFAULT_SUPPORT_CAP
-    seed: int = 0
+    __slots__ = _fields = ("tol", "eps0", "factor", "max_steps", "cap_support", "seed")
+    _defaults = {
+        "tol": DEFAULT_TOL,
+        "eps0": 1.0,
+        "factor": 0.5,
+        "max_steps": 40,
+        "cap_support": DEFAULT_SUPPORT_CAP,
+        "seed": 0,
+    }
 
     def __post_init__(self):
         try:
-            for f in dataclasses.fields(self):
-                value = getattr(self, f.name)
+            for key in self._fields:
+                value = getattr(self, key)
                 if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite")
-                if isinstance(f.default, int):
+                    raise ValueError(f"{key} must be finite")
+                if isinstance(self._defaults[key], int):
                     if value != int(value):
-                        raise ValueError(f"{f.name} must be an integer")
-                    object.__setattr__(self, f.name, int(value))
+                        raise ValueError(f"{key} must be an integer")
+                    object.__setattr__(self, key, int(value))
             require_positive_finite("tol", self.tol)
             require_count("cap_support", self.cap_support)
             self.schedule()
@@ -434,41 +431,47 @@ class Settings:
         return EpsSchedule(self.eps0, self.factor, self.max_steps)
 
 
-@dataclass(frozen=True)
-class MatrixOpDef:
-    name: str
-    shape: tuple[int, int]  # (m, n) = rows x columns
-    rows: tuple[tuple[str, ...], ...]  # kernel names
+class MatrixOpDef(_Record):
+    # shape: (m, n) = rows x columns; rows: tuples of kernel names
+    __slots__ = _fields = ("name", "shape", "rows")
 
 
-@dataclass(frozen=True)
-class RankOneOpDef:
-    name: str
-    phi: str
-    u: tuple[float, ...]
+class RankOneOpDef(_Record):
+    # phi: the functional's name; u: the direction's coordinates
+    __slots__ = _fields = ("name", "phi", "u")
 
 
-@dataclass(frozen=True)
-class IntegralOpDef:
-    name: str
-    expr: Expr
-    s_grid: tuple[float, ...]
-    t_grid: tuple[float, ...]
-    weights: tuple[float, ...]
+class IntegralOpDef(_Record):
+    # expr: the kernel expression; s_grid, t_grid, weights: float tuples
+    __slots__ = _fields = ("name", "expr", "s_grid", "t_grid", "weights")
 
 
 OpDef = Union[MatrixOpDef, RankOneOpDef, IntegralOpDef]
 
 
-@dataclass(frozen=True)
-class Model:
-    dims: tuple[int, int]  # (n, m)
-    kernels: tuple[tuple[str, ScalarKernel], ...]
-    operators: tuple[OpDef, ...]
-    probes: tuple[tuple[str, Vector], ...]
-    settings: Settings
-    # the operator of each name, in declaration order, as parse_model built it
-    built: dict[str, KernelOperator] = dataclasses.field(compare=False, repr=False)
+class Model(_Record):
+    """A parsed model: dims (n, m), (name, kernel) pairs, operator
+    definitions, (name, probe) pairs and settings, all in declaration order.
+    built maps each operator name, in declaration order, to the operator
+    parse_model built; it takes no part in ==, hash or repr."""
+
+    __slots__ = ("dims", "kernels", "operators", "probes", "settings", "built")
+    _fields = ("dims", "kernels", "operators", "probes", "settings")
+
+    def __init__(
+        self,
+        dims: tuple[int, int],
+        kernels: tuple[tuple[str, ScalarKernel], ...],
+        operators: tuple[OpDef, ...],
+        probes: tuple[tuple[str, Vector], ...],
+        settings: Settings,
+        built: dict[str, KernelOperator],
+    ):
+        super().__init__(dims, kernels, operators, probes, settings)
+        object.__setattr__(self, "built", built)
+
+    def __reduce__(self):
+        return (type(self), (*self._key, self.built))
 
     @property
     def n(self) -> int:
@@ -514,15 +517,12 @@ def build_operator(model: Model, name: str) -> KernelOperator:
 # --------------------------------------------------------------------------
 # parsing
 
-_SETTING_KEYS = tuple(f.name for f in dataclasses.fields(Settings))
-
-
 def override_settings(st: Settings, overrides: dict[str, float | int]) -> Settings:
     """st with the given values replaced one at a time; a value `Settings`
     rejects raises BadCommand naming its command-line flag."""
     for key, value in overrides.items():
         try:
-            st = dataclasses.replace(st, **{key: value})
+            st = st._replace(**{key: value})
         except ValueError as exc:
             raise BadCommand(f"--{key.replace('_', '-')} {value}: {exc}") from None
     return st
@@ -682,14 +682,14 @@ def parse_model(text: str) -> Model:
 
         elif head.text == "set":
             key = cur.expect_name("a setting key").text
-            if key not in _SETTING_KEYS:
+            if key not in Settings._fields:
                 raise ModelSemanticError(f"unknown setting {key!r}", lineno)
             if key in set_keys:
                 raise ModelSemanticError(f"duplicate setting {key!r}", lineno)
             value = cur.number()
             cur.require_end()
             try:
-                settings = dataclasses.replace(settings, **{key: value})
+                settings = settings._replace(**{key: value})
             except ValueError as exc:
                 raise ModelSemanticError(str(exc), lineno) from exc
             set_keys.add(key)
@@ -802,7 +802,7 @@ def render(model: Model) -> str:
     for name, v in model.probes:
         lines.append(f"probe {name} = {_render_vec(v.coords)}")
     defaults = Settings()
-    for key in _SETTING_KEYS:
+    for key in Settings._fields:
         val = getattr(model.settings, key)
         if val != getattr(defaults, key):
             text = str(val) if isinstance(val, int) else _num_text(val)

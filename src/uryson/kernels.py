@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .lattice import DEFAULT_TOL
+from .lattice import DEFAULT_TOL, _Record
 
 _SAMPLE_GRID = [k / 20.0 for k in range(-160, 161)]  # fallback grid for callable kernels
 
 
 class ScalarKernel:
-    """Common interface; concrete kernels are the frozen dataclasses below."""
+    """Common interface.  The concrete kernels below are records
+    (`lattice._Record`): frozen and slotted, equal and hashed by their
+    public fields, and pickled as those fields."""
+
+    __slots__ = ()
 
     def __call__(self, r: float) -> float:
         raise NotImplementedError
@@ -60,12 +63,16 @@ class ScalarKernel:
         return False
 
 
-@dataclass(frozen=True)
-class PwlKernel(ScalarKernel):
+class PwlKernel(ScalarKernel, _Record):
     """Piecewise-linear kernel given by breakpoints (x, value), strictly
     increasing in x, containing (0, 0); extended linearly beyond the ends."""
 
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ("points", "_xs")
+    _fields = ("points",)
+
+    def __init__(self, points: Sequence[tuple[float, float]]):
+        object.__setattr__(self, "points", points)
+        self.__post_init__()
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
@@ -81,8 +88,6 @@ class PwlKernel(ScalarKernel):
         if not at0 or at0[0] != 0.0:
             raise ValueError("kernel must vanish at 0: include breakpoint (0, 0)")
         object.__setattr__(self, "_xs", tuple(x for x, _ in pts))
-
-    _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     @property
     def first_slope(self) -> float:
@@ -204,16 +209,15 @@ ZERO_KERNEL = PwlKernel(((0.0, 0.0),))
 _BUILTIN_NAMES = ("abs", "id", "relu", "clamp")
 
 
-@dataclass(frozen=True)
-class BuiltinKernel(ScalarKernel):
+class BuiltinKernel(ScalarKernel, _Record):
     """scale * base(r) where base is abs, id, relu, or clamp(lo, hi) with lo <= 0 <= hi."""
 
-    name: str
-    scale: float = 1.0
-    params: tuple[float, ...] = ()
-    _pwl: "PwlKernel | None" = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("name", "scale", "params", "_pwl")
+    _fields = ("name", "scale", "params")
+    _defaults = {"scale": 1.0, "params": ()}
 
     def __post_init__(self):
+        object.__setattr__(self, "_pwl", None)  # the pwl form, from the first to_pwl on
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.name not in _BUILTIN_NAMES:
@@ -277,8 +281,7 @@ class BuiltinKernel(ScalarKernel):
         }
 
 
-@dataclass(frozen=True)
-class FuncKernel(ScalarKernel):
+class FuncKernel(ScalarKernel, _Record):
     """Opaque callable kernel (used by quadrature discretization).
 
     Must vanish at 0 within tol; exactness guarantees of the pwl form do not
@@ -286,9 +289,9 @@ class FuncKernel(ScalarKernel):
     decides positivity and order once per tol and keeps the result.
     """
 
-    fn: Callable[[float], float]
-    label: str = "callable"
-    factors: tuple[float, ...] = ()  # scalings, applied in order to fn's value
+    # fn(r) -> float; factors: scalings, applied in order to fn's value
+    __slots__ = _fields = ("fn", "label", "factors")
+    _defaults = {"label": "callable", "factors": ()}
 
     def __post_init__(self):
         v0 = self(0.0)

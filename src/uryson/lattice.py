@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .errors import DimensionMismatch, NotConverged, NotPositiveUnit, SupportTooLarge
@@ -21,6 +21,93 @@ from .errors import DimensionMismatch, NotConverged, NotPositiveUnit, SupportToo
 DEFAULT_TOL = 1e-9
 DEFAULT_SUPPORT_CAP = 20
 _SUP_FORM_MAX_N = 1_000_000  # step cap of principal_projection_sup_form
+
+
+class _Record:
+    """Base of the package's value types.
+
+    Instances are frozen and slotted: assignment and deletion raise
+    AttributeError, so the private slots some types keep (tables, decisions)
+    are written with ``object.__setattr__``.  ``==``, hash and repr read the
+    public fields alone, listed in constructor order in `_fields`, and a
+    pickle or copy rebuilds an instance from its fields through the
+    constructor.  `_replace` and `_asdict` work on the fields.
+
+    The shared constructor takes the fields by position or keyword, the
+    trailing ones defaulting from `_defaults`, then runs `__post_init__`, the
+    type's checks and normalization.  Types built in hot loops define their
+    own ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the fields' values; with one field, the value itself, which compares
+        # as its 1-tuple would, since no one-field type holds a bare NaN
+        cls._get = attrgetter(*cls._fields)
+
+    @property
+    def _key(self) -> tuple:
+        value = self._get(self)
+        return (value,) if len(self._fields) == 1 else value
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for key, value in zip(self._fields, args):
+            object.__setattr__(self, key, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with keywords or defaults, in order."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes at most {len(fields)} arguments ({len(args)} given)")
+        given = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in given:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+        given.update(kwargs)
+        for key in fields:
+            if key not in given:
+                if key not in self._defaults:
+                    raise TypeError(f"{name}() missing argument {key!r}")
+                given[key] = self._defaults[key]
+        return tuple(given[key] for key in fields)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._get
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        shown = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return (type(self), self._key)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._key))
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
 
 
 def require_positive_finite(name: str, value: float) -> None:
@@ -39,13 +126,11 @@ def require_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an integer")
 
 
-@dataclass(frozen=True)
-class EpsSchedule:
+class EpsSchedule(_Record):
     """Geometric epsilon schedule eps0 * factor^k, k = 0..max_steps-1."""
 
-    eps0: float = 1.0
-    factor: float = 0.5
-    max_steps: int = 40
+    __slots__ = _fields = ("eps0", "factor", "max_steps")
+    _defaults = {"eps0": 1.0, "factor": 0.5, "max_steps": 40}
 
     def __post_init__(self):
         require_positive_finite("eps0", self.eps0)
@@ -69,14 +154,13 @@ def require_unit(u: Vector, dim: int, tol: float) -> None:
         raise NotPositiveUnit("regulating unit must be strictly positive")
 
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(_Record):
     """Element of R^d with the coordinatewise lattice order."""
 
-    coords: tuple[float, ...]
+    __slots__ = _fields = ("coords",)
 
-    def __post_init__(self):
-        pts = tuple(map(float, self.coords))
+    def __init__(self, coords: Sequence[float]):
+        pts = tuple(map(float, coords))
         if not pts:
             raise ValueError("vector must have at least one coordinate")
         if not all(map(math.isfinite, pts)):
@@ -212,14 +296,13 @@ def is_fragment(z: Vector, x: Vector, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Mask:
+class Mask(_Record):
     """Coordinate selection; applying it is the band projection for that band."""
 
-    bits: tuple[bool, ...]
+    __slots__ = _fields = ("bits",)
 
-    def __post_init__(self):
-        bits = tuple(map(bool, self.bits))
+    def __init__(self, bits: Sequence[bool]):
+        bits = tuple(map(bool, bits))
         if not bits:
             raise ValueError("mask must have at least one coordinate")
         object.__setattr__(self, "bits", bits)
@@ -319,12 +402,10 @@ def principal_projection_sup_form(f: Vector, g: Vector) -> Vector:
 IndexedItem = Union[Vector, Mask]
 
 
-@dataclass(frozen=True)
-class IndexedFamily:
+class IndexedFamily(_Record):
     """Finite labeled family (labels are opaque, order gives the total order)."""
 
-    labels: tuple[str, ...]
-    items: tuple[IndexedItem, ...]
+    __slots__ = _fields = ("labels", "items")
 
     def __post_init__(self):
         labels = tuple(str(l) for l in self.labels)

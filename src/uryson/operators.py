@@ -22,7 +22,12 @@ so a decision is made once.  It also keeps its zero table kernels[i][j](0.0)
 and the addend table of its last probe, so a table is evaluated once per
 operator and probe.  Kept answers and tables are exact because kernels are
 frozen and a callable kernel's `fn` is pure, which the kernels already
-require.  A pickle or copy of an operator carries only its kernels.
+require.
+
+Operators, like kernels and vectors, are records (`lattice._Record`):
+frozen and slotted, with ==, hash and repr over the public fields alone
+(here the kernels), and a pickle or copy rebuilds an instance from those
+fields, so it carries only the kernels, not the kept decisions and tables.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from __future__ import annotations
 import math
 import random
 import weakref
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import C0Violation, DimensionMismatch, NegativeU, NotPositive
@@ -44,33 +48,31 @@ from .kernels import (
     kernel_neg_part,
     kernel_pos_part,
 )
-from .lattice import Fragments, Vector
+from .lattice import Fragments, Vector, _Record
 
 
-@dataclass(frozen=True)
-class KernelOperator:
+class KernelOperator(_Record):
     """m x n matrix of scalar kernels; rows index output coordinates.  The
-    private fields keep decisions (`operator_is_positive`, `operator_leq`)
-    and kernel tables, and take no part in ==, hash or repr."""
+    private slots keep decisions (`operator_is_positive`, `operator_leq`)
+    and kernel tables, and take no part in ==, hash or repr; `operator_leq`
+    holds weak references to operators."""
 
-    kernels: tuple[tuple[ScalarKernel, ...], ...]
-    # tol -> whether self is positive at tol
-    _positive: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (id(S), tol) -> (weakref to S, whether S <= self at tol)
-    _leq: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # kernels[i][j](0.0), from the first use on
-    _at_0: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (probe x, kernels[i][j](x_j)) for the last probe
-    _at_x: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("kernels", "_positive", "_leq", "_at_0", "_at_x", "__weakref__")
+    _fields = ("kernels",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.kernels)
-        object.__setattr__(self, "kernels", rows)
+    def __init__(self, kernels: tuple[tuple[ScalarKernel, ...], ...]):
+        rows = tuple(tuple(row) for row in kernels)
         if not rows or not rows[0]:
             raise ValueError("operator needs at least one kernel")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("kernel matrix rows must have equal length")
+        setattr_ = object.__setattr__
+        setattr_(self, "kernels", rows)
+        setattr_(self, "_positive", {})  # tol -> whether self is positive at tol
+        setattr_(self, "_leq", {})  # (id(S), tol) -> (weakref to S, whether S <= self at tol)
+        setattr_(self, "_at_0", None)  # kernels[i][j](0.0), from the first use on
+        setattr_(self, "_at_x", None)  # (probe x, kernels[i][j](x_j)) for the last probe
 
     @property
     def m(self) -> int:
@@ -79,10 +81,6 @@ class KernelOperator:
     @property
     def n(self) -> int:
         return len(self.kernels[0])
-
-    def __reduce__(self):
-        # rebuilt from the kernels alone: kept decisions and tables stay behind
-        return (type(self), (self.kernels,))
 
     def __call__(self, x: Vector) -> Vector:
         return Vector(tuple(map(math.fsum, self._values(x))))
@@ -227,8 +225,7 @@ def require_rank_one(phi: KernelOperator, u: Vector, tol: float) -> None:
         raise NegativeU("direction u must be nonnegative")
 
 
-@dataclass(frozen=True)
-class IntegralKernelSpec:
+class IntegralKernelSpec(_Record):
     """Data for quadrature discretization of an integral operator.
 
     kernel_fn(s, t, r) is the integrand kernel; s_grid are output nodes,
@@ -236,10 +233,7 @@ class IntegralKernelSpec:
     one per input node.
     """
 
-    kernel_fn: Callable[[float, float, float], float]
-    s_grid: tuple[float, ...]
-    t_grid: tuple[float, ...]
-    weights: tuple[float, ...]
+    __slots__ = _fields = ("kernel_fn", "s_grid", "t_grid", "weights")
 
     def __post_init__(self):
         object.__setattr__(self, "s_grid", tuple(float(v) for v in self.s_grid))
@@ -278,11 +272,11 @@ def discretize_integral(spec: IntegralKernelSpec, tol: float = DEFAULT_TOL) -> K
     return KernelOperator(tuple(rows))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    positive: bool
-    order_bounded_witness: tuple[Vector, Vector]
-    orthogonally_additive_ok: bool
+class ValidationReport(_Record):
+    """positive: bool; order_bounded_witness: (lo, hi) Vectors;
+    orthogonally_additive_ok: bool (see `validate`)."""
+
+    __slots__ = _fields = ("positive", "order_bounded_witness", "orthogonally_additive_ok")
 
 
 def validate(

@@ -44,9 +44,7 @@ tol, like every other operator check.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -63,6 +61,7 @@ from .lattice import (
     Fragments,
     Mask,
     Vector,
+    _Record,
     first_extremum,
     fragments,
     principal_mask,
@@ -79,9 +78,8 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Stabilized projection value with diagnostics.
+class ProjectionResult(_Record):
+    """Stabilized projection value (a Vector) with diagnostics.
 
     stabilized_at: schedule eps at which every member's feasible set reached
     its limit.  feasible_count[i]: fragments satisfying the coordinate-i
@@ -89,10 +87,20 @@ class ProjectionResult:
     witness[i]: a (fragment, mask) pair attaining the value at coordinate i.
     """
 
-    value: Vector
-    stabilized_at: float
-    feasible_count: tuple[int, ...]
-    witness: tuple[tuple[Vector, Mask], ...]
+    __slots__ = _fields = ("value", "stabilized_at", "feasible_count", "witness")
+
+    def __init__(
+        self,
+        value: Vector,
+        stabilized_at: float,
+        feasible_count: tuple[int, ...],
+        witness: tuple[tuple[Vector, Mask], ...],
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "value", value)
+        setattr_(self, "stabilized_at", stabilized_at)
+        setattr_(self, "feasible_count", feasible_count)
+        setattr_(self, "witness", witness)
 
 
 def _checked_set(
@@ -306,11 +314,11 @@ def project_band_set_complement(
     return _project_set("complement", A, T, x, sched, cap_support, tol)
 
 
-@dataclass(frozen=True)
-class PrincipalProjection:
-    band: ProjectionResult
-    complement: ProjectionResult
-    complement_alt: ProjectionResult
+class PrincipalProjection(_Record):
+    """The band, complement and complement_alt ProjectionResults of
+    `project_principal`."""
+
+    __slots__ = _fields = ("band", "complement", "complement_alt")
 
 
 def project_principal(
@@ -340,16 +348,15 @@ def project_principal(
     band, comp = prog.run(sched), complement(range(T.m))
     rho_sx = principal_mask(Vector(sx), tol)
     inside = complement(rho_sx.indices())
-    alt = dataclasses.replace(inside, value=rho_sx.complement().apply(Vector(tx)) + inside.value)
+    alt = inside._replace(value=rho_sx.complement().apply(Vector(tx)) + inside.value)
     return PrincipalProjection(band=band, complement=comp, complement_alt=alt)
 
 
-@dataclass(frozen=True)
-class RankOneProjection:
-    band: Vector
-    complement: Vector
-    band_stabilized_at: float
-    complement_stabilized_at: float
+class RankOneProjection(_Record):
+    """The band and complement Vectors of `project_rank_one`, each with the
+    schedule eps at which it stabilized."""
+
+    __slots__ = _fields = ("band", "complement", "band_stabilized_at", "complement_stabilized_at")
 
 
 def project_rank_one(

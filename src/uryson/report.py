@@ -6,15 +6,15 @@ versions: keys are sorted, floats are printed with 12 significant digits,
 ``-0.0`` is normalized to ``0.0``, and non-finite numbers are rejected
 outright (a report containing NaN is a bug upstream, not a formatting
 problem).  The emitter walks a report once, rendering the domain objects
-(``Vector``, ``Mask``), tuples and non-string keys itself.
+(``Vector``, ``Mask``), tuples and non-string keys itself, and quotes
+strings with its own ASCII escaper, which gives the bytes of
+``json.dumps(s, ensure_ascii=True)``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
+import re
 from typing import Any
 
 from .lattice import Mask, Vector
@@ -22,6 +22,32 @@ from .lattice import Mask, Vector
 __all__ = ["format_float", "dumps", "csv_table"]
 
 _INDENT = 2
+
+# what a JSON string escapes in ASCII output: quote, backslash, and every
+# code point outside the printable ASCII range 0x20..0x7e
+_ESCAPED = re.compile(r'[\\"]|[^ -~]')
+_SHORT_ESCAPES = {
+    "\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
+
+
+def _escape(m: re.Match) -> str:
+    ch = m.group()
+    short = _SHORT_ESCAPES.get(ch)
+    if short is not None:
+        return short
+    n = ord(ch)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # an astral character as a surrogate pair
+    return f"\\u{0xD800 | (n >> 10):04x}\\u{0xDC00 | (n & 0x3FF):04x}"
+
+
+def _quote(s: str) -> str:
+    """s as a JSON string literal in ASCII."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'  # nothing to escape: the common case, without a scan
+    return '"' + _ESCAPED.sub(_escape, s) + '"'
 
 
 def format_float(x: float) -> str:
@@ -55,7 +81,7 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(_quote(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -75,7 +101,7 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
         keys = sorted(obj)
         out.append("{\n")
         for i, k in enumerate(keys):
-            out.append(pad_in + json.dumps(k, ensure_ascii=True) + ": ")
+            out.append(pad_in + _quote(k) + ": ")
             _emit(obj[k], out, level + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
@@ -98,6 +124,9 @@ def csv_table(header: list[str], rows: list[list[Any]]) -> str:
     Floats go through the same 12-significant-digit formatting as the JSON
     path so the two outputs never disagree on a value.
     """
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

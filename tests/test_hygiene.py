@@ -17,7 +17,6 @@ a knob that no caller sets cannot linger either.
 
 import argparse
 import ast
-import dataclasses
 import re
 import types
 from pathlib import Path
@@ -102,6 +101,16 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # value types are records on lattice._Record: dataclasses generates and
+    # compiles their methods at every import, and loads inspect
+    tree = ast.parse(path.read_text())
+    modules = {alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names}
+    modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "dataclasses" not in modules
 
 
 def test_scan_finds_unused_imports():
@@ -307,13 +316,13 @@ def test_scan_finds_unpassed_private_defaults():
 
 def test_operator_caches_stay_out_of_compare_and_repr():
     # what KernelOperator caches must not reach ==, hash, repr or report bytes
-    shown = [f.name for f in dataclasses.fields(KernelOperator) if f.compare or f.repr]
+    shown = list(KernelOperator._fields)
     assert shown == ["kernels"]
 
 
 # -- settings: one home ---------------------------------------------------------
 
-SETTING_FIELDS = {f.name for f in dataclasses.fields(Settings)}
+SETTING_FIELDS = set(Settings._fields)
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

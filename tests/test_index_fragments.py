@@ -157,14 +157,14 @@ def test_fragments_match_vector_enumeration(tol):
 
 @pytest.fixture
 def vector_builds(monkeypatch):
-    init = Vector.__post_init__
+    init = Vector.__init__
     count = [0]
 
-    def counted(self):
+    def counted(self, coords):
         count[0] += 1
-        init(self)
+        init(self, coords)
 
-    monkeypatch.setattr(Vector, "__post_init__", counted)
+    monkeypatch.setattr(Vector, "__init__", counted)
 
     def run(fn, x):
         count[0] = 0

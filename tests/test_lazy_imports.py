@@ -2,11 +2,13 @@
 (PEP 562), and each CLI verb imports only the modules it needs.
 
 The module checks run in fresh interpreters, since this process has loaded
-every module already.  They read `sys.modules`, not a clock.
+every module already.  They read `sys.modules`, not a clock: no verb loads
+`dataclasses` (which brings `inspect`), `json` or `csv`, except that
+``--csv`` loads `csv` to write its table.
 """
 
+import ast
 import importlib.resources
-import json
 import os
 import pathlib
 import subprocess
@@ -20,20 +22,32 @@ DEMO = str(importlib.resources.files("uryson") / "demo.ury")
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
-def _loaded(code: str) -> set[str]:
-    """The uryson modules a fresh interpreter has loaded after running code,
-    without the package prefix."""
-    code += '\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith("uryson"))))\n'
+def _modules(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running code (printed
+    with repr, which loads nothing)."""
+    code += "\nprint(repr(sorted(sys.modules)))\n"
     proc = subprocess.run(
-        [sys.executable, "-c", "import contextlib, io, json, sys\n" + code],
+        [sys.executable, "-c", "import contextlib, io, sys\n" + code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
     )
     assert proc.stderr == ""
-    return {name.removeprefix("uryson.") for name in json.loads(proc.stdout)}
+    return set(ast.literal_eval(proc.stdout))
+
+
+def _package(modules: set[str]) -> set[str]:
+    """The uryson modules among modules, without the package prefix."""
+    return {name.removeprefix("uryson.") for name in modules if name.startswith("uryson")}
+
+
+def _loaded(code: str) -> set[str]:
+    """The uryson modules a fresh interpreter has loaded after running code."""
+    return _package(_modules(code))
 
 
 # what every CLI command loads
 CLI_BASE = {"uryson", "cli", "dsl", "errors", "kernels", "lattice", "operators", "report"}
+# standard modules that no command needs: each costs a CLI child its import
+UNNEEDED = {"dataclasses", "inspect", "json", "csv"}
 
 
 @pytest.mark.parametrize(
@@ -57,7 +71,22 @@ def test_each_verb_loads_only_its_modules(argv, extra):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({['run', DEMO, *argv]!r}) == 0\n"
     )
-    assert _loaded(code) == CLI_BASE | extra
+    modules = _modules(code)
+    assert _package(modules) == CLI_BASE | extra
+    assert modules.isdisjoint(UNNEEDED)
+
+
+def test_csv_table_loads_csv_and_writes_the_table(tmp_path):
+    out = tmp_path / "table.csv"
+    code = (
+        "from uryson import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({['run', DEMO, 'eval', 'T', '--all', '--csv', str(out)]!r}) == 0\n"
+    )
+    modules = _modules(code)
+    assert _package(modules) == CLI_BASE
+    assert modules & UNNEEDED == {"csv"}
+    assert out.read_text() == "probe,y1,y2\nx1,2,3\nx2,0.875,1.25\nx3,1.5,1.5\n"
 
 
 def test_bare_import_loads_no_submodule():

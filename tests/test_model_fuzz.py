@@ -9,7 +9,6 @@ example takes milliseconds.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 
@@ -26,7 +25,7 @@ UNSIGNED = ("0", "1", "0.5", "2", "1e308", "1e-300")
 NONPOSITIVE = ("0", "-0", "-1", "-2.5", "-1e308", "-1e-300")
 LITERALS = UNSIGNED + NONPOSITIVE
 POSITIVE = UNSIGNED[1:]
-SETTING_KEYS = tuple(f.name for f in dataclasses.fields(Settings)) + ("beta",)
+SETTING_KEYS = Settings._fields + ("beta",)
 FUNCTIONS = (("abs", 1), ("exp", 1), ("sin", 1), ("cos", 1), ("min", 2), ("max", 2))
 # wrappers that nest or chain an expression, drawn up to and past the depth bound (64)
 DEEP = (

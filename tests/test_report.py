@@ -69,3 +69,40 @@ def test_dumps_coerces_keys_to_strings():
 def test_csv_table():
     text = csv_table(["probe", "y1"], [["x1", 0.5], ["x2", -0.0]])
     assert text == "probe,y1\nx1,0.5\nx2,0\n"
+
+
+# -- string escaping ---------------------------------------------------------
+
+
+def _reference(s: str) -> str:
+    return json.dumps(s, ensure_ascii=True)
+
+
+def test_strings_escape_as_json_on_every_bmp_code_point():
+    # lone surrogates included: json escapes them as \udxxx too
+    for cp in range(0x10000):
+        s = chr(cp)
+        assert dumps(s) == _reference(s) + "\n", hex(cp)
+
+
+@pytest.mark.parametrize("cp", [0x10000, 0x1F600, 0x2FFFF, 0xE0001, 0x10FFFF])
+def test_astral_characters_escape_as_surrogate_pairs(cp):
+    s = chr(cp)
+    assert dumps(s) == _reference(s) + "\n"
+    assert dumps(s).count("\\u") == 2
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        "",
+        "plain ascii ~ text",
+        'quote " and backslash \\ and slash /',
+        "\b\f\n\r\t\x00\x1f\x7f",
+        "caf\xe9 \xa0 \u2028 \ufeff \ud800 \udfff end",
+        "x\U0001F600y\U0010FFFFz\ud83d",
+    ],
+)
+def test_mixed_strings_escape_as_json_in_values_and_keys(s):
+    assert dumps(s) == _reference(s) + "\n"
+    assert dumps({s: s}) == "{\n  " + _reference(s) + ": " + _reference(s) + "\n}\n"

@@ -15,7 +15,6 @@ A second test counts operator applications, which needs no clock.
 """
 
 import copy
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -125,7 +124,7 @@ def ref_principal(S, T, x, sched):
     inside = RefMemberProgram(
         S, T, x, "complement", rho_sx.indices(), fragments(x, tol=TOL)
     ).run(sched)
-    alt = dataclasses.replace(inside, value=outside + inside.value)
+    alt = inside._replace(value=outside + inside.value)
     return PrincipalProjection(band, complement, alt)
 
 

@@ -14,7 +14,6 @@ The seed goldens are `uryson run demo.ury suite --seed N` output.
 """
 
 import contextlib
-import dataclasses
 import importlib.resources
 import inspect
 import json
@@ -82,7 +81,7 @@ def failing_predicates(isclose_every: int):
         patch(mock.patch.object(
             suite_mod, "validate",
             _every(2, suite_mod.validate,
-                   lambda rep: dataclasses.replace(rep, orthogonally_additive_ok=False)),
+                   lambda rep: rep._replace(orthogonally_additive_ok=False)),
         ))
         patch(mock.patch.object(suite_mod, "parse_model", lambda text: None))
         yield
