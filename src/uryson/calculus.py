@@ -131,7 +131,9 @@ def rk_eval_separable(
     """Closed form of rk_eval: optimize each input coordinate independently.
 
     join_i = sum_j max(t_ij(x_j), s_ij(x_j)), meet with min, pos/neg/abs with
-    max(t,0)/max(-t,0)/|t|.  Independent of the enumeration path.
+    max(t,0)/max(-t,0)/|t|.  Every kernel is read at x_j only, so this
+    ignores k(0) and the support tol: it can differ from `rk_eval` where a
+    kernel is nonzero at 0 or a coordinate of x lies in (0, tol].
     """
     _check_kind(kind, T, x, S)
 

@@ -345,6 +345,11 @@ def _points_nonneg(pts: Sequence[tuple[float, float]], tol: float) -> bool:
 
 
 def kernel_add(a: ScalarKernel, b: ScalarKernel) -> ScalarKernel:
+    """a + b: the pwl kernel through the union of both breakpoint sets, or a
+    callable sum.  A pwl sum rounds each breakpoint value a(x) + b(x) once,
+    so it can lie an ulp below a at a breakpoint although b >= 0 there:
+    `kernel_diff_nonneg(a, a + b, 0.0)` can be False, and any tol above
+    that rounding decides it True."""
     ap, bp = a.to_pwl(), b.to_pwl()
     if ap is not None and bp is not None:
         return ap.add(bp)

@@ -400,6 +400,10 @@ def _entry_dropper(T: KernelOperator, key: tuple[int, float]) -> Callable[[weakr
 
 
 def operator_add(S: KernelOperator, T: KernelOperator) -> KernelOperator:
+    """S + T kernel by kernel (`kernel_add`).  A pwl sum rounds each
+    breakpoint value once, so `operator_leq(S, S + T, 0.0)` can be False for
+    a positive T (25 of 300 seeded positive 2x3 pairs); at 1e-12 and at
+    DEFAULT_TOL it holds on all of them."""
     if (S.m, S.n) != (T.m, T.n):
         raise DimensionMismatch("operators must share shape")
     return KernelOperator(

@@ -1,11 +1,13 @@
 """Positivity and the operator order, decided once per operator, pair and tol.
 
-An operator keeps each decision per tol.  The references below are the
-plain kernel-by-kernel checks with nothing kept, short-circuiting at the
-first failing kernel or sample.  Every case must give the same bool, or the
-same exception type and message, cold and cached, at two tols in both
-orders.  The one intended difference: equal kernels that are infinite at the
-same grid samples are ordered (the reference reads inf - inf = nan there).
+`operator_is_positive` and `operator_leq` decide kernel by kernel (exact at
+the breakpoints and end slopes of the pwl form, sampled on a fixed grid
+otherwise) and an operator keeps each decision per tol.  Every case must give
+the reference's bool, or its exception type and message, cold and cached, at
+two tols in both orders; `reference` holds the plain checks with nothing
+kept, short-circuiting at the first failing kernel or sample.  The one
+intended difference: equal kernels that are infinite at the same grid samples
+are ordered (the reference reads inf - inf = nan there).
 
 The cache tests need no clock: they count kernel evaluations, and check that
 a cache keeps no operator alive and stays out of ==, hash and repr.
@@ -17,6 +19,8 @@ import weakref
 
 import pytest
 
+import reference as ref
+from strategies import fresh, outcome
 from uryson.instances import rng_for
 from uryson.kernels import (
     _SAMPLE_GRID,
@@ -27,64 +31,10 @@ from uryson.kernels import (
     ZERO_KERNEL,
     kernel_diff_nonneg,
 )
-from uryson.errors import DimensionMismatch
 from uryson.operators import KernelOperator, operator_is_positive, operator_leq
 
 TOLS = (0.0, 1e-12, DEFAULT_TOL, 1e-3, 1.0)
 TOL_PAIRS = [pair for a, b in zip(TOLS, TOLS[1:]) for pair in ((a, b), (b, a))]
-
-
-# -- references: the checks with nothing kept ----------------------------------------
-
-
-def ref_points_nonneg(pts, tol):
-    if any(y < -tol for _, y in pts):
-        return False
-    if len(pts) == 1:
-        return 0.0 <= tol
-    (x0, y0), (x1, y1) = pts[0], pts[1]
-    (xm, ym), (xl, yl) = pts[-2], pts[-1]
-    return (y1 - y0) / (x1 - x0) <= tol and (yl - ym) / (xl - xm) >= -tol
-
-
-def ref_nonneg_everywhere(k, tol):
-    pwl = k.to_pwl()
-    if pwl is not None:
-        return ref_points_nonneg(pwl.points, tol)
-    return all(k(r) >= -tol for r in _SAMPLE_GRID)
-
-
-def ref_kernel_diff_nonneg(low, high, tol):
-    if low is high:
-        return True
-    lp, hp = low.to_pwl(), high.to_pwl()
-    if lp is None or hp is None:
-        return all(high(r) - low(r) >= -tol for r in _SAMPLE_GRID)
-    pts = [(x, hp(x) - lp(x)) for x in sorted(set(hp._xs) | set(lp._xs))]
-    if not all(math.isfinite(y) for _, y in pts):
-        raise ValueError("breakpoints must be finite")
-    return ref_points_nonneg(pts, tol)
-
-
-def ref_operator_is_positive(T, tol):
-    return all(ref_nonneg_everywhere(k, tol) for row in T.kernels for k in row)
-
-
-def ref_operator_leq(S, T, tol):
-    if (S.m, S.n) != (T.m, T.n):
-        raise DimensionMismatch("operators must share shape")
-    return all(
-        ref_kernel_diff_nonneg(sk, tk, tol)
-        for srow, trow in zip(S.kernels, T.kernels)
-        for sk, tk in zip(srow, trow)
-    )
-
-
-def outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # every failure is compared by type and message
-        return "error", type(exc).__name__, str(exc)
 
 
 # -- inputs -------------------------------------------------------------------------
@@ -137,6 +87,7 @@ def inf_beyond_7(r):
 
 def planted_kernels():
     fails = {FIRST + 1.0}  # a sample of -5e-4, failing below tol 1e-3
+    at_middle, at_last = raising({MIDDLE}).fn, raising({LAST}).fn
     return {
         "nan-first": at(math.nan, {FIRST}),
         "nan-middle": at(math.nan, {MIDDLE}),
@@ -147,15 +98,9 @@ def planted_kernels():
         "plus-inf": at(math.inf, {MIDDLE}),
         "minus-inf": at(-math.inf, {MIDDLE}),
         "raises-first": raising({FIRST}),
-        "raises-before-failing": FuncKernel(
-            lambda r: -5e-4 if r == LAST else raising({MIDDLE}).fn(r)
-        ),
-        "raises-after-failing": FuncKernel(
-            lambda r: -5e-4 if r in fails else raising({MIDDLE}).fn(r)
-        ),
-        "raises-after-nan": FuncKernel(
-            lambda r: math.nan if r == FIRST else raising({LAST}).fn(r)
-        ),
+        "raises-before-failing": FuncKernel(lambda r: -5e-4 if r == LAST else at_middle(r)),
+        "raises-after-failing": FuncKernel(lambda r: -5e-4 if r in fails else at_middle(r)),
+        "raises-after-nan": FuncKernel(lambda r: math.nan if r == FIRST else at_last(r)),
         "infinite-far": FuncKernel(inf_beyond_7),
         "one-point": ZERO_KERNEL,
         "one-point-copy": PwlKernel(((0.0, 0.0),)),
@@ -227,11 +172,6 @@ def seeded_operators(count=120):
     return out
 
 
-def fresh(T):
-    """An operator equal to T with nothing decided yet."""
-    return KernelOperator(T.kernels)
-
-
 def assert_cold_and_cached(decide, reference, *ops):
     """decide(*ops, tol) agrees with the reference on fresh operators at
     each neighbouring pair of TOLS, in both orders: cold at both tols, then
@@ -257,14 +197,14 @@ def test_points_deficit_matches_reference():
     cases += [list(seeded_pwl(rng).points) for _ in range(200)]
     for pts in cases:
         for tol in TOLS:
-            assert PwlKernel(pts).nonneg_everywhere(tol) == ref_points_nonneg(pts, tol)
+            assert PwlKernel(pts).nonneg_everywhere(tol) == ref.points_nonneg(pts, tol)
 
 
 @pytest.mark.parametrize("name", list(PLANTED))
 def test_planted_kernel_positivity_matches_reference(name):
     k = PLANTED[name]
     for tol in TOLS:
-        assert outcome(k.nonneg_everywhere, tol) == outcome(ref_nonneg_everywhere, k, tol)
+        assert outcome(k.nonneg_everywhere, tol) == outcome(ref.nonneg_everywhere, k, tol)
 
 
 def test_planted_kernel_order_matches_reference():
@@ -273,12 +213,12 @@ def test_planted_kernel_order_matches_reference():
         for b, high in [*PLANTED.items(), *(("twin " + n, k) for n, k in TWINS.items())]:
             for tol in TOLS:
                 got = outcome(kernel_diff_nonneg, low, high, tol)
-                want = outcome(ref_kernel_diff_nonneg, low, high, tol)
+                want = outcome(ref.kernel_diff_nonneg, low, high, tol)
                 if got != want:
                     differing.append((a, b, tol, got, want))
     # the fix: equal infinite samples are a zero difference, not nan
     assert differing == [
-        (a, "twin " + a, tol, ("ok", True), ("ok", False))
+        (a, "twin " + a, tol, ("ok", "True"), ("ok", "False"))
         for a in INFINITE_TWINS
         for tol in TOLS
     ]
@@ -289,21 +229,21 @@ def test_seeded_kernels_match_reference():
     kernels = [seeded_kernel(rng) for _ in range(150)]
     for low, high in zip(kernels, kernels[1:] + kernels[:1]):
         for tol in TOLS:
-            assert outcome(low.nonneg_everywhere, tol) == outcome(ref_nonneg_everywhere, low, tol)
+            assert outcome(low.nonneg_everywhere, tol) == outcome(ref.nonneg_everywhere, low, tol)
             assert outcome(kernel_diff_nonneg, low, high, tol) == outcome(
-                ref_kernel_diff_nonneg, low, high, tol
+                ref.kernel_diff_nonneg, low, high, tol
             )
 
 
 def test_operator_positivity_matches_reference_cold_and_cached():
     for T in planted_operators() + seeded_operators():
-        assert_cold_and_cached(operator_is_positive, ref_operator_is_positive, T)
+        assert_cold_and_cached(operator_is_positive, ref.operator_is_positive, T)
 
 
 def test_operator_order_matches_reference_cold_and_cached():
     seeded = seeded_operators()
     for S, T in planted_pairs() + list(zip(seeded, seeded[1:])):
-        assert_cold_and_cached(operator_leq, ref_operator_leq, S, T)
+        assert_cold_and_cached(operator_leq, ref.operator_leq, S, T)
 
 
 def test_operator_order_of_an_operator_with_itself():
@@ -320,7 +260,7 @@ def test_equal_infinite_operators_are_ordered():
         for t1, t2 in TOL_PAIRS:
             T2 = fresh(T)
             assert [operator_leq(S, T2, t1), operator_leq(S, T2, t2)] == [True, True]
-            assert not ref_operator_leq(S, T, t1)
+            assert not ref.operator_leq(S, T, t1)
 
 
 def test_mismatched_shapes_raise_before_any_cache():
@@ -337,45 +277,24 @@ def test_mismatched_shapes_raise_before_any_cache():
 
 
 @pytest.fixture
-def evaluations(monkeypatch):
-    counter = {"calls": 0}
-    original = PwlKernel.__call__
-
-    def counted(self, r):
-        counter["calls"] += 1
-        return original(self, r)
-
-    monkeypatch.setattr(PwlKernel, "__call__", counted)
-
-    def counted_fn(fn):
-        def wrapper(r):
-            counter["calls"] += 1
-            return fn(r)
-
-        return wrapper
-
-    def run(fn, *args):
-        counter["calls"] = 0
-        fn(*args)
-        return counter["calls"]
-
-    run.counted_fn = counted_fn
-    return run
+def evaluations(calls):
+    """run(fn, *args) -> the PwlKernel and FuncKernel calls fn made."""
+    calls(FuncKernel, "__call__")
+    return calls(PwlKernel, "__call__")
 
 
-def cache_operands(evaluations):
+def cache_operands():
     rng = rng_for(13, "cache")
     pwl = [[seeded_pwl(rng) for _ in range(3)] for _ in range(2)]
     S = KernelOperator(pwl)
     T = KernelOperator([[k.scaled(2.0) for k in row] for row in pwl])
-    F = KernelOperator(((FuncKernel(evaluations.counted_fn(abs)), BuiltinKernel("relu")),))
-    double = evaluations.counted_fn(lambda r: 2.0 * abs(r))
-    G = KernelOperator(((FuncKernel(double), BuiltinKernel("abs")),))
+    F = KernelOperator(((FuncKernel(abs), BuiltinKernel("relu")),))
+    G = KernelOperator(((FuncKernel(lambda r: 2.0 * abs(r)), BuiltinKernel("abs")),))
     return S, T, F, G
 
 
 def test_second_decisions_evaluate_no_kernel(evaluations):
-    S, T, F, G = cache_operands(evaluations)
+    S, T, F, G = cache_operands()
     for tol in TOLS:
         # a new tol is decided once, then kept
         assert evaluations(operator_is_positive, F, tol) == len(_SAMPLE_GRID)
@@ -401,18 +320,17 @@ def test_first_decisions_stop_at_the_first_failing_kernel(evaluations):
         assert evaluations(operator_leq, S, T, DEFAULT_TOL) == calls
         assert not operator_leq(S, T, DEFAULT_TOL)
     # sampled: a callable below zero at the first sample fails there
-    negative = FuncKernel(evaluations.counted_fn(lambda r: -abs(r)))
-    above = FuncKernel(evaluations.counted_fn(abs))
+    negative = FuncKernel(lambda r: -abs(r))
+    above = FuncKernel(abs)
     S = KernelOperator(((above, BuiltinKernel("abs")),))
-    T = KernelOperator(((FuncKernel(evaluations.counted_fn(lambda r: 0.0 * r)), vee),))
+    T = KernelOperator(((FuncKernel(lambda r: 0.0 * r), vee),))
     assert evaluations(operator_leq, S, T, DEFAULT_TOL) == 2
     P = KernelOperator(((negative, above),))
     assert evaluations(operator_is_positive, P, DEFAULT_TOL) == 1
 
 
 def test_raising_decisions_are_not_kept(evaluations):
-    calls = evaluations.counted_fn(raising({LAST}).fn)
-    T = KernelOperator(((FuncKernel(calls),),))
+    T = KernelOperator(((raising({LAST}),),))
     for _ in range(2):
         assert evaluations(outcome, operator_is_positive, T, 0.0) == len(_SAMPLE_GRID)
     assert T._positive == {}

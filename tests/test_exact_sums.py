@@ -2,15 +2,16 @@
 
 `KernelOperator.on_fragments` builds every row from integer subset sums
 rounded once.  Each row must be the correctly rounded exact sum of its
-addends (a Fraction sum, see `exact_oracle`) and the float the per-fragment
-fsum loop gave, compared by repr so the sign of a zero counts.  Tables with a
-non-finite entry or near the float range apply the operator to each
-fragment, and must fail like that loop, with the same exception type and
-message.
+addends (a Fraction sum, `reference.exact`) and the reference's row, the
+fsum of an application to the fragment, compared by repr so the sign of a
+zero counts.  Tables with a non-finite entry or near the float range apply
+the operator to each fragment, and must fail like the reference, with the
+same exception type and message.
 
 Two clock-free guards follow: a count of the fsum calls made from
 `uryson.operators` (none for a finite table, some for the fallback), and the
-converse probe of `check_disjoint_iff` against a scan of every fragment.
+converse probe of `check_disjoint_iff` against the reference's scan of every
+fragment.
 """
 
 import math
@@ -20,14 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracle import (
-    PlantedKernel,
-    by_row,
-    exact_rows,
-    fsum_rows,
-    outcome,
-    planted_operators,
-)
+import reference as ref
+from strategies import PlantedKernel, outcome, planted_operators
 from test_cli import OVERFLOW_MODEL
 from uryson import operators
 from uryson.calculus import check_disjoint_iff, rk_eval, rk_eval_separable
@@ -38,12 +33,17 @@ from uryson.lattice import Vector, fragments
 from uryson.operators import KernelOperator
 
 
+def exact_table(T, x, rest=False):
+    """The exact rows of every fragment, each rounded once, laid out as
+    on_fragments returns them."""
+    frags = ref.fragments(x)
+    return ref.by_row([tuple(map(float, ref.exact(T, x - y if rest else y))) for y in frags])
+
+
 def assert_rows_exact(T, x, rest):
-    frags = fragments(x)
-    got = outcome(T.on_fragments, x, frags, rest)
-    assert got == outcome(lambda: by_row(fsum_rows(T, x, frags, rest)))
-    rounded = [tuple(map(float, row)) for row in exact_rows(T, x, frags, rest)]
-    assert got == ("ok", repr(by_row(rounded)))
+    got = outcome(T.on_fragments, x, fragments(x), rest)
+    assert got == outcome(ref.table, T, x, rest)
+    assert got == ("ok", repr(exact_table(T, x, rest)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,7 +100,7 @@ def test_fallback_fails_like_fsum(values, error):
     frags = fragments(x)
     for rest in (False, True):
         got = outcome(T.on_fragments, x, frags, rest)
-        assert got == outcome(lambda: by_row(fsum_rows(T, x, frags, rest)))
+        assert got == outcome(ref.table, T, x, rest)
         if rest:  # fragment 0 then sums the whole row
             assert got == ("error", *error)
 
@@ -111,8 +111,8 @@ def test_fallback_keeps_finite_rows_near_the_float_range():
     x = Vector((1.0, 1.0, 0.0))
     frags = fragments(x)
     rows = T.on_fragments(x, frags)
-    assert rows == by_row(fsum_rows(T, x, frags)) == [[0.0, 1e308, -1e308, 0.0]]
-    assert rows == by_row([tuple(map(float, row)) for row in exact_rows(T, x, frags)])
+    assert rows == ref.table(T, x) == [[0.0, 1e308, -1e308, 0.0]]
+    assert rows == exact_table(T, x)
 
 
 # -- fsum calls ------------------------------------------------------------------
@@ -163,22 +163,6 @@ def test_overflow_model_takes_the_fallback(fsum_calls):
 # -- converse probe --------------------------------------------------------------
 
 
-def scanned_converse(S, T, x, eps, steps, tol):
-    """witness_exists per schedule eps by a scan of every fragment."""
-    tx, sx = T(x).coords, S(x).coords
-    frags = fragments(x, tol=tol)
-    pairs = [(T(y).coords, S(x - y).coords) for y in frags]
-    out = []
-    for e in (eps * 0.5**k for k in range(steps)):
-        out.append(
-            all(
-                any(ty[i] <= e * tx[i] + tol and sy[i] <= e * sx[i] + tol for ty, sy in pairs)
-                for i in range(T.m)
-            )
-        )
-    return out
-
-
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
 @pytest.mark.parametrize("steps", [1, 5, 20])
 def test_converse_front_matches_a_scan(tol, steps):
@@ -189,8 +173,10 @@ def test_converse_front_matches_a_scan(tol, steps):
         x = grid_vector(rng, 4)
         if k % 3 == 0:
             x = Vector((0.0, -0.0, tol / 2 or 1e-10, *x.coords[3:]))
-        got = check_disjoint_iff(S, T, [x], 0.5, steps, tol=tol)["probes"][0]["converse"]
-        assert [c["witness_exists"] for c in got] == scanned_converse(S, T, x, 0.5, steps, tol)
+        args = (S, T, [x], 0.5, steps)
+        assert outcome(check_disjoint_iff, *args, tol=tol) == outcome(
+            ref.check_disjoint_iff, *args, tol=tol
+        )
 
 
 # -- signed zero ----------------------------------------------------------------

@@ -224,6 +224,48 @@ def test_scan_finds_unreferenced_private_names():
     assert unreferenced_private_names(sources) == [("a.py", "_dead"), ("a.py", "_helper")]
 
 
+def snapshot_oracles(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each top-level ``ref_*`` function and ``Ref*`` class:
+    an engine body kept as an oracle, whose one home is tests/reference.py."""
+    return [
+        (node.name, node.lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and re.match(r"Ref[A-Z]" if isinstance(node, ast.ClassDef) else r"ref_", node.name)
+    ]
+
+
+def test_no_snapshot_oracles_outside_the_reference():
+    found = {
+        path.name: snapshot_oracles(path.read_text())
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        if path.name != "reference.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_scan_finds_snapshot_oracles():
+    source = (
+        "import reference as ref\n"
+        "def ref_rk_eval(kind, T, x):\n"
+        "    return ref.rk_eval(kind, T, x)\n"
+        "class RefProgram:\n"
+        "    def ref_run(self):\n"
+        "        pass\n"
+        "class Reference:\n"
+        "    pass\n"
+        "def reference_pairs():\n"
+        "    def ref_inner():\n"
+        "        pass\n"
+        "async def ref_async():\n"
+        "    pass\n"
+        "ref_value = 1\n"
+    )
+    # only top-level definitions count: methods, nested functions and names
+    # that merely start with "ref" or "Reference" do not
+    assert snapshot_oracles(source) == [("ref_rk_eval", 2), ("RefProgram", 4), ("ref_async", 12)]
+
+
 def _private_callables(tree: ast.Module):
     """(call name, function, count of leading parameters a call does not
     pass) for each private module-level function and each method of a

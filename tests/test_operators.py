@@ -7,6 +7,7 @@ import math
 import pytest
 
 from uryson.errors import C0Violation, DimensionMismatch, NegativeU
+from uryson.instances import positive_operator, rng_for
 from uryson.kernels import BuiltinKernel, PwlKernel
 from uryson.lattice import Vector, fragments, vec
 from uryson.operators import (
@@ -111,6 +112,16 @@ def test_order_and_positivity():
     assert not operator_is_positive(KernelOperator(((ID,),)))
     with pytest.raises(DimensionMismatch):
         operator_leq(S, zero_operator(2, 2))
+
+
+def test_a_sum_lies_above_each_positive_summand_at_the_default_tol():
+    # the pwl sum rounds each breakpoint value once: at tol 0, 25 of these
+    # 300 pairs have S + T an ulp below S somewhere
+    for seed in range(300):
+        rng = rng_for(seed, "leq")
+        S, T = positive_operator(rng, 2, 3), positive_operator(rng, 2, 3)
+        assert operator_leq(S, operator_add(S, T))
+        assert operator_leq(S, operator_add(S, T), 1e-12)
 
 
 def test_arithmetic_pointwise():
