@@ -14,8 +14,19 @@ output path that resolves to the model file or to the other output is refused
 (bad_command) before anything is written.
 
 Settings precedence: CLI flag > URYSON_SEED (seed only) > model ``set`` lines
-> defaults.  Exit codes: 0 success, 1 domain error, 2 parse/command error,
-3 suite failures.
+> defaults; the flags are the fields of `Settings`, resolved once into the
+model the command runs on.  The settings each command reads:
+
+    eval                    none
+    join meet pos neg abs   tol, cap_support
+    witness                 eps0, tol, cap_support
+    project*                tol, cap_support and the schedule
+    oracle                  tol
+    disjoint                eps0, tol, cap_support; eps0 halved 20 times
+    suite                   seed and the schedule; the checks' tolerances are fixed
+
+Exit codes: 0 success, 1 domain error, 2 parse/command error, 3 suite
+failures.
 """
 
 from __future__ import annotations
@@ -24,14 +35,7 @@ import argparse
 import os
 import sys
 
-from .dsl import (
-    Model,
-    RankOneOpDef,
-    Settings,
-    build_operator,
-    override_settings,
-    parse_model,
-)
+from .dsl import Model, RankOneOpDef, Settings, build_operator, parse_model
 from .errors import (
     BadCommand,
     ModelSemanticError,
@@ -78,12 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("model", help="model file (.ury)")
-        p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
-        p.add_argument("--eps0", type=float, default=None, help="schedule start epsilon")
-        p.add_argument("--factor", type=float, default=None, help="schedule decay factor")
-        p.add_argument("--max-steps", type=int, default=None, help="schedule length cap")
-        p.add_argument("--cap-support", type=int, default=None, help="fragment enumeration cap")
-        p.add_argument("--seed", type=int, default=None, help="suite seed")
+        for key, default in Settings._defaults.items():
+            p.add_argument(_flag(key), type=type(default), help=f"setting {key}")
         p.add_argument("--json", metavar="OUT", default=None, help="also write the report here")
 
     run_p = sub.add_parser("run", help="run one command against a model")
@@ -99,26 +99,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _effective_settings(model: Model, ns: argparse.Namespace) -> Settings:
+    """model.settings with the URYSON_SEED seed, then each setting flag given,
+    applied one at a time: a value is read as its default's type, as argparse
+    reads a flag, and checked by `Settings`; a refusal raises BadCommand
+    naming where the value came from."""
+    given = [("URYSON_SEED", "seed", os.environ.get("URYSON_SEED"))]
+    given += [(_flag(key), key, getattr(ns, key)) for key in Settings._fields]
     st = model.settings
-    env_seed = os.environ.get("URYSON_SEED")
-    if env_seed is not None:
+    for source, key, value in given:
+        if value is None:
+            continue
         try:
-            st = st._replace(seed=int(env_seed))
-        except ValueError:
-            raise BadCommand(f"URYSON_SEED must be an integer, got {env_seed!r}")
-    flags = {key: getattr(ns, key) for key in Settings._fields}
-    return override_settings(
-        st, {k: v for k, v in flags.items() if v is not None}
-    )
+            st = st._replace(**{key: type(Settings._defaults[key])(value)})
+        except ValueError as exc:
+            if source == "URYSON_SEED":
+                raise BadCommand(f"URYSON_SEED must be an integer, got {value!r}") from None
+            raise BadCommand(f"{source} {value}: {exc}") from None
+    return st
 
 
 class _Session:
-    """One parsed model plus effective settings; resolves names lazily."""
+    """One parsed model, carrying the run's effective settings; resolves
+    names lazily."""
 
-    def __init__(self, model: Model, st: Settings):
+    def __init__(self, model: Model):
         self.model = model
-        self.st = st
         self.inputs: dict = {}
 
     def op(self, name: str) -> KernelOperator:
@@ -155,23 +165,19 @@ def _dispatch(sess: _Session, verb: str, args: list[str], ns) -> tuple[dict, str
             T = sess.op(op_name)
             if not model.probes:
                 raise BadCommand("model declares no probes")
-            table = [
-                {"probe": name, "value": T(x)}
-                for name, x in model.probes
-            ]
+            table = [{"probe": name, "value": T(x)} for name, x in model.probes]
             header = ["probe"] + [f"y{i + 1}" for i in range(T.m)]
             rows = [[r["probe"], *r["value"].coords] for r in table]
             return {"table": table}, csv_table(header, rows) if ns.csv else None
         op_name, probe = _need(args, 2, "eval OP PROBE (or eval OP --all)")
-        T = sess.op(op_name)
-        x = sess.probe(probe)
+        T, x = sess.op(op_name), sess.probe(probe)
         return {"value": T(x)}, None
 
     if verb == "suite":
         from .suite import run_suite
 
         _need(args, 0, "suite (no positional arguments)")
-        return {"suite": run_suite(sess.model, sess.st.seed)}, None
+        return {"suite": run_suite(sess.model, sess.model.settings.seed)}, None
     if verb not in VERBS:
         raise BadCommand(f"unknown verb {verb!r} (expected one of: {', '.join(VERBS)})")
     if verb.startswith("project") or verb == "oracle":
@@ -189,13 +195,14 @@ def _calculus_verb(sess: _Session, verb: str, args: list[str]) -> dict:
         witness_products,
     )
 
-    st = sess.st
+    st = sess.model.settings
+    kw = {"cap_support": st.cap_support, "tol": st.tol}
     if verb in RK_KINDS:
         binary = verb in ("join", "meet")
         usage = f"{verb} OP1 OP2 PROBE" if binary else f"{verb} OP PROBE"
         *names, probe = _need(args, 2 + binary, usage)
         ops, x = [sess.op(nm) for nm in names], sess.probe(probe)
-        r = rk_eval(verb, ops[0], x, *ops[1:], cap_support=st.cap_support, tol=st.tol)
+        r = rk_eval(verb, ops[0], x, *ops[1:], **kw)
         pairs = enumerate(r.argwitness)
         witness = [{"coord": i, "fragment": y, "complement": z} for i, (y, z) in pairs]
         return {"value": r.value, "witness": witness}
@@ -208,17 +215,13 @@ def _calculus_verb(sess: _Session, verb: str, args: list[str]) -> dict:
         if not names:
             raise BadCommand("model declares no probes")
         xs = [sess.probe(nm) for nm in names]
-        rep = check_disjoint_iff(
-            S, T, xs, st.eps0, cap_support=st.cap_support, tol=st.tol
-        )
-        return {"report": rep}
+        return {"report": check_disjoint_iff(S, T, xs, st.eps0, **kw)}
 
     # witness
     a, b, probe = _need(args, 3, "witness OP1 OP2 PROBE")
-    S, T = sess.op(a), sess.op(b)
-    x = sess.probe(probe)
+    S, T, x = sess.op(a), sess.op(b), sess.probe(probe)
     u = Vector.ones(S.m)
-    w = disjoint_witness(S, T, x, st.eps0, u, st.cap_support, st.tol)
+    w = disjoint_witness(S, T, x, st.eps0, u, **kw)
     products = witness_products(S, T, x, w)
     bound = u.scale(st.eps0)
     return {
@@ -242,57 +245,34 @@ def _projection_verb(sess: _Session, verb: str, args: list[str]) -> dict:
         project_rank_one,
     )
 
-    st, sched = sess.st, sess.st.schedule()
+    st = sess.model.settings
+    sched, kw = st.schedule(), {"cap_support": st.cap_support, "tol": st.tol}
     if verb in ("project", "project-complement"):
         set_arg, t_name, probe = _need(args, 3, f"{verb} S1[,S2...] T PROBE")
         members = tuple(sess.op(nm) for nm in set_arg.split(","))
-        T = sess.op(t_name)
-        x = sess.probe(probe)
+        T, x = sess.op(t_name), sess.probe(probe)
         fn = project_band_set if verb == "project" else project_band_set_complement
-        res = fn(members, T, x, sched, cap_support=st.cap_support, tol=st.tol)
-        return {
-            "value": res.value,
-            "stabilized_at": res.stabilized_at,
-            "feasible_count": list(res.feasible_count),
-            "witness": [
-                {"fragment": frag, "mask": mask} for frag, mask in res.witness
-            ],
-        }
+        res = fn(members, T, x, sched, **kw)
+        witness = [{"fragment": frag, "mask": mask} for frag, mask in res.witness]
+        return {**res._asdict(), "witness": witness}
 
     if verb == "project-rank1":
         r_name, t_name, probe = _need(args, 3, "project-rank1 R T PROBE")
         d = sess.model.operator_def(r_name)
         if not isinstance(d, RankOneOpDef):
             raise BadCommand(f"{r_name!r} is not a rank-one operator")
-        phi = sess.op(d.phi)
-        T = sess.op(t_name)
-        x = sess.probe(probe)
-        res = project_rank_one(
-            phi, Vector(d.u), T, x, sched,
-            cap_support=st.cap_support, tol=st.tol,
-        )
-        return {
-            "band": res.band,
-            "complement": res.complement,
-            "band_stabilized_at": res.band_stabilized_at,
-            "complement_stabilized_at": res.complement_stabilized_at,
-            "u": list(d.u),
-        }
+        phi, T, x = sess.op(d.phi), sess.op(t_name), sess.probe(probe)
+        res = project_rank_one(phi, Vector(d.u), T, x, sched, **kw)
+        return {**res._asdict(), "u": list(d.u)}
 
     if verb == "project-functional":
         phi_name, t_name, probe = _need(args, 3, "project-functional PHI T PROBE")
-        phi = sess.op(phi_name)
-        T = sess.op(t_name)
-        x = sess.probe(probe)
-        val = project_functional(
-            phi, T, x, sched, cap_support=st.cap_support, tol=st.tol
-        )
-        return {"value": val}
+        phi, T, x = sess.op(phi_name), sess.op(t_name), sess.probe(probe)
+        return {"value": project_functional(phi, T, x, sched, **kw)}
 
     # oracle
     a, b, probe = _need(args, 3, "oracle S T PROBE")
-    S, T = sess.op(a), sess.op(b)
-    x = sess.probe(probe)
+    S, T, x = sess.op(a), sess.op(b), sess.probe(probe)
     return {"value": masking_oracle(S, T, x, tol=st.tol)}
 
 
@@ -351,17 +331,16 @@ def main(argv: list[str] | None = None) -> int:
 
         try:
             model = parse_model(text)
-            st = _effective_settings(model, ns)
         except (ModelSyntaxError, ModelSemanticError) as exc:
             return _error_exit(exc, 2, json_path)
 
         verb, args = ns.verb, list(ns.args)
-        sess = _Session(model, st)
+        sess = _Session(model._replace(settings=_effective_settings(model, ns)))
         try:
             result, csv_text = _dispatch(sess, verb, args, ns)
             text = dumps({
                 "command": {"verb": verb, "args": args},
-                "settings": st._asdict(),
+                "settings": sess.model.settings._asdict(),
                 "inputs": sess.inputs,
                 "result": result,
             })

@@ -66,7 +66,6 @@ __all__ = [
     "build_operator",
     "eval_expr",
     "render_expr",
-    "override_settings",
 ]
 
 
@@ -401,15 +400,15 @@ class Settings(_Record):
     raises ValueError("setting <rule>"); ``set`` lines and CLI flags apply
     their values through this check."""
 
-    __slots__ = _fields = ("tol", "eps0", "factor", "max_steps", "cap_support", "seed")
+    # the one declaration: the fields, in order, and the CLI's setting flags
+    # with the type of each default
     _defaults = {
         "tol": DEFAULT_TOL,
-        "eps0": 1.0,
-        "factor": 0.5,
-        "max_steps": 40,
+        **EpsSchedule._defaults,
         "cap_support": DEFAULT_SUPPORT_CAP,
         "seed": 0,
     }
+    __slots__ = _fields = tuple(_defaults)
 
     def __post_init__(self):
         try:
@@ -473,6 +472,10 @@ class Model(_Record):
     def __reduce__(self):
         return (type(self), (*self._key, self.built))
 
+    def _replace(self, **changes):
+        # built is kept, so a change may not touch dims, kernels or operators
+        return type(self)(**{**self._asdict(), **changes, "built": self.built})
+
     @property
     def n(self) -> int:
         return self.dims[0]
@@ -516,17 +519,6 @@ def build_operator(model: Model, name: str) -> KernelOperator:
 
 # --------------------------------------------------------------------------
 # parsing
-
-def override_settings(st: Settings, overrides: dict[str, float | int]) -> Settings:
-    """st with the given values replaced one at a time; a value `Settings`
-    rejects raises BadCommand naming its command-line flag."""
-    for key, value in overrides.items():
-        try:
-            st = st._replace(**{key: value})
-        except ValueError as exc:
-            raise BadCommand(f"--{key.replace('_', '-')} {value}: {exc}") from None
-    return st
-
 
 def parse_model(text: str) -> Model:
     spaces: dict[str, int] = {}

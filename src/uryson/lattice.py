@@ -463,37 +463,29 @@ def order_limit_witness(
     require_positive_finite("eps", eps)
     require_unit(u, x.dim, tol)
 
-    vectors = []
-    for label, item in seq.pairs():
+    for item in seq.items:
         if not isinstance(item, Vector):
             raise ValueError("sequence items must be vectors")
         if item.dim != x.dim:
             raise DimensionMismatch(f"sequence item dim {item.dim} vs {x.dim}")
-        vectors.append(item)
 
-    n_steps = len(vectors)
-    devs = [(v - x).abs() for v in vectors]
-    # suffix_max[k][i] = max over b >= k of |x_b - x|_i
-    suffix = [list(devs[-1].coords)]
-    for k in range(n_steps - 2, -1, -1):
-        suffix.append([max(a, b) for a, b in zip(devs[k].coords, suffix[-1])])
-    suffix.reverse()
-
-    assigned: list[int] = []
+    devs = [(v - x).abs().coords for v in seq.items]
+    # per coordinate, scan back from the last index while the bound holds;
+    # owners maps each earliest stable index to its coordinates
+    owners: dict[int, list[int]] = {}
     for i in range(x.dim):
         bound = eps * u.coords[i] + tol
-        first = next((k for k in range(n_steps) if suffix[k][i] <= bound), None)
-        if first is None:
+        first = len(devs)
+        while first and devs[first - 1][i] <= bound:
+            first -= 1
+        if first == len(devs):
             raise NotConverged(
                 f"coordinate {i} never satisfies |x_b - x| <= eps*u from any index on"
             )
-        assigned.append(first)
+        owners.setdefault(first, []).append(i)
 
-    labels_out = []
-    masks_out = []
-    for k, label in enumerate(seq.labels):
-        idxs = [i for i, a in enumerate(assigned) if a == k]
-        if idxs:
-            labels_out.append(label)
-            masks_out.append(Mask.from_indices(x.dim, idxs))
-    return IndexedFamily(tuple(labels_out), tuple(masks_out))
+    firsts = sorted(owners)
+    return IndexedFamily(
+        tuple(seq.labels[k] for k in firsts),
+        tuple(Mask.from_indices(x.dim, owners[k]) for k in firsts),
+    )

@@ -89,19 +89,6 @@ class ProjectionResult(_Record):
 
     __slots__ = _fields = ("value", "stabilized_at", "feasible_count", "witness")
 
-    def __init__(
-        self,
-        value: Vector,
-        stabilized_at: float,
-        feasible_count: tuple[int, ...],
-        witness: tuple[tuple[Vector, Mask], ...],
-    ):
-        setattr_ = object.__setattr__
-        setattr_(self, "value", value)
-        setattr_(self, "stabilized_at", stabilized_at)
-        setattr_(self, "feasible_count", feasible_count)
-        setattr_(self, "witness", witness)
-
 
 def _checked_set(
     A: Sequence[KernelOperator], T: KernelOperator, x: Vector, tol: float
@@ -236,10 +223,8 @@ class _MemberProgram:
                 vals, wit = self.value_on(self.limit)
                 frags = {k: self.frags[k] for k, _ in wit}
                 return ProjectionResult(
-                    value=Vector(tuple(vals)),
-                    stabilized_at=eps,
-                    feasible_count=self.feasible_count,
-                    witness=tuple((frags[k], mask) for k, mask in wit),
+                    Vector(tuple(vals)), eps, self.feasible_count,
+                    tuple((frags[k], mask) for k, mask in wit),
                 )
         raise NoStabilization(
             f"feasible set still above its limit after {sched.max_steps} steps"
@@ -280,10 +265,10 @@ def _project_set(
     outer = max if sense == "band" else min
     pick = [outer(runs, key=lambda r: r.value.coords[i]) for i in range(T.m)]
     return ProjectionResult(
-        value=Vector(tuple(r.value.coords[i] for i, r in enumerate(pick))),
-        stabilized_at=min(r.stabilized_at for r in runs),
-        feasible_count=tuple(r.feasible_count[i] for i, r in enumerate(pick)),
-        witness=tuple(r.witness[i] for i, r in enumerate(pick)),
+        Vector(tuple(r.value.coords[i] for i, r in enumerate(pick))),
+        min(r.stabilized_at for r in runs),
+        tuple(r.feasible_count[i] for i, r in enumerate(pick)),
+        tuple(r.witness[i] for i, r in enumerate(pick)),
     )
 
 

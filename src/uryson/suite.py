@@ -74,17 +74,9 @@ PROJ_TOL = 1e-7
 # --------------------------------------------------------------------------
 # helpers
 
-def _built(model: Model) -> list[tuple[str, KernelOperator]]:
-    return [(name, build_operator(model, name)) for name in model.operator_names()]
-
-
 def _model_full_ops(model: Model) -> list[tuple[str, KernelOperator]]:
     """Operators with the model's full (m, n) shape (functionals excluded)."""
-    out = []
-    for name, op in _built(model):
-        if (op.m, op.n) == (model.m, model.n):
-            out.append((name, op))
-    return out
+    return [(name, op) for name, op in model.built.items() if (op.m, op.n) == (model.m, model.n)]
 
 
 def _model_probes(model: Model) -> list[Vector]:
@@ -284,7 +276,7 @@ def _check_op_positivity(model: Model, seed: int, rng):
         T = KernelOperator(((k,),))
         if operator_is_positive(T) != _kernel_nonneg_sampled(k):
             return f"positivity rule disagrees with samples for {k.points}"
-    for name, op in _built(model):
+    for name, op in model.built.items():
         yield
         pwls = [k.to_pwl() for row in op.kernels for k in row]
         if any(p is None for p in pwls):

@@ -22,7 +22,10 @@ the library's signature, result record and error (class and message):
 - `disjoint_witness` and `check_disjoint_iff`: the meet scan (plain float
   sums, so an overflowing pair gives inf and does not raise) and the converse
   by a scan of every fragment;
-- positivity and the kernel order: the plain checks with nothing kept.
+- positivity and the kernel order: the plain checks with nothing kept;
+- `order_limit_witness`: each coordinate i goes to the earliest label from
+  which every later |x_b - x|_i <= eps*u_i + tol, found by testing every
+  label.
 
 It uses the value types, `all_masks`, `principal_mask`, the validators and
 kernelwise positive and negative parts to build operands and results, and
@@ -35,7 +38,8 @@ from functools import partial
 
 from uryson.calculus import RK_KINDS, DisjointnessWitness, RKResult
 from uryson.errors import (
-    DimensionMismatch, NoStabilization, NotDisjoint, NotIncreasing, NotPositive, SupportTooLarge,
+    DimensionMismatch, NoStabilization, NotConverged, NotDisjoint, NotIncreasing, NotPositive,
+    SupportTooLarge,
 )
 from uryson.kernels import _SAMPLE_GRID, DEFAULT_TOL
 from uryson.lattice import (
@@ -441,3 +445,35 @@ def check_disjoint_iff(S, T, xs, eps, steps=20, cap_support=CAP, tol=TOL):
         )
     return {"eps0": eps, "steps": steps, "probes": probes,
             "all_disjoint": all_disjoint, "all_ok": all_ok}
+
+
+# -- order limits -------------------------------------------------------------------
+
+
+def order_limit_witness(seq, x, eps, u, tol=TOL):
+    if len(seq) == 0:
+        raise ValueError("sequence must be nonempty")
+    require_positive_finite("eps", eps)
+    require_unit(u, x.dim, tol)
+    for item in seq.items:
+        if not isinstance(item, Vector):
+            raise ValueError("sequence items must be vectors")
+        if item.dim != x.dim:
+            raise DimensionMismatch(f"sequence item dim {item.dim} vs {x.dim}")
+    gaps = [(b - x).abs().coords for b in seq.items]
+    first = []
+    for i in range(x.dim):
+        stable = [
+            k for k in range(len(gaps))
+            if all(g[i] <= eps * u.coords[i] + tol for g in gaps[k:])
+        ]
+        if not stable:
+            raise NotConverged(
+                f"coordinate {i} never satisfies |x_b - x| <= eps*u from any index on"
+            )
+        first.append(stable[0])
+    kept = [k for k in range(len(seq)) if k in first]
+    return IndexedFamily(
+        tuple(seq.labels[k] for k in kept),
+        tuple(Mask.from_indices(x.dim, [i for i, f in enumerate(first) if f == k]) for k in kept),
+    )

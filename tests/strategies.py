@@ -9,6 +9,7 @@ the tables and the order, a functional phi with dead columns, a functional
 psi of either sign, a direction u, a probe x on `PROBE_GRID`, a schedule and
 a tol.
 `seeded_case` draws one from a seed and `cases` is its hypothesis strategy.
+`seeded_family` and `families` draw the arguments of `order_limit_witness`.
 `assert_matches_reference` compares every entry point by repr, errors
 included, on fresh copies of the operators (cold) and again with the tables
 and decisions the first call kept.
@@ -32,7 +33,7 @@ from uryson.instances import (
 from uryson.kernels import (
     DEFAULT_TOL, ZERO_KERNEL, BuiltinKernel, FuncKernel, PwlKernel, kernel_diff_nonneg,
 )
-from uryson.lattice import EpsSchedule, Vector, fragments
+from uryson.lattice import EpsSchedule, IndexedFamily, Mask, Vector, fragments
 from uryson.operators import KernelOperator, operator_add, operator_is_positive, operator_leq
 from uryson.projections import (
     band_set_profile, project_band_set, project_band_set_complement, project_functional,
@@ -150,6 +151,54 @@ def cases(draw, max_m, max_n):
         sched=draw(st.sampled_from(SCHEDULES)),
         tol=draw(st.sampled_from(TOLS)),
     )
+
+
+# -- order-limit families -----------------------------------------------------------
+
+# the probe grid and +-1e308, whose differences overflow
+FAMILY_GRID = PROBE_GRID + (1e308, -1e308)
+FAMILY_EPS = (0.25, 0.5, 1.0, 4.0, 1e-12, 0.0, math.inf)
+UNIT_GRID = (1.0, 1.0, 2.0, 1e-12, 0.0)
+
+
+def _grid_vector(rng, dim):
+    return Vector(tuple(rng.choice(FAMILY_GRID) for _ in range(dim)))
+
+
+def seeded_family(seed):
+    """(seq, x, eps, u, tol) for order_limit_witness: dim 1-4 and 1-6 items,
+    each a grid vector, x plus a step 2^-k, or (rarely) a mask or a vector
+    of another dimension; eps and u may break their rules."""
+    rng = rng_for(seed, "order-limit")
+    dim = rng.randint(1, 4)
+    x = _grid_vector(rng, dim)
+    items = []
+    for k in range(rng.randint(1, 6)):
+        draw = rng.random()
+        if draw < 0.03:
+            items.append(Mask.full(dim))
+        elif draw < 0.06:
+            items.append(Vector.ones(dim + 1))
+        elif draw < 0.5:
+            items.append(x + Vector(tuple(rng.choice((-1.0, 0.0, 1.0)) * 2.0**-k for _ in range(dim))))
+        else:
+            items.append(_grid_vector(rng, dim))
+    u = Vector(tuple(rng.choice(UNIT_GRID) for _ in range(dim)))
+    seq = IndexedFamily(tuple(str(k) for k in range(len(items))), tuple(items))
+    return seq, x, rng.choice(FAMILY_EPS), u, rng.choice(TOLS)
+
+
+@st.composite
+def families(draw):
+    """(seq, x, eps, u, tol) as `seeded_family`, items drawn from the grid
+    and from x itself."""
+    dim = draw(st.integers(1, 4))
+    vectors = st.tuples(*[st.sampled_from(FAMILY_GRID)] * dim).map(Vector)
+    x = draw(vectors)
+    items = draw(st.lists(st.one_of(vectors, st.just(x)), min_size=1, max_size=6))
+    u = draw(st.tuples(*[st.sampled_from(UNIT_GRID)] * dim).map(Vector))
+    seq = IndexedFamily(tuple(str(k) for k in range(len(items))), tuple(items))
+    return seq, x, draw(st.sampled_from(FAMILY_EPS)), u, draw(st.sampled_from(TOLS))
 
 
 # -- the driver ---------------------------------------------------------------------

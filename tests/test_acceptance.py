@@ -60,7 +60,6 @@ from uryson.projections import (
     project_principal,
     project_rank_one,
 )
-from uryson.suite import run_suite
 
 IDENT_TOL = 1e-9
 PROJ_TOL = 1e-7

@@ -23,7 +23,7 @@ from uryson.calculus import (
 )
 from uryson.errors import NotDisjoint, NotPositive, SupportTooLarge
 from uryson.kernels import BuiltinKernel, PwlKernel, ZERO_KERNEL
-from uryson.lattice import Mask, Vector, is_partition_of_unity, vec
+from uryson.lattice import Vector, is_partition_of_unity, vec
 from uryson.operators import KernelOperator
 
 ABS = BuiltinKernel("abs")

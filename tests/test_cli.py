@@ -233,13 +233,29 @@ def test_bad_env_seed(capsys, monkeypatch):
     assert rep["error"]["code"] == "bad_command"
 
 
-def test_setting_flags_override_model(capsys):
+def test_setting_flags_override_model(capsys, tmp_path):
     _, rep = run_json(
         capsys, "run", DEMO, "eval", "T", "x1", "--tol", "1e-7", "--max-steps", "10"
     )
     assert rep["settings"]["tol"] == 1e-7
     assert rep["settings"]["max_steps"] == 10
     assert rep["settings"]["eps0"] == 1  # untouched
+    # a flag reaches the computation as the same set line does
+    demo_text = pathlib.Path(DEMO).read_text(encoding="utf-8")
+    for argv, line in (
+        (("suite",), "set max_steps 1"),
+        (("project", "S", "T", "x1"), "set cap_support 1"),
+    ):
+        model = tmp_path / "set.ury"
+        model.write_text(f"{demo_text}{line}\n", encoding="utf-8")
+        _, key, value = line.split()
+        flag = "--" + key.replace("_", "-")
+        code_flag, by_flag = run_json(capsys, "run", DEMO, *argv, flag, value)
+        code_set, by_set = run_json(capsys, "run", str(model), *argv)
+        assert code_flag == code_set == (3 if argv == ("suite",) else 1)
+        assert by_flag.get("result") == by_set.get("result")
+        assert by_flag.get("error") == by_set.get("error")
+        assert by_flag.get("settings") == by_set.get("settings")
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from uryson.dsl import (
     IntegralOpDef,
-    MatrixOpDef,
     Model,
-    RankOneOpDef,
     Settings,
     build_operator,
     parse_model,

@@ -3,16 +3,17 @@ unreferenced private helpers, an explicit export list, and one home for the
 settings (`Settings`: its fields are the ``set`` keys, the CLI flags and the
 README's flag list, and it rejects what a ``set`` line rejects).
 
-The import scan reads each module of src/uryson with `ast`: a name bound by a
-module-level import must be read somewhere in the module, in code, in a
-string annotation, or (for the package) in the literal `__all__`; a name
-bound by an import inside a function must be read in that function.  The
-private-name scan requires every private module-level function, class or
-constant to be referenced by some other top-level statement of the package,
-so a helper left behind by a refactor cannot linger.  The default scan
-requires every defaulted parameter of a private function, or of a method of
-a private class, to be passed by some call in the package or its tests, so
-a knob that no caller sets cannot linger either.
+The import scan reads each module of src/uryson and each file of tests with
+`ast`: a name bound by a module-level import must be read somewhere in the
+module, in code, in a string annotation, or (for the package) in the literal
+`__all__`; a name bound by an import inside a function must be read in that
+function.  The private-name scan requires every private module-level
+function, class or constant to be referenced by some other top-level
+statement of the package, so a helper left behind by a refactor cannot
+linger.  The default scan requires every defaulted parameter of a private
+function, or of a method of a private class, to be passed by some call in
+the package or its tests, so a knob that no caller sets cannot linger
+either.
 """
 
 import argparse
@@ -31,6 +32,7 @@ from uryson.operators import KernelOperator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uryson"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imports(scope: ast.AST):
@@ -98,7 +100,7 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     return sorted(found, key=lambda item: item[1])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference as ref
+from strategies import families, outcome, seeded_family
 from uryson.calculus import disjoint_witness
 from uryson.errors import (
     DimensionMismatch,
@@ -233,6 +235,22 @@ def test_regulating_unit_has_one_rule(witness):
         witness(x, vec(1.0, 1e-12))
     with pytest.raises(DimensionMismatch, match="^unit dim 3 vs 2$"):
         witness(x, vec(1.0, 1.0, 1.0))
+
+
+def test_order_limit_witness_matches_reference_on_seeded_families():
+    reached = set()
+    for seed in range(2000):
+        args = seeded_family(seed)
+        want = outcome(ref.order_limit_witness, *args)
+        assert outcome(order_limit_witness, *args) == want, args
+        reached.add(want[1] if want[0] == "error" else "ok")
+    # witnesses, NotConverged and every validation error
+    assert reached == {"ok", "NotConverged", "ValueError", "DimensionMismatch", "NotPositiveUnit"}
+
+
+@given(families())
+def test_order_limit_witness_matches_reference(args):
+    assert outcome(order_limit_witness, *args) == outcome(ref.order_limit_witness, *args)
 
 
 def test_order_limit_witness_rejects_degenerate_unit():

@@ -9,7 +9,7 @@ import pytest
 from uryson.errors import C0Violation, DimensionMismatch, NegativeU
 from uryson.instances import positive_operator, rng_for
 from uryson.kernels import BuiltinKernel, PwlKernel
-from uryson.lattice import Vector, fragments, vec
+from uryson.lattice import fragments, vec
 from uryson.operators import (
     IntegralKernelSpec,
     KernelOperator,

@@ -1,5 +1,3 @@
-import pytest
-
 import uryson.suite as suite_mod
 from uryson.report import dumps
 from uryson.suite import CHECK_IDS, run_suite
