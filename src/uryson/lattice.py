@@ -243,7 +243,7 @@ class Fragments(Sequence):
     index k says whether fragment k keeps x_supp[b]: fragment k is x_j on the
     kept columns and 0.0 elsewhere.  The table programs read supp alone;
     indexing or iterating builds the validated Vector on demand, for the
-    witnesses a result returns.
+    witnesses a result returns, and a slice builds a list of them.
     """
 
     __slots__ = ("x", "supp")
@@ -255,7 +255,9 @@ class Fragments(Sequence):
     def __len__(self) -> int:
         return 1 << len(self.supp)
 
-    def __getitem__(self, k: int) -> Vector:
+    def __getitem__(self, k: int | slice) -> Vector | list[Vector]:
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
         k = range(1 << len(self.supp))[k]  # IndexError past the end, as iteration needs
         xs = self.x.coords
         coords = [0.0] * len(xs)
@@ -323,6 +325,8 @@ class Mask(_Record):
     def from_indices(dim: int, indices: Sequence[int]) -> "Mask":
         bits = [False] * dim
         for i in indices:
+            if not 0 <= i < dim:
+                raise ValueError(f"mask index {i} is outside range({dim})")
             bits[i] = True
         return Mask(tuple(bits))
 

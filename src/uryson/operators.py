@@ -9,11 +9,13 @@ The fragment programs read T(y) and T(x - y) over all fragments y of x from
 `on_fragments`, which returns one list per output row in fragment order.
 Its entries are the floats an application per fragment gives.  It has each
 kernel evaluated at x_j and at 0 once per operator and probe, builds no
-fragment Vector, and computes exact subset sums of those addends (integers
-over a power-of-two denominator, one doubling per support column), rounded
-once.  Only a table with a non-finite entry or near the float range sums
-each fragment's addends with fsum, from the same kept tables, so it fails
-exactly as an application does.
+fragment Vector, and sums those addends by the size of a row: a row of at
+most FSUM_MAX_ENTRIES entries (2^|supp x| * n) takes one fsum per fragment,
+a larger one exact subset sums (integers over a power-of-two denominator,
+one doubling per support column), each rounded once.  A table with a
+non-finite entry or near the float range sums each fragment's addends with
+fsum fragment by fragment, from the same kept tables, so it fails exactly as
+an application does.
 
 Positivity and the operator order are decided kernel by kernel, stopping
 at the first kernel (or kernel pair) that fails.  Each operator keeps its
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 import weakref
+from itertools import product
 from typing import Callable
 
 from .errors import C0Violation, DimensionMismatch, NegativeU, NotPositive
@@ -49,6 +52,16 @@ from .kernels import (
     kernel_pos_part,
 )
 from .lattice import Fragments, Vector, _Record
+
+# `on_fragments` sums each fragment's row with one fsum when a row of the
+# table has at most this many addends (2^|supp x| * n), and doubles integer
+# subset sums above it.  Near the crossover measured with Python 3.11 on a
+# shared 2-vCPU VM: on the tables of the benchmark's projection programs
+# (96 and 384 entries per row) fsum was 1.2 to 2.5 times faster; on seeded
+# positive pwl operators (m = 3 and 6, both ways of rest) the two broke
+# even from 384 to 640 entries, and fsum was 1.2 times slower at 896, 1.3 to
+# 1.7 times at 1024 and about 1.5 times at 2048.
+FSUM_MAX_ENTRIES = 640
 
 
 class KernelOperator(_Record):
@@ -126,16 +139,22 @@ class KernelOperator(_Record):
         Any other table reads the kept addend tables at x and at 0
         (`_values`, `_zeros`) and builds no fragment Vector: y_j is x_j on
         the kept support columns and 0.0 elsewhere, so (x - y)_j is 0.0 or
-        x_j, and every addend of a row is one of two table entries.  The
-        entries are written as integers over one power-of-two denominator.
-        Per output row, the sum of the dropped entries is doubled once per
-        support column (frags.supp; bit b of a fragment index keeps
-        supp[b]), which lists the exact subset sums in fragment order, and
-        each is divided by the denominator once.
-        Integer true division (or, off the subnormal and overflow range,
-        rounding to a float and scaling by a power of two) and fsum both
-        round correctly, so each entry is the float an application gives (an
-        exact zero is 0.0 on both).
+        x_j, and every addend of a row is one of two table entries (bit b of
+        a fragment index keeps frags.supp[b]).  How a row is summed depends
+        on its size, 2^|supp x| * n entries:
+
+        - at most FSUM_MAX_ENTRIES: one fsum per fragment over its addends,
+          picked by itertools.product in fragment order;
+        - above it: the entries are written as integers over one
+          power-of-two denominator, the sum of the row's dropped entries is
+          doubled once per support column, which lists the exact subset
+          sums in fragment order, and each is divided by the denominator
+          once.
+
+        fsum, integer true division and (off the subnormal and overflow
+        range) rounding to a float then scaling by a power of two all round
+        the exact sum correctly, in any addend order, so each entry is the
+        float an application gives on either path (an exact zero is 0.0).
         """
         at_x, at_0 = self._values(x), self._zeros()
         kept, dropped = (at_0, at_x) if rest else (at_x, at_0)
@@ -153,6 +172,14 @@ class KernelOperator(_Record):
                 ]
                 table.append(Vector(tuple(map(math.fsum, rows))).coords)
             return [list(row) for row in zip(*table)]
+        if n << len(supp) <= FSUM_MAX_ENTRIES:
+            # the columns reversed, so that the last choice, which product
+            # varies fastest, is supp[0]'s: the sums come in fragment order
+            rows = []
+            for lo, hi in zip(dropped, kept):
+                choices = [(lo[j], hi[j]) if j in supp else (lo[j],) for j in reversed(range(n))]
+                rows.append(list(map(math.fsum, product(*choices))))
+            return rows
         # each entry as an integer over one power-of-two denominator, in the
         # order of flat: the dropped rows, then the kept rows
         nums, dens = zip(*[v.as_integer_ratio() for v in flat])

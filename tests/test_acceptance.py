@@ -10,6 +10,7 @@ import importlib.resources
 import itertools
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -437,7 +438,7 @@ def test_criterion_09_integral_discretization():
 
 def test_criterion_10_cli_round_trip_and_determinism(capsys, tmp_path):
     failures = []
-    demo_text = open(DEMO, encoding="utf-8").read()
+    demo_text = Path(DEMO).read_text(encoding="utf-8")
     model = parse_model(demo_text)
     if parse_model(render(model)) != model:
         failures.append("parse/print round trip changed the model")

@@ -1,17 +1,19 @@
-"""Fragment rows as exact subset sums.
+"""Fragment rows as correctly rounded sums.
 
-`KernelOperator.on_fragments` builds every row from integer subset sums
-rounded once.  Each row must be the correctly rounded exact sum of its
-addends (a Fraction sum, `reference.exact`) and the reference's row, the
-fsum of an application to the fragment, compared by repr so the sign of a
-zero counts.  Tables with a non-finite entry or near the float range apply
-the operator to each fragment, and must fail like the reference, with the
-same exception type and message.
+`KernelOperator.on_fragments` sums a row of at most
+`operators.FSUM_MAX_ENTRIES` entries (2^|supp x| * n) with one fsum per
+fragment, and a larger row from integer subset sums rounded once.  On
+either side of the constant each row must be the correctly rounded exact
+sum of its addends (a Fraction sum, `reference.exact`) and the reference's
+row, the fsum of an application to the fragment, compared by repr so the
+sign of a zero counts.  Tables with a non-finite entry or near the float
+range apply the operator to each fragment, and must fail like the
+reference, with the same exception type and message.
 
 Two clock-free guards follow: a count of the fsum calls made from
-`uryson.operators` (none for a finite table, some for the fallback), and the
-converse probe of `check_disjoint_iff` against the reference's scan of every
-fragment.
+`uryson.operators` (one per row and fragment at the constant, none one
+support column past it, some for the fallback), and the converse probe of
+`check_disjoint_iff` against the reference's scan of every fragment.
 """
 
 import math
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from strategies import PlantedKernel, outcome, planted_operators
+from strategies import PlantedKernel, outcome, planted_operators, planted_values
 from test_cli import OVERFLOW_MODEL
 from uryson import operators
 from uryson.calculus import check_disjoint_iff, rk_eval, rk_eval_separable
@@ -52,6 +54,29 @@ def test_rows_are_rounded_exact_sums(case, rest):
     assert_rows_exact(*case, rest)
 
 
+@st.composite
+def widened(draw):
+    """A planted case with full-support columns of planted values appended
+    until its rows pass FSUM_MAX_ENTRIES and so take the integer sums."""
+    T, x = draw(planted_operators(max_m=2))
+    n, supp = x.dim, len(fragments(x).supp)
+    extra = 0
+    while (n + extra) << (supp + extra) <= operators.FSUM_MAX_ENTRIES:
+        extra += 1
+    ats = draw(planted_values(T.m * extra))
+    kernels = tuple(
+        row + tuple(PlantedKernel(a) for a in ats[i * extra:(i + 1) * extra])
+        for i, row in enumerate(T.kernels)
+    )
+    return KernelOperator(kernels), Vector(x.coords + (1.0,) * extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(widened(), st.booleans())
+def test_wide_rows_are_rounded_exact_sums(case, rest):
+    assert_rows_exact(*case, rest)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_library_kernels_rows_are_rounded_exact_sums(seed):
     rng = rng_for(seed, "exact-sums")
@@ -62,14 +87,34 @@ def test_library_kernels_rows_are_rounded_exact_sums(seed):
             assert_rows_exact(op, x, rest)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_large_library_tables_are_rounded_exact_sums(seed):
+    rng = rng_for(seed, "exact-sums-large")
+    S, T = perturbed_pair(rng, 3, 10)
+    x = grid_vector(rng, 10)
+    assert 10 << len(fragments(x).supp) > operators.FSUM_MAX_ENTRIES
+    for op in (S, T):
+        for rest in (False, True):
+            assert_rows_exact(op, x, rest)
+
+
 def row_operator(values):
     return KernelOperator((tuple(PlantedKernel(v) for v in values),))
+
+
+def padded(values):
+    """values and zero columns of both signs, until a full-support row has
+    more than FSUM_MAX_ENTRIES entries and so takes the integer sums."""
+    values = list(values)
+    while len(values) << len(values) <= operators.FSUM_MAX_ENTRIES:
+        values.append(-0.0 if len(values) % 2 else 0.0)
+    return tuple(values)
 
 
 @pytest.mark.parametrize(
     "values",
     [
-        # entries below 2^-1022 round each sum by integer division
+        # entries below 2^-1022 round each sum by integer division once padded
         (5e-324, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308),
         (3e-320, 1e-300, -1e-300),
         # so does a spread of magnitudes whose integer sums exceed a float
@@ -80,8 +125,10 @@ def row_operator(values):
     ],
 )
 def test_rows_are_exact_on_both_roundings(values):
-    for rest in (False, True):
-        assert_rows_exact(row_operator(values), Vector.ones(len(values)), rest)
+    # as given, the rows take fsum; padded, the integer sums
+    for vals in (values, padded(values)):
+        for rest in (False, True):
+            assert_rows_exact(row_operator(vals), Vector.ones(len(vals)), rest)
 
 
 @pytest.mark.parametrize(
@@ -141,14 +188,18 @@ def fsum_calls(monkeypatch):
     return run
 
 
-def test_finite_tables_make_no_fsum_call(fsum_calls):
+def test_fsum_calls_on_both_sides_of_the_constant(fsum_calls):
+    # 10 columns, 6 in the support: exactly FSUM_MAX_ENTRIES entries per row,
+    # one fsum per row and fragment; one support column more: none
+    assert 10 << 6 == operators.FSUM_MAX_ENTRIES
     S, T = disjoint_positive_pair(rng_for(3, "fsum-calls"), 3, 10)
-    x = Vector(tuple(0.5 + j for j in range(10)))
-    frags = fragments(x)
-    assert len(frags) == 2**10
-    for op in (S, T):
-        for rest in (False, True):
-            assert fsum_calls(op.on_fragments, x, frags, rest) == 0
+    for supp, want in ((6, 3 * 2**6), (7, 0)):
+        x = Vector(tuple(0.5 + j if j < supp else 0.0 for j in range(10)))
+        frags = fragments(x)
+        assert len(frags) == 2**supp
+        for op in (S, T):
+            for rest in (False, True):
+                assert fsum_calls(op.on_fragments, x, frags, rest) == want
 
 
 def test_overflow_model_takes_the_fallback(fsum_calls):

@@ -74,6 +74,8 @@ def test_fragments_match_vector_enumeration(tol):
         assert [y.coords for y in frags] == [y.coords for y in want]
         assert [frags[k] for k in range(len(frags))] == want
         assert frags[-1] == want[-1]
+        for part in (slice(0, 2), slice(None, None, -1), slice(1, None, 3), slice(5, 2)):
+            assert frags[part] == want[part]
         for cap in (0, len(x.support(tol)) - 1):
             got = outcome(lambda: list(fragments(x, cap, tol)))
             assert got == outcome(ref.fragments, x, cap, tol)

@@ -124,6 +124,12 @@ def test_mask_constructors():
     assert m.apply(vec(1.0, 2.0, 3.0)).coords == (1.0, 0.0, 3.0)
 
 
+@pytest.mark.parametrize("indices", [(-1,), (3,), (0, 5)])
+def test_mask_from_indices_refuses_indices_outside_the_dimension(indices):
+    with pytest.raises(ValueError, match=r"mask index -?\d+ is outside range\(3\)"):
+        Mask.from_indices(3, indices)
+
+
 def test_mask_boolean_laws_exhaustive():
     # small enough to check the whole algebra
     masks = all_masks(3)
