@@ -129,79 +129,53 @@ class PwlKernel(ScalarKernel, _Record):
         xs = sorted(set(self._xs) | set(other._xs))
         return PwlKernel(tuple((x, self(x) + other(x)) for x in xs))
 
-    def sub(self, other: "PwlKernel") -> "PwlKernel":
-        return self.add(other.scaled(-1.0))
-
-    def min_max_on(self, lo: float, hi: float) -> tuple[float, float]:
-        """Exact min/max of the kernel over [lo, hi]."""
-        if lo > hi:
-            raise ValueError("empty interval")
-        vals = [self(lo), self(hi)]
-        vals.extend(y for x, y in self.points if lo < x < hi)
-        return min(vals), max(vals)
-
     def pos_part(self) -> "PwlKernel":
-        """Exact pointwise max(k, 0), incl. correct flat/crossing tails."""
-        pts = list(self.points)
+        """Pointwise max(k, 0), built in one pass: k's breakpoints with
+        their values clamped at 0, exact; each zero crossing inside a
+        segment, rounded once; and each end's anchors from `_end_anchors`,
+        so that every extension keeps k's slope."""
+        pts = self.points
         if len(pts) == 1:
             return self
-        aug: list[tuple[float, float]] = []
-        for k in range(len(pts) - 1):
-            (x0, y0), (x1, y1) = pts[k], pts[k + 1]
-            aug.append((x0, y0))
+        body: list[tuple[float, float]] = []
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            body.append((x0, y0 if y0 > 0.0 else 0.0))
             if (y0 > 0.0 > y1) or (y0 < 0.0 < y1):
                 xc = x0 - y0 * (x1 - x0) / (y1 - y0)
                 if x0 < xc < x1:
-                    aug.append((xc, 0.0))
-        aug.append(pts[-1])
-        mapped = [(x, y if y > 0.0 else 0.0) for x, y in aug]
-
-        front: list[tuple[float, float]] = []
-        x0, y0 = pts[0]
-        s0 = self.first_slope
-        if y0 > 0.0 and s0 > 0.0:
-            xc = x0 - y0 / s0
-            front = [(xc - 1.0, 0.0), (xc, 0.0)]
-        elif y0 <= 0.0 and s0 >= 0.0:
-            front = [(x0 - 1.0, 0.0)]
-        elif y0 <= 0.0 and s0 < 0.0:
-            xc = x0 - y0 / s0
-            if xc < x0:
-                front = [(xc - 1.0, -s0), (xc, 0.0)]
-            else:
-                front = [(x0 - 1.0, -s0)]
-
-        tail: list[tuple[float, float]] = []
-        xl, yl = pts[-1]
-        sl = self.last_slope
-        if yl > 0.0 and sl < 0.0:
-            xc = xl - yl / sl
-            tail = [(xc, 0.0), (xc + 1.0, 0.0)]
-        elif yl <= 0.0 and sl <= 0.0:
-            tail = [(xl + 1.0, 0.0)]
-        elif yl <= 0.0 and sl > 0.0:
-            xc = xl - yl / sl
-            if xc > xl:
-                tail = [(xc, 0.0), (xc + 1.0, sl)]
-            else:
-                tail = [(xl + 1.0, sl)]
-
-        merged = front + mapped + tail
-        out: list[tuple[float, float]] = []
-        for x, y in merged:
-            if out and x <= out[-1][0]:
-                continue
-            out.append((x, y))
-        return PwlKernel(tuple(out))
-
-    def neg_part(self) -> "PwlKernel":
-        return self.scaled(-1.0).pos_part()
-
-    def abs_kernel(self) -> "PwlKernel":
-        return self.pos_part().add(self.neg_part())
+                    body.append((xc, 0.0))
+        (xf, yf), (xl, yl) = pts[0], pts[-1]
+        body.append((xl, yl if yl > 0.0 else 0.0))
+        front = _end_anchors(xf, yf, -self.first_slope, -1.0)
+        tail = _end_anchors(xl, yl, self.last_slope, 1.0)
+        return PwlKernel(_increasing(front[::-1] + body + tail))
 
     def descriptor(self) -> dict:
         return {"form": "pwl", "points": [[x, y] for x, y in self.points]}
+
+
+def _end_anchors(x: float, y: float, d: float, out: float) -> list[tuple[float, float]]:
+    """The positive part's anchors past the end (x, y) of a pwl kernel whose
+    extension runs outward (out = -1 on the left, +1 on the right) with
+    slope d per unit, listed outward: the crossing and one point past it
+    where y and d have opposite signs, else one point past the end where y
+    is not positive, else nothing.  A point past a crossing or an end
+    holds the extension's value, clamped at 0."""
+    if d < 0.0 < y or y < 0.0 < d:
+        xc = x - out * y / d
+        return [(xc, 0.0), (xc + out, d if d > 0.0 else 0.0)]
+    if y <= 0.0:
+        return [(x + out, d if d > 0.0 else 0.0)]
+    return []
+
+
+def _increasing(pts: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """pts less every point whose x does not exceed the last kept point's."""
+    kept: list[tuple[float, float]] = []
+    for x, y in pts:
+        if not kept or x > kept[-1][0]:
+            kept.append((x, y))
+    return tuple(kept)
 
 
 ZERO_KERNEL = PwlKernel(((0.0, 0.0),))
@@ -265,12 +239,7 @@ class BuiltinKernel(ScalarKernel, _Record):
         else:
             lo, hi = self.params
             pts = [(lo - 1.0, s * lo), (lo, s * lo), (0.0, 0.0), (hi, s * hi), (hi + 1.0, s * hi)]
-        out: list[tuple[float, float]] = []
-        for x, y in pts:
-            if out and x <= out[-1][0]:
-                continue
-            out.append((x, y))
-        return PwlKernel(tuple(out))
+        return PwlKernel(_increasing(pts))
 
     def descriptor(self) -> dict:
         return {
