@@ -11,6 +11,10 @@ tol: exact at the breakpoints and end slopes of the pwl form, sampled on a
 fixed grid otherwise, stopping at the first failing sample.  Kernels are
 frozen, and a callable kernel's `fn` must be pure (the DSL and quadrature
 discretization build only pure ones): an operator keeps each decision.
+
+A pwl kernel's positive part is built in one pass: the breakpoints with
+their values clamped at 0, the zero crossings inside segments, and one end
+rule applied at both ends, so each extension keeps the kernel's slope.
 """
 
 from __future__ import annotations
@@ -130,10 +134,10 @@ class PwlKernel(ScalarKernel, _Record):
         return PwlKernel(tuple((x, self(x) + other(x)) for x in xs))
 
     def pos_part(self) -> "PwlKernel":
-        """Pointwise max(k, 0), built in one pass: k's breakpoints with
-        their values clamped at 0, exact; each zero crossing inside a
-        segment, rounded once; and each end's anchors from `_end_anchors`,
-        so that every extension keeps k's slope."""
+        """Pointwise max(k, 0), built in one pass.  Its values at k's
+        breakpoints are k's clamped at 0, exactly; each zero crossing, in a
+        segment or on an extension, is rounded once; and each extension
+        keeps k's slope (`_end_anchors`, one rule for both ends)."""
         pts = self.points
         if len(pts) == 1:
             return self
@@ -146,26 +150,28 @@ class PwlKernel(ScalarKernel, _Record):
                     body.append((xc, 0.0))
         (xf, yf), (xl, yl) = pts[0], pts[-1]
         body.append((xl, yl if yl > 0.0 else 0.0))
-        front = _end_anchors(xf, yf, -self.first_slope, -1.0)
-        tail = _end_anchors(xl, yl, self.last_slope, 1.0)
+        front = _end_anchors(xf, yf, -self.first_slope, -1.0, pts[1][1])
+        tail = _end_anchors(xl, yl, self.last_slope, 1.0, pts[-2][1])
         return PwlKernel(_increasing(front[::-1] + body + tail))
 
     def descriptor(self) -> dict:
         return {"form": "pwl", "points": [[x, y] for x, y in self.points]}
 
 
-def _end_anchors(x: float, y: float, d: float, out: float) -> list[tuple[float, float]]:
-    """The positive part's anchors past the end (x, y) of a pwl kernel whose
-    extension runs outward (out = -1 on the left, +1 on the right) with
-    slope d per unit, listed outward: the crossing and one point past it
-    where y and d have opposite signs, else one point past the end where y
-    is not positive, else nothing.  A point past a crossing or an end
-    holds the extension's value, clamped at 0."""
+def _end_anchors(x: float, y: float, d: float, out: float, y_next: float) -> list:
+    """The positive part's anchors past the end (x, y), listed outward (out
+    is -1 on the left, +1 on the right; d is the slope per unit outward):
+    the crossing and one point past it where y and d have opposite signs;
+    else one point past the end where y <= 0, or where the end segment
+    crosses 0 (y_next < 0) and so runs to a rounded crossing, to pin slope
+    d; else none.  Each point holds the extension's value clamped at 0."""
     if d < 0.0 < y or y < 0.0 < d:
         xc = x - out * y / d
         return [(xc, 0.0), (xc + out, d if d > 0.0 else 0.0)]
     if y <= 0.0:
         return [(x + out, d if d > 0.0 else 0.0)]
+    if y_next < 0.0 and x + out != x and math.isfinite(y + d):
+        return [(x + out, y + d)]
     return []
 
 

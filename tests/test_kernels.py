@@ -13,8 +13,9 @@ from uryson.kernels import (
     kernel_neg_part,
     kernel_pos_part,
 )
+from uryson.calculus import rk_eval
 from uryson.lattice import vec
-from uryson.operators import KernelOperator, modulus
+from uryson.operators import KernelOperator, modulus, positive_part
 
 HAT = PwlKernel(((-2.0, 2.0), (-1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (3.0, 2.0)))
 
@@ -67,6 +68,87 @@ def test_pos_part_inserts_crossings():
     for r in (0.5, 1.5, 2.0, 2.5, 3.0, 4.0):
         assert p(r) == max(k(r), 0.0)
     assert 2.0 in [b for b, _ in p.points]
+
+
+@pytest.mark.parametrize("points", [
+    ((-2.0, 1e-12), (-1.0, -1.0), (0.0, 0.0)),
+    ((0.0, 0.0), (1.0, -1.0), (2.0, 1e-12)),
+], ids=["left", "right"])
+def test_parts_keep_the_end_slope_past_a_crossing_in_the_end_segment(points):
+    # the end value is positive and the extension stays positive, but the
+    # end segment crosses 0: the piece from the end to the rounded crossing
+    # must not set the extension's slope
+    T = KernelOperator(((PwlKernel(points),),))
+    side = -1.0 if points[0][1] else 1.0
+    for far in (3.0, 1002.0):
+        x = vec(side * far)
+        assert repr(positive_part(T)(x)) == repr(rk_eval("pos", T, x).value)
+        assert repr(modulus(T)(x)) == repr(rk_eval("abs", T, x).value)
+    assert positive_part(T)(vec(side * 3.0)).coords == (1.0000000000020002,)
+
+
+@pytest.mark.parametrize("points", [
+    ((0.0, 0.0), (1e-300, -3.0), (1.0, 1e308)),  # the value one unit out overflows
+    ((-1e300, 5e-324), (-1.0, -1.0), (0.0, 0.0)),  # one unit out rounds onto the end
+], ids=["overflow", "collapse"])
+def test_pos_part_adds_no_anchor_that_is_not_a_float_past_the_end(points):
+    p = kernel_pos_part(PwlKernel(points))
+    for x, y in points:
+        assert p(x) == max(y, 0.0)
+
+
+def _end_case(rng, left_sign, left_slope, right_sign, right_slope):
+    """A pwl kernel with 2-4 breakpoints on each side of 0, on a grid or off
+    it, whose ends have the given value signs and outward slope signs (each
+    -1, 0 or +1), and end values of every size from 1e-13 to 4."""
+    grid = rng.random() < 0.5
+
+    def side(sign, slope):
+        # (|x|, y) from 0 outward; the last pair is the end
+        count = rng.randint(2, 4)
+        if grid:
+            xs = sorted(rng.sample([k / 2.0 for k in range(1, 9)], count))
+            ys = [float(rng.randint(-4, 4)) for _ in range(count - 2)]
+        else:
+            xs = sorted(rng.uniform(0.01, 4.0) for _ in range(count))
+            ys = [rng.uniform(-4.0, 4.0) for _ in range(count - 2)]
+        end = sign * 10.0 ** rng.uniform(-13.0, 0.6)  # down to 1e-13: crossings near the end
+        return list(zip(xs, ys + [end - slope * rng.uniform(0.1, 4.0), end]))
+
+    left = [(-x, y) for x, y in reversed(side(left_sign, left_slope))]
+    return PwlKernel((*left, (0.0, 0.0), *side(right_sign, right_slope)))
+
+
+def test_parts_are_pointwise_maxima():
+    """On 3000 seeded kernels, every sign of each end value and of each
+    extension's slope: both parts equal max(+-k, 0) exactly at k's
+    breakpoints, within 1e-12 at random probes and 1000 units out, and are
+    nonnegative everywhere at tol 0."""
+    rng = random.Random(24)
+    signs = (-1.0, 0.0, 1.0)
+    combos = [(a, b, c, d) for a in signs for b in signs for c in signs for d in signs]
+    for case in range(3000):
+        k = _end_case(rng, *combos[case % len(combos)])
+        for part, sign in ((kernel_pos_part(k), 1.0), (kernel_neg_part(k), -1.0)):
+            for x, y in k.points:
+                assert part(x) == max(sign * y, 0.0), (k, sign, x)
+            probes = [rng.uniform(-6.0, 6.0) for _ in range(8)] + [-1e3, 1e3]
+            for r in probes:
+                want = max(sign * k(r), 0.0)
+                assert math.isclose(part(r), want, rel_tol=1e-12, abs_tol=1e-12), (k, sign, r)
+            assert part.nonneg_everywhere(0.0), (k, sign)
+
+
+def test_parts_of_a_callable_kernel_are_callable_maxima():
+    f = FuncKernel(lambda r: r * r - r, label="q")
+    pos, neg = kernel_pos_part(f), kernel_neg_part(f)
+    assert pos.to_pwl() is None and neg.to_pwl() is None
+    assert pos.label == "pos(q)"
+    assert neg.label == "pos(-1*(q))"
+    for r in (-2.0, 0.0, 0.25, 0.5, 1.0, 3.0):
+        assert pos(r) == max(f(r), 0.0)
+        assert neg(r) == max(-f(r), 0.0)
+    assert pos.nonneg_everywhere(0.0) and neg.nonneg_everywhere(0.0)
 
 
 def test_nonneg_everywhere_sees_extensions():
