@@ -481,6 +481,25 @@ def test_cli_never_tracebacks(tmp_path, text, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("suite", DEMO), ("run", DEMO, "project", "S,SD", "T", "x2"), ("run", DEMO, "disjoint", "S", "D")],
+    ids=["suite", "project", "disjoint"],
+)
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    outcomes = set()
+    for seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "uryson.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        outcomes.add((proc.returncode, proc.stdout))
+    assert len(outcomes) == 1
+    code, out = outcomes.pop()
+    assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize(
     "body",
     [
         "(" * 3000 + "r" + ")" * 3000,

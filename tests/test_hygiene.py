@@ -1,7 +1,8 @@
 """Source hygiene of the package: no unused module-level imports, no
 unreferenced private helpers, an explicit export list, and one home for the
 settings (`Settings`: its fields are the ``set`` keys, the CLI flags and the
-README's flag list, and it rejects what a ``set`` line rejects).
+README's flag list, and it rejects what a ``set`` line rejects).  The
+README's library example runs and gives the values its comments state.
 
 The import scan reads each module of src/uryson and each file of tests with
 `ast`: a name bound by a module-level import must be read somewhere in the
@@ -401,6 +402,18 @@ def test_readme_flags_sentence_lists_the_settings_fields():
     assert set(sentence.group(1).split()) == {
         "--" + name.replace("_", "-") for name in SETTING_FIELDS
     }
+
+
+def test_readme_library_example_runs_as_commented():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    ns: dict = {}
+    exec(block, ns)
+    assert ns["T"](ns["x"]).coords == (2.0, 3.0)
+    pr = ns["pr"]
+    assert pr.band.value.coords == (1.0, 2.0)
+    assert pr.complement.value.coords == (1.0, 1.0)
+    assert pr.band.stabilized_at == 0.5
 
 
 # per field, values the rules reject: non-finite (1e999 reads as inf), and
