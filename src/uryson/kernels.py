@@ -135,9 +135,9 @@ class PwlKernel(ScalarKernel, _Record):
 
     def pos_part(self) -> "PwlKernel":
         """Pointwise max(k, 0), built in one pass.  Its values at k's
-        breakpoints are k's clamped at 0, exactly; each zero crossing, in a
-        segment or on an extension, is rounded once; and each extension
-        keeps k's slope (`_end_anchors`, one rule for both ends)."""
+        breakpoints are k's clamped at 0, exactly; each zero crossing is
+        rounded once; and each extension keeps k's slope, up to one
+        rounding (`_end_anchors`, one rule for both ends)."""
         pts = self.points
         if len(pts) == 1:
             return self
@@ -290,10 +290,9 @@ def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAU
     """high - low >= -tol everywhere; exact when both sides are pwl-representable.
 
     The pwl difference is checked at the union of both breakpoint sets and by
-    its two end slopes, the same floats (negation is exact) that hp.sub(lp)
-    would store, without building it.  Otherwise it is sampled on
-    _SAMPLE_GRID up to the first failing sample; equal samples pass, also
-    where both are infinite.
+    its end slopes, the floats hp.add(lp.scaled(-1.0)) would hold (negation
+    is exact), unbuilt.  Otherwise it is sampled on _SAMPLE_GRID up to the
+    first failing sample; equal samples pass, also where both are infinite.
     """
     if low is high:
         return True
