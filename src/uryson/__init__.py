@@ -11,10 +11,10 @@ feasibility per (fragment, row) over the empty mask and the singleton masks
 only; all five (band, complement, principal, rank-one, functional) are
 instances of one engine over per-fragment tables that each call builds
 once.  Every fragment program has each kernel evaluated at x_j and at 0
-once per operator and probe: a row of T(y) or T(x - y) is an exact subset
-sum of those addends rounded once, the float an application gives (tables
-near the float range fsum each fragment's addends).  Reports are emitted
-as byte-stable JSON in one walk.
+once per operator and probe, and sums a row of T(y) or T(x - y) from those
+addends by one fsum per fragment, or integer subset sums, each rounded
+once: the float an application gives.  Reports are emitted as byte-stable
+JSON in one walk.
 """
 
 import importlib

@@ -39,7 +39,6 @@ from .lattice import (
     _Record,
     first_extremum,
     fragments,
-    require_count,
     require_positive_finite,
     require_unit,
 )
@@ -47,6 +46,16 @@ from .operators import KernelOperator, check_pair_dims, require_positive
 
 RK_KINDS = ("join", "meet", "pos", "neg", "abs")
 _BINARY_KINDS = ("join", "meet")
+_IFF_STEPS = 20  # check_disjoint_iff's converse probes eps * 2^-k, k < _IFF_STEPS
+# the cell rule of each kind in rk_eval_separable, on t_ij(x_j) and s_ij(x_j)
+# (t_ij(x_j) again for the kinds of one operator)
+_CELLS = {
+    "join": max,
+    "meet": min,
+    "pos": lambda a, _: a if a > 0.0 else 0.0,
+    "neg": lambda a, _: -a if a < 0.0 else 0.0,
+    "abs": lambda a, _: abs(a),
+}
 
 
 class RKResult(_Record):
@@ -81,9 +90,9 @@ class _Table:
     def __init__(self, kind: str, T: KernelOperator, x: Vector, S: KernelOperator | None,
                  cap_support: int, tol: float):
         self.frags = fragments(x, cap=cap_support, tol=tol)
-        self.tys = self.rows = T.on_fragments(x, self.frags)
+        self.tys = self.rows = T.on_fragments(self.frags)
         other = T if kind == "abs" else S
-        self.second = None if other is None else other.on_fragments(x, self.frags, rest=True)
+        self.second = None if other is None else other.on_fragments(self.frags, rest=True)
         if self.second is not None:
             combine = operator.sub if kind == "abs" else operator.add
             self.rows = [list(map(combine, t, s)) for t, s in zip(self.tys, self.second)]
@@ -138,21 +147,9 @@ def rk_eval_separable(
     _check_kind(kind, T, x, S)
 
     tv = T._values(x)
-    sv = S._values(x) if S is not None else None
-    out = []
-    for i in range(T.m):
-        if kind == "join":
-            terms = (max(a, b) for a, b in zip(tv[i], sv[i]))
-        elif kind == "meet":
-            terms = (min(a, b) for a, b in zip(tv[i], sv[i]))
-        elif kind == "pos":
-            terms = (a if a > 0.0 else 0.0 for a in tv[i])
-        elif kind == "neg":
-            terms = (-a if a < 0.0 else 0.0 for a in tv[i])
-        else:
-            terms = (abs(a) for a in tv[i])
-        out.append(math.fsum(terms))
-    return Vector(tuple(out))
+    sv = tv if S is None else S._values(x)
+    cell = _CELLS[kind]
+    return Vector(tuple(math.fsum(map(cell, t, s)) for t, s in zip(tv, sv)))
 
 
 def check_modulus_bound(
@@ -227,7 +224,6 @@ def check_disjoint_iff(
     T: KernelOperator,
     xs: list[Vector],
     eps: float,
-    steps: int = 20,
     cap_support: int = DEFAULT_SUPPORT_CAP,
     tol: float = DEFAULT_TOL,
 ) -> dict:
@@ -236,14 +232,13 @@ def check_disjoint_iff(
     Forward: where the pointwise meet vanishes, build the witness and check
     mask*T(x_a) <= eps'*T(x) and mask*S(x - x_a) <= eps'*S(x) at the smallest
     probed eps'.  Converse: for each eps' in the halving schedule eps*2^-k,
-    record whether any per-coordinate fragment witness exists and, if so,
-    verify meet <= eps'*(T(x) + S(x)).  A probe is flagged inconsistent when
-    the two directions disagree.
+    k < 20, record whether any per-coordinate fragment witness exists and,
+    if so, verify meet <= eps'*(T(x) + S(x)).  A probe is flagged
+    inconsistent when the two directions disagree.
     """
     require_positive("S", S, tol)
     require_positive("T", T, tol)
     require_positive_finite("eps", eps)
-    require_count("steps", steps)
 
     probes = []
     all_ok = True
@@ -265,7 +260,7 @@ def check_disjoint_iff(
             ts, ss = zip(*sorted(zip(t_row, s_row)))
             fronts.append((ts, list(accumulate(ss, min))))
 
-        eps_list = [eps * 0.5**k for k in range(steps)]
+        eps_list = [eps * 0.5**k for k in range(_IFF_STEPS)]
         converse = []
         for e in eps_list:
             exists = all(
@@ -314,7 +309,7 @@ def check_disjoint_iff(
 
     return {
         "eps0": eps,
-        "steps": steps,
+        "steps": _IFF_STEPS,
         "probes": probes,
         "all_disjoint": all_disjoint,
         "all_ok": all_ok,

@@ -164,15 +164,39 @@ def _end_anchors(x: float, y: float, d: float, out: float, y_next: float) -> lis
     the crossing and one point past it where y and d have opposite signs;
     else one point past the end where y <= 0, or where the end segment
     crosses 0 (y_next < 0) and so runs to a rounded crossing, to pin slope
-    d; else none.  Each point holds the extension's value clamped at 0."""
+    d; else none.  Each point holds the extension's value clamped at 0.
+
+    A point past v steps one unit out where |v| < 2^53.  From 2^53 on,
+    where v +- 1 rounds to v or two units away, it steps |v| (exactly, to
+    2v), or one float where that overflows.  A crossing that rounds onto a
+    positive end value moves one float out, so that it keeps the end value.
+    An anchor that is not finite means the extension overflows: ValueError,
+    except for the point past a positive end, which is left out so that a
+    finite positive part stays finite."""
     if d < 0.0 < y or y < 0.0 < d:
         xc = x - out * y / d
-        return [(xc, 0.0), (xc + out, d if d > 0.0 else 0.0)]
-    if y <= 0.0:
-        return [(x + out, d if d > 0.0 else 0.0)]
-    if y_next < 0.0 and x + out != x and math.isfinite(y + d):
-        return [(x + out, y + d)]
-    return []
+        if xc == x and y > 0.0:
+            xc = math.nextafter(x, out * math.inf)
+        anchors = [(xc, 0.0), _past(xc, 0.0, d, out)]
+    elif y <= 0.0:
+        anchors = [_past(x, 0.0, d, out)]
+    elif y_next < 0.0:
+        anchor = _past(x, y, d, out)
+        return [anchor] if all(map(math.isfinite, anchor)) else []
+    else:
+        return []
+    if not all(math.isfinite(v) for point in anchors for v in point):
+        raise ValueError("positive part: the extension past an end overflows")
+    return anchors
+
+
+def _past(v: float, w: float, d: float, out: float) -> tuple[float, float]:
+    """The point one step out from (v, w) on slope d, clamped at 0."""
+    for step in (1.0,) if abs(v) < 2.0**53 else (abs(v), math.ulp(v)):
+        a, value = v + out * step, w + d * step
+        if math.isfinite(a) and math.isfinite(value):
+            break
+    return a, value if value > 0.0 else 0.0
 
 
 def _increasing(pts: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:

@@ -436,10 +436,10 @@ def is_partition_of_unity(masks: Sequence[Mask] | IndexedFamily) -> bool:
     if not items:
         return False
     dim = items[0].dim
+    if any(m.dim != dim for m in items):
+        raise DimensionMismatch("masks must share a dimension")
     union = Mask.empty(dim)
     for i, m in enumerate(items):
-        if m.dim != dim:
-            raise DimensionMismatch("masks must share a dimension")
         for q in items[i + 1:]:
             if not (m & q).is_empty:
                 return False

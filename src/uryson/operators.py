@@ -9,13 +9,8 @@ The fragment programs read T(y) and T(x - y) over all fragments y of x from
 `on_fragments`, which returns one list per output row in fragment order.
 Its entries are the floats an application per fragment gives.  It has each
 kernel evaluated at x_j and at 0 once per operator and probe, builds no
-fragment Vector, and sums those addends by the size of a row: a row of at
-most FSUM_MAX_ENTRIES entries (2^|supp x| * n) takes one fsum per fragment,
-a larger one exact subset sums (integers over a power-of-two denominator,
-one doubling per support column), each rounded once.  A table with a
-non-finite entry or near the float range sums each fragment's addends with
-fsum fragment by fragment, from the same kept tables, so it fails exactly as
-an application does.
+fragment Vector, and sums a row by one fsum per fragment, or integer subset
+sums (its docstring says which and why).
 
 Positivity and the operator order are decided kernel by kernel, stopping
 at the first kernel (or kernel pair) that fails.  Each operator keeps its
@@ -122,64 +117,55 @@ class KernelOperator(_Record):
             object.__setattr__(self, "_at_0", table)
         return self._at_0
 
-    def on_fragments(
-        self, x: Vector, frags: Fragments, rest: bool = False
-    ) -> list[list[float]]:
-        """rows[i][k] = T(y_k)_i for the fragments y_k of x, or T(x - y_k)_i with rest.
+    def on_fragments(self, frags: Fragments, rest: bool = False) -> list[list[float]]:
+        """rows[i][k] = T(y_k)_i for the fragments y_k of x = frags.x, or
+        T(x - y_k)_i with rest.
 
         The entries are the floats that applying T to every fragment (or to
-        its complement) gives.  A table with a non-finite entry, or so large
-        that fsum's partial sums may overflow, is computed as an application
-        would be, fragment by fragment, from the kept tables: fsum over each
-        row of table entries, then a Vector; so it fails as an application
-        does, at the same fragment: OverflowError from fsum, or ValueError
-        for a non-finite T(y).  No kernel is evaluated, and x stays the kept
-        probe.
+        its complement) gives.  They are read from the kept addend tables at
+        x and at 0 (`_values`, `_zeros`), and no fragment Vector is built:
+        y_j is x_j on the kept support columns and 0.0 elsewhere, so
+        (x - y)_j is 0.0 or x_j, and every addend of a row is one of two
+        table entries (bit b of a fragment index keeps frags.supp[b]).  A
+        row, 2^|supp x| * n entries, is summed in one of two ways:
 
-        Any other table reads the kept addend tables at x and at 0
-        (`_values`, `_zeros`) and builds no fragment Vector: y_j is x_j on
-        the kept support columns and 0.0 elsewhere, so (x - y)_j is 0.0 or
-        x_j, and every addend of a row is one of two table entries (bit b of
-        a fragment index keeps frags.supp[b]).  How a row is summed depends
-        on its size, 2^|supp x| * n entries:
-
-        - at most FSUM_MAX_ENTRIES: one fsum per fragment over its addends,
-          picked by itertools.product in fragment order;
-        - above it: the entries are written as integers over one
-          power-of-two denominator, the sum of the row's dropped entries is
-          doubled once per support column, which lists the exact subset
-          sums in fragment order, and each is divided by the denominator
-          once.
+        - one fsum per fragment over its addends, picked by
+          itertools.product in fragment order, where a row has at most
+          FSUM_MAX_ENTRIES entries, or where the table has a non-finite
+          entry or is so large that fsum's partial sums may overflow.  Such
+          a table is summed as an application would be: fragment by
+          fragment, each row's addends in column order, then a Vector; so it
+          fails as an application does, at the same fragment: OverflowError
+          from fsum, or ValueError for a non-finite T(y);
+        - integer subset sums otherwise: the entries are written as integers
+          over one power-of-two denominator, the sum of the row's dropped
+          entries is doubled once per support column, which lists the exact
+          subset sums in fragment order, and each is divided by the
+          denominator once.
 
         fsum, integer true division and (off the subnormal and overflow
         range) rounding to a float then scaling by a power of two all round
         the exact sum correctly, in any addend order, so each entry is the
         float an application gives on either path (an exact zero is 0.0).
         """
-        at_x, at_0 = self._values(x), self._zeros()
+        at_x, at_0 = self._values(frags.x), self._zeros()
         kept, dropped = (at_0, at_x) if rest else (at_x, at_0)
         flat = [v for row in dropped + kept for v in row]
         total = sum(map(abs, flat))
         supp, n = frags.supp, len(at_x[0])
-        # fsum's partial sums stay below sum(|v|); NaN and inf fail too
-        if not total < 2.0**1020:
-            table = []
-            for k in range(len(frags)):
-                cols = {j for b, j in enumerate(supp) if k >> b & 1}
-                rows = [
-                    [hi[j] if j in cols else lo[j] for j in range(n)]
-                    for lo, hi in zip(dropped, kept)
-                ]
-                table.append(Vector(tuple(map(math.fsum, rows))).coords)
-            return [list(row) for row in zip(*table)]
-        if n << len(supp) <= FSUM_MAX_ENTRIES:
+        # fsum's partial sums stay below sum(|v|), so they fit; NaN and inf fail
+        fits = total < 2.0**1020
+        if not fits or n << len(supp) <= FSUM_MAX_ENTRIES:
             # the columns reversed, so that the last choice, which product
             # varies fastest, is supp[0]'s: the sums come in fragment order
-            rows = []
-            for lo, hi in zip(dropped, kept):
-                choices = [(lo[j], hi[j]) if j in supp else (lo[j],) for j in reversed(range(n))]
-                rows.append(list(map(math.fsum, product(*choices))))
-            return rows
+            picks = [
+                product(*[(lo[j], hi[j]) if j in supp else (lo[j],) for j in reversed(range(n))])
+                for lo, hi in zip(dropped, kept)
+            ]
+            if fits:
+                return [list(map(math.fsum, p)) for p in picks]
+            sums = zip(*[map(math.fsum, map(reversed, p)) for p in picks])
+            return [list(row) for row in zip(*[Vector(col).coords for col in sums])]
         # each entry as an integer over one power-of-two denominator, in the
         # order of flat: the dropped rows, then the kept rows
         nums, dens = zip(*[v.as_integer_ratio() for v in flat])

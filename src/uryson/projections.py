@@ -239,10 +239,10 @@ def _programs(
     fragments y of x, T(y) and T(x).  The constraint is S(x - y) (band) or
     S(y) (complement) against S(x); the caller has checked the inputs."""
     frags = fragments(x, cap=cap_support, tol=tol)
-    tys, tx = T.on_fragments(x, frags), T(x).coords
+    tys, tx = T.on_fragments(frags), T(x).coords
     return (
         _MemberProgram(
-            sense, range(T.m), frags, S.on_fragments(x, frags, rest=sense == "band"),
+            sense, range(T.m), frags, S.on_fragments(frags, rest=sense == "band"),
             S(x).coords, tys, tx, tol,
         )
         for S in gens
@@ -325,7 +325,7 @@ def project_principal(
     prog = next(_programs("band", (S,), T, x, cap_support, tol))
     # the band program holds S(x) as its bound and starts at T(x)
     sx, tx = prog.bound, prog.start
-    s_y = S.on_fragments(x, prog.frags)
+    s_y = S.on_fragments(prog.frags)
 
     def complement(rows):
         return _MemberProgram("complement", rows, prog.frags, s_y, sx, prog.tys, tx, tol).run(sched)
@@ -373,13 +373,13 @@ def project_rank_one(
 
     rho_u = principal_mask(u, tol)
     frags = fragments(x, cap=cap_support, tol=tol)
-    tys = T.on_fragments(x, frags)
+    tys = T.on_fragments(frags)
     tx = T(x)
     phix = phi(x).coords * T.m
 
     def program(sense):
         # every row carries phi's one constraint row
-        cons = phi.on_fragments(x, frags, rest=sense == "band") * T.m
+        cons = phi.on_fragments(frags, rest=sense == "band") * T.m
         return _MemberProgram(
             sense, range(T.m), frags, cons, phix, tys, tx.coords, tol
         ).run(sched)

@@ -27,8 +27,9 @@ the library's signature, result record and error (class and message):
   which every later |x_b - x|_i <= eps*u_i + tol, found by testing every
   label.
 
-It uses the value types, `all_masks`, `principal_mask`, the validators and
-kernelwise positive and negative parts to build operands and results, and
+It uses the value types, `all_masks`, `principal_mask`, the validators,
+kernelwise positive and negative parts and the converse's schedule length
+(`calculus._IFF_STEPS`) to build operands and results, and
 calls no fragment enumeration, table, program or entry point of the library.
 """
 
@@ -36,6 +37,7 @@ import math
 from fractions import Fraction
 from functools import partial
 
+from uryson import calculus
 from uryson.calculus import RK_KINDS, DisjointnessWitness, RKResult
 from uryson.errors import (
     DimensionMismatch, NoStabilization, NotConverged, NotDisjoint, NotIncreasing, NotPositive,
@@ -44,7 +46,7 @@ from uryson.errors import (
 from uryson.kernels import _SAMPLE_GRID, DEFAULT_TOL
 from uryson.lattice import (
     DEFAULT_SUPPORT_CAP, EpsSchedule, IndexedFamily, Mask, Vector, all_masks, principal_mask,
-    require_count, require_positive_finite, require_unit,
+    require_positive_finite, require_unit,
 )
 from uryson.operators import check_pair_dims, negative_part, positive_part, require_rank_one
 from uryson.projections import PrincipalProjection, ProjectionResult, RankOneProjection
@@ -396,11 +398,11 @@ def disjoint_witness(S, T, x, eps, u, cap_support=CAP, tol=TOL):
     )
 
 
-def check_disjoint_iff(S, T, xs, eps, steps=20, cap_support=CAP, tol=TOL):
+def check_disjoint_iff(S, T, xs, eps, cap_support=CAP, tol=TOL):
     require_positive("S", S, tol)
     require_positive("T", T, tol)
     require_positive_finite("eps", eps)
-    require_count("steps", steps)
+    steps = calculus._IFF_STEPS
     probes, all_ok, all_disjoint = [], True, True
     for x in xs:
         check_pair_dims(T, S, x)

@@ -205,7 +205,7 @@ def families(draw):
 
 
 def on_fragments(op, x, rest, tol):
-    return op.on_fragments(x, fragments(x, tol=tol), rest)
+    return op.on_fragments(fragments(x, tol=tol), rest)
 
 
 def entry_points(c):
@@ -226,8 +226,8 @@ def entry_points(c):
     for A, B in ((c.S, c.T), (c.T, c.S)):
         yield disjoint_witness, ref.disjoint_witness, (A, B, c.x, 0.5, ones), kw
     xs = [c.x, Vector(tuple(reversed(c.x.coords))).scale(0.5)]
-    for eps, steps in ((0.5, 1), (1.0, 20)):
-        yield check_disjoint_iff, ref.check_disjoint_iff, (c.S, c.T, xs, eps, steps), kw
+    for eps in (0.5, 1.0):
+        yield check_disjoint_iff, ref.check_disjoint_iff, (c.S, c.T, xs, eps), kw
     A = (c.S, c.S2)
     yield project_band_set, ref.project_band_set, (A, c.T, c.x, c.sched), kw
     yield project_band_set_complement, ref.project_band_set_complement, (A, c.T, c.x, c.sched), kw

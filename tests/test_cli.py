@@ -481,22 +481,36 @@ def test_cli_never_tracebacks(tmp_path, text, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("suite", DEMO), ("run", DEMO, "project", "S,SD", "T", "x2"), ("run", DEMO, "disjoint", "S", "D")],
-    ids=["suite", "project", "disjoint"],
+    "argv,code",
+    [
+        (("suite", DEMO), 0),
+        (("run", DEMO, "project", "S,SD", "T", "x2"), 0),
+        (("run", DEMO, "disjoint", "S", "D"), 0),
+        (("run", DEMO, "eval", "T", "--all", "--csv", "TABLE"), 0),
+        (("run", DEMO, "witness", "T", "S", "x1"), 1),
+    ],
+    ids=["suite", "project", "disjoint", "eval-csv", "witness"],
 )
-def test_reports_do_not_depend_on_the_hash_seed(argv):
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, argv, code):
+    # three hash seeds, then a child in development mode with warnings as
+    # errors, which the test session's warning filter does not reach
+    table = tmp_path / "table.csv"
+    argv = [str(table) if arg == "TABLE" else arg for arg in argv]
+    configs = [([], {"PYTHONHASHSEED": seed}) for seed in ("0", "1", "12345")]
+    configs.append((["-X", "dev", "-W", "error"], {}))
     outcomes = set()
-    for seed in ("0", "1", "12345"):
-        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+    for flags, extra in configs:
+        env = dict(os.environ, PYTHONPATH=str(SRC), **extra)
         proc = subprocess.run(
-            [sys.executable, "-m", "uryson.cli", *argv],
+            [sys.executable, *flags, "-m", "uryson.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        outcomes.add((proc.returncode, proc.stdout))
+        assert proc.stderr == ""
+        outcomes.add((proc.returncode, proc.stdout, table.read_text() if table.exists() else None))
     assert len(outcomes) == 1
-    code, out = outcomes.pop()
-    assert code == 0 and json.loads(out)
+    got, out, csv = outcomes.pop()
+    assert got == code and json.loads(out)
+    assert (csv is None) == ("--csv" not in argv)
 
 
 @pytest.mark.parametrize(
@@ -615,6 +629,26 @@ def test_non_finite_integral_lines_are_refused(capsys, tmp_path, line, code, mes
     exit_code, rep = run_json(capsys, "run", str(model), "eval", "U", "x")
     assert exit_code == 2
     assert rep["error"] == {"code": code, "line": 2, "message": message}
+
+
+PROBELESS_MODEL = "kernel k abs\nop S 1x1 [k]\nop T 1x1 [k]\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("eval", "T", "--all"), "model declares no probes"),
+        (("disjoint", "S", "T"), "model declares no probes"),
+        (("disjoint", "S"), "expected disjoint OP1 OP2 [PROBE...]"),
+    ],
+    ids=["eval-all", "disjoint-all", "disjoint-one-operator"],
+)
+def test_probe_less_model_refusals(capsys, tmp_path, argv, message):
+    model = tmp_path / "m.ury"
+    model.write_text(PROBELESS_MODEL)
+    code, rep = run_json(capsys, "run", str(model), *argv)
+    assert code == 2
+    assert rep["error"] == {"code": "bad_command", "message": message}
 
 
 @pytest.mark.parametrize(

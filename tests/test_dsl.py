@@ -172,6 +172,11 @@ SEMANTIC_CASES = [
      "kernel must vanish at 0 \\(got 2e-09\\)"),
     ("op U integral (s*t+1) s=(1) t=(2) w=(1)\n", "c0_violation", 1,
      "kernel does not vanish at 0 at node \\(s=1, t=2\\): 3.0"),
+    ("space E 2.5\n", "semantic_error", 1, "space dimension must be an integer"),
+    ("space E 0\n", "semantic_error", 1, "space dimension must be >= 1"),
+    ("op T 0x1 []\n", "semantic_error", 1, "operator dimensions must be >= 1"),
+    ("op U integral (min(r)) s=(1) t=(1) w=(1)\n", "semantic_error", 1,
+     "min takes 2 argument\\(s\\)"),
 ]
 
 
@@ -188,6 +193,9 @@ SYNTAX_CASES = [
     ("kernel k abs\nop phi 1x1 [k]\nop R rank1\n", 3, 11, "expected a functional name"),
     ("op U integral (s*t*r) t=(1) s=(1) w=(1)\n", 1, 23, "expected s=\\(...\\)"),
     ("kernel k abs scale=xyz\n", 1, 20, "expected a number"),
+    ("kernel k pwl\n", 1, 13, "expected at least one \\(x,y\\) breakpoint"),
+    ("op U integral (\n", 1, 16, "expected an expression"),
+    ("op U integral (*r) s=(1) t=(1) w=(1)\n", 1, 16, "unexpected token '\\*' in expression"),
 ]
 
 

@@ -47,7 +47,7 @@ def test_non_finite_addend_raises_like_an_application():
     x = Vector((2.5, 1.0))
     frags = fragments(x)
     for rest in (False, True):
-        got = outcome(T.on_fragments, x, frags, rest)
+        got = outcome(T.on_fragments, frags, rest)
         assert got == outcome(ref.table, T, x, rest)
         assert got == ("error", "ValueError", "vector coordinates must be finite")
     for kind in ("join", "meet"):

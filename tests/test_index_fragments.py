@@ -173,9 +173,9 @@ def test_two_scalar_rule_on_operators(seed):
     assert all(-n * TOL <= v < 0.0 for v in sx[::2]) or not any(x.coords)
     sched = SCHEDULES[seed % len(SCHEDULES)]
     frags = fragments(x, tol=TOL)
-    tys, tx = T.on_fragments(x, frags), T(x).coords
+    tys, tx = T.on_fragments(frags), T(x).coords
     for sense in ("band", "complement"):
-        cons = S.on_fragments(x, frags, rest=sense == "band")
+        cons = S.on_fragments(frags, rest=sense == "band")
         assert_programs_agree(sense, range(m), x, cons, sx, tys, tx, TOL, sched)
         args = (S, T, x, sched, sense)
         want = outcome(ref.band_set_profile, *args, tol=TOL)

@@ -87,7 +87,7 @@ def signed_zero_operator():
 
 def results(T, x):
     frags = fragments(x)
-    tables = (T.on_fragments(x, frags), T.on_fragments(x, frags, rest=True))
+    tables = (T.on_fragments(frags), T.on_fragments(frags, rest=True))
     return repr((T(x), T.kernel_values(x), tables))
 
 
@@ -114,13 +114,13 @@ def test_pickle_and_copy_carry_kernels_only():
     rng = rng_for(7, "kept-pickle")
     S, T = disjoint_positive_pair(rng, 3, 4)
     x = Vector((1.0, -0.5, 2.0, 0.0))
-    before = (operator_leq(S, T), T(x), T.on_fragments(x, fragments(x), rest=True))
+    before = (operator_leq(S, T), T(x), T.on_fragments(fragments(x), rest=True))
     assert T._leq and T._at_0 is not None and T._at_x is not None
     for twin in (pickle.loads(pickle.dumps(T)), copy.copy(T), copy.deepcopy(T)):
         assert twin == T and twin is not T and hash(twin) == hash(T)
         assert (twin._positive, twin._leq, twin._at_0, twin._at_x) == ({}, {}, None, None)
         assert repr(twin) == repr(T)
-        after = (operator_leq(S, twin), twin(x), twin.on_fragments(x, fragments(x), rest=True))
+        after = (operator_leq(S, twin), twin(x), twin.on_fragments(fragments(x), rest=True))
         assert repr(after) == repr(before)
 
 
@@ -131,8 +131,8 @@ def test_fallback_rows_read_the_kept_tables(evaluations):
     T = KernelOperator(((k, k),))
     x = Vector((1.0, -1.0))
     frags = fragments(x)
-    assert sorted(evaluations(T.on_fragments, x, frags)) == [-1.0, 0.0, 0.0, 1.0]
+    assert sorted(evaluations(T.on_fragments, frags)) == [-1.0, 0.0, 0.0, 1.0]
     for rest in (False, True, False):
-        assert evaluations(T.on_fragments, x, frags, rest) == []
-    assert T.on_fragments(x, frags) == [[0.0, 1e308, -1e308, 0.0]]
-    assert T.on_fragments(x, frags, rest=True) == [[0.0, -1e308, 1e308, 0.0]]
+        assert evaluations(T.on_fragments, frags, rest) == []
+    assert T.on_fragments(frags) == [[0.0, 1e308, -1e308, 0.0]]
+    assert T.on_fragments(frags, rest=True) == [[0.0, -1e308, 1e308, 0.0]]

@@ -96,6 +96,31 @@ def test_pos_part_adds_no_anchor_that_is_not_a_float_past_the_end(points):
         assert p(x) == max(y, 0.0)
 
 
+@pytest.mark.parametrize("points,probes", [
+    # one unit past 2e17 rounds onto the end
+    (((0.0, 0.0), (1e17, -1.0), (2e17, 0.0)), (3e17, 4e17)),
+    # one unit past the crossing at 2^53 + 2 rounds two units away
+    (((0.0, 0.0), (2.0**53 - 2, -2.0), (2.0**53, -1.0)), (2.0**54, 2.0**55)),
+    # the crossing rounds onto the positive end value
+    (((-1e300, 1e-300), (-1.0, 2.0), (0.0, 0.0)), (-1.5e300, -4e300)),
+    # a step of |x| past the crossing near 1e308 overflows, so one float is taken
+    (((0.0, 0.0), (1e300, -1.0), (1e308, -1e-10)), (1.5e308, 1.7e308)),
+], ids=["unit-step-collapses", "unit-step-doubles", "crossing-on-end", "far-step-overflows"])
+def test_pos_part_keeps_far_ends_and_their_slopes(points, probes):
+    k = PwlKernel(points)
+    p = kernel_pos_part(k)
+    for x, y in points:
+        assert p(x) == max(y, 0.0)
+    for r in probes:
+        assert math.isclose(p(r), max(k(r), 0.0), rel_tol=1e-12)
+
+
+def test_pos_part_of_an_overflowing_extension_says_so():
+    k = PwlKernel(((-1e300, 5e-324), (-1e-300, -1e300), (0.0, 0.0)))  # last slope inf
+    with pytest.raises(ValueError, match="^positive part: the extension past an end overflows$"):
+        kernel_pos_part(k)
+
+
 def _end_case(rng, left_sign, left_slope, right_sign, right_slope):
     """A pwl kernel with 2-4 breakpoints on each side of 0, on a grid or off
     it, whose ends have the given value signs and outward slope signs (each
