@@ -30,7 +30,7 @@ from bisect import bisect_right
 from itertools import accumulate, chain
 
 from .errors import NotDisjoint
-from .kernels import DEFAULT_TOL
+from .kernels import DEFAULT_TOL, PART_RULES
 from .lattice import (
     DEFAULT_SUPPORT_CAP,
     IndexedFamily,
@@ -47,15 +47,6 @@ from .operators import KernelOperator, check_pair_dims, require_positive
 RK_KINDS = ("join", "meet", "pos", "neg", "abs")
 _BINARY_KINDS = ("join", "meet")
 _IFF_STEPS = 20  # check_disjoint_iff's converse probes eps * 2^-k, k < _IFF_STEPS
-# the cell rule of each kind in rk_eval_separable, on t_ij(x_j) and s_ij(x_j)
-# (t_ij(x_j) again for the kinds of one operator)
-_CELLS = {
-    "join": max,
-    "meet": min,
-    "pos": lambda a, _: a if a > 0.0 else 0.0,
-    "neg": lambda a, _: -a if a < 0.0 else 0.0,
-    "abs": lambda a, _: abs(a),
-}
 
 
 class RKResult(_Record):
@@ -140,16 +131,19 @@ def rk_eval_separable(
     """Closed form of rk_eval: optimize each input coordinate independently.
 
     join_i = sum_j max(t_ij(x_j), s_ij(x_j)), meet with min, pos/neg/abs with
-    max(t,0)/max(-t,0)/|t|.  Every kernel is read at x_j only, so this
-    ignores k(0) and the support tol: it can differ from `rk_eval` where a
-    kernel is nonzero at 0 or a coordinate of x lies in (0, tol].
+    max(t,0)/max(-t,0)/|t| (`kernels.PART_RULES`, as `positive_part` reads).
+    Every kernel is read at x_j only, so this ignores k(0) and the support
+    tol: it can differ from `rk_eval` where a kernel is nonzero at 0 or a
+    coordinate of x lies in (0, tol].
     """
     _check_kind(kind, T, x, S)
 
     tv = T._values(x)
-    sv = tv if S is None else S._values(x)
-    cell = _CELLS[kind]
-    return Vector(tuple(math.fsum(map(cell, t, s)) for t, s in zip(tv, sv)))
+    if S is None:
+        rule = PART_RULES[kind]
+        return Vector(tuple(math.fsum(map(rule, t)) for t in tv))
+    cell = max if kind == "join" else min
+    return Vector(tuple(math.fsum(map(cell, t, s)) for t, s in zip(tv, S._values(x))))
 
 
 def check_modulus_bound(

@@ -12,16 +12,18 @@ fixed grid otherwise, stopping at the first failing sample.  Kernels are
 frozen, and a callable kernel's `fn` must be pure (the DSL and quadrature
 discretization build only pure ones): an operator keeps each decision.
 
-A pwl kernel's positive part is built in one pass: the breakpoints with
-their values clamped at 0, the zero crossings inside segments, and one end
-rule applied at both ends, so each extension keeps the kernel's slope.
+The lattice parts max(k, 0), max(-k, 0) and |k| are evaluated, not
+rebuilt: `PartKernel` applies one part rule (`PART_RULES`) to k(r).  Its
+decisions read k's points, k's zero crossings between them and past its
+ends (where the part reads 0.0), and one point past each end; a part of a
+kernel with a pwl form is positive by construction.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .lattice import DEFAULT_TOL, _Record
 
@@ -48,23 +50,28 @@ class ScalarKernel:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    def breakpoint_args(self) -> tuple[float, ...]:
+    def _form(self) -> "tuple[Sequence[tuple[float, float]], Callable[[float], float]] | None":
+        """(points, at) for exact decisions: points (x, value) between and
+        past which the kernel is linear, and the value at reads anywhere;
+        None where decisions are sampled.  Here the pwl form's breakpoints."""
         pwl = self.to_pwl()
-        return tuple(x for x, _ in pwl.points) if pwl is not None else ()
+        return None if pwl is None else (pwl.points, pwl)
+
+    def breakpoint_args(self) -> tuple[float, ...]:
+        form = self._form()
+        return tuple(x for x, _ in form[0]) if form is not None else ()
 
     def nonneg_everywhere(self, tol: float = DEFAULT_TOL) -> bool:
-        """k >= -tol on all of R: exact for pwl-representable kernels,
-        sampled on _SAMPLE_GRID up to the first failing sample otherwise."""
-        pwl = self.to_pwl()
-        if pwl is not None:
-            return _points_nonneg(pwl.points, tol)
+        """k >= -tol on all of R: exact at the points of `_form`, sampled on
+        _SAMPLE_GRID up to the first failing sample otherwise."""
+        form = self._form()
+        if form is not None:
+            return _points_nonneg(form[0], tol)
         return all(self(r) >= -tol for r in _SAMPLE_GRID)
 
     def is_zero(self) -> bool:
-        pwl = self.to_pwl()
-        if pwl is not None:
-            return all(y == 0.0 for _, y in pwl.points)
-        return False
+        form = self._form()
+        return form is not None and all(y == 0.0 for _, y in form[0])
 
 
 class PwlKernel(ScalarKernel, _Record):
@@ -133,70 +140,8 @@ class PwlKernel(ScalarKernel, _Record):
         xs = sorted(set(self._xs) | set(other._xs))
         return PwlKernel(tuple((x, self(x) + other(x)) for x in xs))
 
-    def pos_part(self) -> "PwlKernel":
-        """Pointwise max(k, 0), built in one pass.  Its values at k's
-        breakpoints are k's clamped at 0, exactly; each zero crossing is
-        rounded once; and each extension keeps k's slope, up to one
-        rounding (`_end_anchors`, one rule for both ends)."""
-        pts = self.points
-        if len(pts) == 1:
-            return self
-        body: list[tuple[float, float]] = []
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            body.append((x0, y0 if y0 > 0.0 else 0.0))
-            if (y0 > 0.0 > y1) or (y0 < 0.0 < y1):
-                xc = x0 - y0 * (x1 - x0) / (y1 - y0)
-                if x0 < xc < x1:
-                    body.append((xc, 0.0))
-        (xf, yf), (xl, yl) = pts[0], pts[-1]
-        body.append((xl, yl if yl > 0.0 else 0.0))
-        front = _end_anchors(xf, yf, -self.first_slope, -1.0, pts[1][1])
-        tail = _end_anchors(xl, yl, self.last_slope, 1.0, pts[-2][1])
-        return PwlKernel(_increasing(front[::-1] + body + tail))
-
     def descriptor(self) -> dict:
         return {"form": "pwl", "points": [[x, y] for x, y in self.points]}
-
-
-def _end_anchors(x: float, y: float, d: float, out: float, y_next: float) -> list:
-    """The positive part's anchors past the end (x, y), listed outward (out
-    is -1 on the left, +1 on the right; d is the slope per unit outward):
-    the crossing and one point past it where y and d have opposite signs;
-    else one point past the end where y <= 0, or where the end segment
-    crosses 0 (y_next < 0) and so runs to a rounded crossing, to pin slope
-    d; else none.  Each point holds the extension's value clamped at 0.
-
-    A point past v steps one unit out where |v| < 2^53.  From 2^53 on,
-    where v +- 1 rounds to v or two units away, it steps |v| (exactly, to
-    2v), or one float where that overflows.  A crossing that rounds onto a
-    positive end value moves one float out, so that it keeps the end value.
-    An anchor that is not finite means the extension overflows: ValueError,
-    except for the point past a positive end, which is left out so that a
-    finite positive part stays finite."""
-    if d < 0.0 < y or y < 0.0 < d:
-        xc = x - out * y / d
-        if xc == x and y > 0.0:
-            xc = math.nextafter(x, out * math.inf)
-        anchors = [(xc, 0.0), _past(xc, 0.0, d, out)]
-    elif y <= 0.0:
-        anchors = [_past(x, 0.0, d, out)]
-    elif y_next < 0.0:
-        anchor = _past(x, y, d, out)
-        return [anchor] if all(map(math.isfinite, anchor)) else []
-    else:
-        return []
-    if not all(math.isfinite(v) for point in anchors for v in point):
-        raise ValueError("positive part: the extension past an end overflows")
-    return anchors
-
-
-def _past(v: float, w: float, d: float, out: float) -> tuple[float, float]:
-    """The point one step out from (v, w) on slope d, clamped at 0."""
-    for step in (1.0,) if abs(v) < 2.0**53 else (abs(v), math.ulp(v)):
-        a, value = v + out * step, w + d * step
-        if math.isfinite(a) and math.isfinite(value):
-            break
-    return a, value if value > 0.0 else 0.0
 
 
 def _increasing(pts: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -310,21 +255,87 @@ class FuncKernel(ScalarKernel, _Record):
         return {"form": "callable", "label": self.label}
 
 
-def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAULT_TOL) -> bool:
-    """high - low >= -tol everywhere; exact when both sides are pwl-representable.
+# the lattice part of each kind at a kernel value v: max(v, 0), max(-v, 0)
+# and |v|; each gives 0.0, not -0.0, at a zero and keeps NaN
+PART_RULES = {
+    "pos": lambda v: 0.0 if v <= 0.0 else v,
+    "neg": lambda v: 0.0 if v >= 0.0 else -v,
+    "abs": abs,
+}
 
-    The pwl difference is checked at the union of both breakpoint sets and by
-    its end slopes, the floats hp.add(lp.scaled(-1.0)) would hold (negation
-    is exact), unbuilt.  Otherwise it is sampled on _SAMPLE_GRID up to the
-    first failing sample; equal samples pass, also where both are infinite.
+
+class PartKernel(ScalarKernel, _Record):
+    """scale * rule(base(r)) for the part rule of kind "pos", "neg" or "abs"
+    (`PART_RULES`): a lattice part of the kernel base, evaluated."""
+
+    __slots__ = _fields = ("base", "kind", "scale")
+    _defaults = {"scale": 1.0}
+
+    def __call__(self, r: float) -> float:
+        return self.scale * PART_RULES[self.kind](self.base(r))
+
+    def scaled(self, a: float) -> "PartKernel":
+        return PartKernel(self.base, self.kind, a * self.scale)
+
+    def _form(self):
+        """The base's points, its zero crossings inside segments and past its
+        ends (the part reads 0.0 there), and one point past each outermost
+        one: one unit out, or |x| out from 2^53 on, where a unit step rounds."""
+        form = self.base._form()
+        if form is None:
+            return None
+        pts, base_at = form
+        zeros = set()
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            if (y0 > 0.0 > y1) or (y0 < 0.0 < y1):
+                if x0 < (xc := x0 - y0 * (x1 - x0) / (y1 - y0)) < x1:
+                    zeros.add(xc)
+        two = pts if len(pts) > 1 else pts * 2
+        for (x, y), (xn, yn), out in ((two[0], two[1], -1.0), (two[-1], two[-2], 1.0)):
+            s = (y - yn) / (x - xn) if x != xn else 0.0  # the end segment's slope
+            if s and math.isfinite(xc := x - y / s) and out * (xc - x) > 0.0:
+                zeros.add(xc)
+        xs = sorted({x for x, _ in pts} | zeros)
+        for x, out in ((xs[0], -1.0), (xs[-1], 1.0)):
+            x += out * (1.0 if abs(x) < 2.0**53 else abs(x))
+            xs += [x] if math.isfinite(x) else []
+        rule, scale = PART_RULES[self.kind], self.scale
+
+        def at(r: float) -> float:
+            return 0.0 if r in zeros else scale * rule(base_at(r))
+
+        return [(x, at(x)) for x in sorted(xs)], at
+
+    def nonneg_everywhere(self, tol: float = DEFAULT_TOL) -> bool:
+        """True by construction where the base has a `_form` and scale and
+        tol are >= 0, else as for any kernel."""
+        if self.scale >= 0.0 and tol >= 0.0 and self.base._form() is not None:
+            return True
+        return super().nonneg_everywhere(tol)
+
+    def descriptor(self) -> dict:
+        base = self.base.descriptor()
+        return {"form": "part", "kind": self.kind, "scale": self.scale, "base": base}
+
+
+def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAULT_TOL) -> bool:
+    """high - low >= -tol everywhere; exact when both sides have a `_form`.
+
+    The difference is checked at the union of both sides' points and by its
+    end slopes: for two pwl kernels, the floats hp.add(lp.scaled(-1.0))
+    would hold (negation is exact), unbuilt.  Otherwise it is sampled on
+    _SAMPLE_GRID up to the first failing sample; equal samples pass, also
+    where both are infinite.
     """
     if low is high:
         return True
-    lp, hp = low.to_pwl(), high.to_pwl()
-    if lp is None or hp is None:
+    lf, hf = low._form(), high._form()
+    if lf is None or hf is None:
         samples = ((high(r), low(r)) for r in _SAMPLE_GRID)
         return all(h == lo or h - lo >= -tol for h, lo in samples)
-    pts = [(x, hp(x) - lp(x)) for x in sorted(set(hp._xs) | set(lp._xs))]
+    (lpts, lat), (hpts, hat) = lf, hf
+    xs = sorted({x for x, _ in hpts} | {x for x, _ in lpts})
+    pts = [(x, hat(x) - lat(x)) for x in xs]
     if not all(math.isfinite(y) for _, y in pts):
         raise ValueError("breakpoints must be finite")
     return _points_nonneg(pts, tol)
@@ -352,14 +363,3 @@ def kernel_add(a: ScalarKernel, b: ScalarKernel) -> ScalarKernel:
     if ap is not None and bp is not None:
         return ap.add(bp)
     return FuncKernel(lambda r: a(r) + b(r), label="sum")
-
-
-def kernel_pos_part(k: ScalarKernel) -> ScalarKernel:
-    pwl = k.to_pwl()
-    if pwl is not None:
-        return pwl.pos_part()
-    return FuncKernel(lambda r: max(k(r), 0.0), label=f"pos({getattr(k, 'label', '?')})")
-
-
-def kernel_neg_part(k: ScalarKernel) -> ScalarKernel:
-    return kernel_pos_part(k.scaled(-1.0))

@@ -39,12 +39,11 @@ from .errors import C0Violation, DimensionMismatch, NegativeU, NotPositive
 from .kernels import (
     DEFAULT_TOL,
     FuncKernel,
+    PartKernel,
     ScalarKernel,
     ZERO_KERNEL,
     kernel_add,
     kernel_diff_nonneg,
-    kernel_neg_part,
-    kernel_pos_part,
 )
 from .lattice import Fragments, Vector, _Record
 
@@ -302,7 +301,8 @@ def validate(
     """Check T over the order interval box = [lo, hi].
 
     positive: every kernel nonnegative at breakpoint/endpoint/sampled
-    arguments inside the box projections (exact for pwl kernels).
+    arguments inside the box projections (exact for pwl kernels and their
+    lattice parts, whose breakpoints are the points their decisions read).
     order_bounded_witness: coordinatewise [min, max] of T over the box,
     exact for pwl kernels (they attain extrema at breakpoints/endpoints).
     orthogonally_additive_ok: T(x) = T(y) + T(x - y) on sampled disjoint splits.
@@ -432,18 +432,14 @@ def operator_scale(T: KernelOperator, a: float) -> KernelOperator:
 
 
 def positive_part(T: KernelOperator) -> KernelOperator:
-    """Kernelwise positive part; equals the lattice positive part of T because
-    the fragment supremum splits over input coordinates."""
-    return KernelOperator(
-        tuple(tuple(kernel_pos_part(k) for k in row) for row in T.kernels)
-    )
+    """T+ kernelwise, and T- and |T| below: each kernel's part evaluated
+    (`PartKernel`), the lattice part, as fragment suprema split by column."""
+    return KernelOperator(tuple(tuple(PartKernel(k, "pos") for k in row) for row in T.kernels))
 
 
 def negative_part(T: KernelOperator) -> KernelOperator:
-    return KernelOperator(
-        tuple(tuple(kernel_neg_part(k) for k in row) for row in T.kernels)
-    )
+    return KernelOperator(tuple(tuple(PartKernel(k, "neg") for k in row) for row in T.kernels))
 
 
 def modulus(T: KernelOperator) -> KernelOperator:
-    return operator_add(positive_part(T), negative_part(T))
+    return KernelOperator(tuple(tuple(PartKernel(k, "abs") for k in row) for row in T.kernels))

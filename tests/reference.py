@@ -27,13 +27,20 @@ the library's signature, result record and error (class and message):
   which every later |x_b - x|_i <= eps*u_i + tol, found by testing every
   label.
 
-It uses the value types, `all_masks`, `principal_mask`, the validators,
-kernelwise positive and negative parts and the converse's schedule length
-(`calculus._IFF_STEPS`) to build operands and results, and
-calls no fragment enumeration, table, program or entry point of the library.
+- `part`: T+ and T- kernel by kernel from the definition, max(+-t_ij(r), 0)
+  with NaN kept and 0.0 for -0.0, for `project_functional`'s split;
+- `order_margin` and `exact_is_zero`: the order and zero decisions of pwl
+  kernels and their lattice parts in exact arithmetic (Fractions), at the
+  exact kinks of the difference, zero crossings included.
+
+It uses the value types, `all_masks`, `principal_mask`, the validators, the
+kernel types and the converse's schedule length (`calculus._IFF_STEPS`) to
+build operands and results, and calls no fragment enumeration, table,
+program, lattice part or entry point of the library.
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 
@@ -43,12 +50,12 @@ from uryson.errors import (
     DimensionMismatch, NoStabilization, NotConverged, NotDisjoint, NotIncreasing, NotPositive,
     SupportTooLarge,
 )
-from uryson.kernels import _SAMPLE_GRID, DEFAULT_TOL
+from uryson.kernels import _SAMPLE_GRID, DEFAULT_TOL, FuncKernel, PartKernel
 from uryson.lattice import (
     DEFAULT_SUPPORT_CAP, EpsSchedule, IndexedFamily, Mask, Vector, all_masks, principal_mask,
     require_positive_finite, require_unit,
 )
-from uryson.operators import check_pair_dims, negative_part, positive_part, require_rank_one
+from uryson.operators import KernelOperator, check_pair_dims, require_rank_one
 from uryson.projections import PrincipalProjection, ProjectionResult, RankOneProjection
 
 CAP, TOL, SCHED = DEFAULT_SUPPORT_CAP, DEFAULT_TOL, EpsSchedule()
@@ -146,6 +153,71 @@ def operator_leq(S, T, tol=TOL):
 def require_positive(name, T, tol):
     if not operator_is_positive(T, tol):
         raise NotPositive(f"operator {name} must be positive")
+
+
+# -- lattice parts --------------------------------------------------------------------
+
+
+def _part_value(sign, k, r):
+    v = sign * k(r)
+    return v if v > 0.0 or v != v else 0.0
+
+
+def part(T, sign):
+    """T+ (sign 1.0) or T- (sign -1.0): kernel by kernel max(sign * t(r), 0),
+    NaN kept, 0.0 for -0.0, as callable kernels."""
+    return KernelOperator(tuple(
+        tuple(FuncKernel(partial(_part_value, sign, k), "part") for k in row) for row in T.kernels
+    ))
+
+
+_EXACT_RULES = {"pos": lambda v: max(v, 0), "neg": lambda v: max(-v, 0), "abs": abs}
+
+
+def _exact(k):
+    """(kinks, f): f is the pwl kernel k on Fractions (the exact lines
+    through its breakpoints, extended by its end lines), or scale * rule(f)
+    of the base of a PartKernel k; f is linear between and past the sorted
+    kinks, which hold the base's kinks and its exact zero crossings."""
+    if isinstance(k, PartKernel):
+        kinks, f = _exact(k.base)
+        crossings = [a - f(a) * (b - a) / (f(b) - f(a))
+                     for a, b in zip(kinks, kinks[1:]) if f(a) * f(b) < 0]
+        for end, out in ((kinks[0], -1), (kinks[-1], 1)):
+            slope = f(end + out) - f(end)  # per unit outward
+            if f(end) * slope < 0:
+                crossings.append(end - out * f(end) / slope)
+        rule, scale = _EXACT_RULES[k.kind], Fraction(k.scale)
+        return sorted({*kinks, *crossings}), lambda r: scale * rule(f(r))
+    pts = [(Fraction(x), Fraction(y)) for x, y in k.to_pwl().points]
+    xs = [x for x, _ in pts]
+    if len(pts) == 1:
+        return xs, lambda r: Fraction(0)
+
+    def f(r):
+        i = min(max(bisect_left(xs, r), 1), len(pts) - 1)
+        (x0, y0), (x1, y1) = pts[i - 1], pts[i]
+        return y0 + (y1 - y0) * (r - x0) / (x1 - x0)
+
+    return xs, f
+
+
+def order_margin(low, high):
+    """The least tol at which `kernel_diff_nonneg(low, high, tol)` holds, in
+    exact arithmetic, for pwl kernels and lattice parts of them: it holds
+    iff high - low >= -tol at every kink of either side, the slope past the
+    first kink is <= tol and the slope past the last is >= -tol."""
+    (lk, lf), (hk, hf) = _exact(low), _exact(high)
+    kinks = sorted({*lk, *hk})
+    d = {r: hf(r) - lf(r) for r in [kinks[0] - 1, *kinks, kinks[-1] + 1]}
+    first, last = kinks[0], kinks[-1]
+    return max(-min(d[r] for r in kinks), d[first] - d[first - 1], d[last] - d[last + 1])
+
+
+def exact_is_zero(k):
+    """k == 0 everywhere, exactly."""
+    kinks, f = _exact(k)
+    return all(f(r) == 0 for r in [kinks[0] - 1, *kinks, kinks[-1] + 1])
 
 
 # -- the eps program -----------------------------------------------------------------
@@ -324,9 +396,10 @@ def project_functional(phi, T, x, sched=SCHED, cap_support=CAP, tol=TOL):
     if operator_is_positive(T, tol):
         return band(T)
     values = []
-    for name, part in (("T+", positive_part(T)), ("T-", negative_part(T))):
-        require_positive(name, part, tol)
-        values.append(band(part))
+    for name, sign in (("T+", 1.0), ("T-", -1.0)):
+        half = part(T, sign)
+        require_positive(name, half, tol)
+        values.append(band(half))
     return values[0] - values[1]
 
 

@@ -22,9 +22,9 @@ from uryson.calculus import (
     witness_products,
 )
 from uryson.errors import NotDisjoint, NotPositive, SupportTooLarge
-from uryson.kernels import BuiltinKernel, PwlKernel, ZERO_KERNEL
+from uryson.kernels import BuiltinKernel, FuncKernel, PwlKernel, ZERO_KERNEL
 from uryson.lattice import Vector, is_partition_of_unity, vec
-from uryson.operators import KernelOperator
+from uryson.operators import KernelOperator, positive_part
 
 ABS = BuiltinKernel("abs")
 ID = BuiltinKernel("id")
@@ -114,6 +114,20 @@ def test_enumeration_matches_separable(case, kind):
     enum = rk_eval(kind, T, x, second)
     sep = rk_eval_separable(kind, T, x, second)
     assert enum.value.isclose(sep)
+
+
+def test_separable_parts_keep_nan_as_enumeration_does():
+    # t(r) is NaN for r < -1: the parts read NaN there, as rk_eval's
+    # fragment rows do, so both refuse the probe
+    nan_left = FuncKernel(lambda r: math.nan if r < -1.0 else r, label="nan")
+    T, x = KernelOperator(((nan_left, ABS),)), vec(-2.0, 1.0)
+    for kind in ("pos", "neg", "abs"):
+        for fn in (rk_eval, rk_eval_separable):
+            with pytest.raises(ValueError, match="^vector coordinates must be finite$"):
+                fn(kind, T, x)
+    with pytest.raises(ValueError, match="^vector coordinates must be finite$"):
+        positive_part(T)(x)
+    assert rk_eval_separable("pos", T, vec(-0.5, 1.0)).coords == (1.0,)
 
 
 @given(_case)

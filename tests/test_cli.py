@@ -304,6 +304,15 @@ def test_demo_reports_match_golden_bytes(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+def test_signed_functional_matches_golden_bytes(capsys):
+    # psi is not positive, so the report is built from its lattice parts
+    model = str(GOLDEN / "signed_functional.ury")
+    code, out = run_cli(capsys, "run", model, "project-functional", "phi", "psi", "x1")
+    assert code == 0
+    golden = GOLDEN / "project-functional_phi_psi_x1_signed.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv,golden",
     [

@@ -3,21 +3,24 @@ import random
 
 import pytest
 
+import reference as ref
 from uryson.kernels import (
+    DEFAULT_TOL,
     ZERO_KERNEL,
     BuiltinKernel,
     FuncKernel,
+    PartKernel,
     PwlKernel,
     kernel_add,
     kernel_diff_nonneg,
-    kernel_neg_part,
-    kernel_pos_part,
 )
 from uryson.calculus import rk_eval
 from uryson.lattice import vec
 from uryson.operators import KernelOperator, modulus, positive_part
 
 HAT = PwlKernel(((-2.0, 2.0), (-1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (3.0, 2.0)))
+# the parts from their definition, -0.0 read as 0.0
+MAXIMA = {"pos": lambda v: max(v, 0.0) + 0.0, "neg": lambda v: max(-v, 0.0) + 0.0, "abs": abs}
 
 
 def test_pwl_interpolates_and_extends():
@@ -50,8 +53,8 @@ def test_pwl_algebra_is_exact():
 
 def test_pos_part_splits_kernel():
     signed = PwlKernel(((-1.0, -1.0), (0.0, 0.0), (1.0, 2.0)))
-    p = signed.pos_part()
-    n = kernel_neg_part(signed)
+    p = PartKernel(signed, "pos")
+    n = PartKernel(signed, "neg")
     mod = modulus(KernelOperator(((signed,),)))
     for r in (-5.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0):
         assert p(r) == max(signed(r), 0.0)
@@ -61,13 +64,18 @@ def test_pos_part_splits_kernel():
 
 
 def test_pos_part_inserts_crossings():
-    # the sign change at r = 2 is not a breakpoint of the input
+    # the sign change at r = 2 is not a breakpoint of the input; decisions
+    # read it, with the part's value pinned to 0.0, and one unit past each end
     k = PwlKernel(((0.0, 0.0), (1.0, 1.0), (3.0, -1.0)))
-    p = k.pos_part()
+    p = PartKernel(k, "pos")
     assert p(2.0) == 0.0
     for r in (0.5, 1.5, 2.0, 2.5, 3.0, 4.0):
         assert p(r) == max(k(r), 0.0)
-    assert 2.0 in [b for b, _ in p.points]
+    assert p.breakpoint_args() == (-1.0, 0.0, 1.0, 2.0, 3.0, 4.0)
+    assert PartKernel(k, "neg").breakpoint_args() == (-1.0, 0.0, 1.0, 2.0, 3.0, 4.0)
+    assert not p.is_zero() and p.nonneg_everywhere(0.0)
+    rebuilt = PwlKernel(((-1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.0)))
+    assert kernel_diff_nonneg(p, rebuilt, 0.0) and kernel_diff_nonneg(rebuilt, p, 0.0)
 
 
 @pytest.mark.parametrize("points,side", [
@@ -89,11 +97,14 @@ def test_parts_keep_the_end_slope_past_a_crossing_in_the_end_segment(points, sid
 @pytest.mark.parametrize("points", [
     ((0.0, 0.0), (1e-300, -3.0), (1.0, 1e308)),  # the value one unit out overflows
     ((-1e300, 5e-324), (-1.0, -1.0), (0.0, 0.0)),  # one unit out rounds onto the end
-], ids=["overflow", "collapse"])
+    ((-1.0, 1e-20), (-0.5, 1.0), (0.0, 0.0)),  # the crossing past -1 rounds onto it
+], ids=["overflow", "collapse", "crossing-on-end"])
 def test_pos_part_adds_no_anchor_that_is_not_a_float_past_the_end(points):
-    p = kernel_pos_part(PwlKernel(points))
+    p = PartKernel(PwlKernel(points), "pos")
     for x, y in points:
         assert p(x) == max(y, 0.0)
+    assert all(math.isfinite(x) for x in p.breakpoint_args())
+    assert p.nonneg_everywhere(0.0)
 
 
 @pytest.mark.parametrize("points,probes", [
@@ -108,17 +119,21 @@ def test_pos_part_adds_no_anchor_that_is_not_a_float_past_the_end(points):
 ], ids=["unit-step-collapses", "unit-step-doubles", "crossing-on-end", "far-step-overflows"])
 def test_pos_part_keeps_far_ends_and_their_slopes(points, probes):
     k = PwlKernel(points)
-    p = kernel_pos_part(k)
+    p = PartKernel(k, "pos")
     for x, y in points:
         assert p(x) == max(y, 0.0)
     for r in probes:
-        assert math.isclose(p(r), max(k(r), 0.0), rel_tol=1e-12)
+        assert repr(p(r)) == repr(max(k(r), 0.0))
 
 
-def test_pos_part_of_an_overflowing_extension_says_so():
-    k = PwlKernel(((-1e300, 5e-324), (-1e-300, -1e300), (0.0, 0.0)))  # last slope inf
-    with pytest.raises(ValueError, match="^positive part: the extension past an end overflows$"):
-        kernel_pos_part(k)
+def test_pos_part_of_an_overflowing_extension_reads_the_clamped_value():
+    # the last slope is inf, so the kernel reads +-inf past its ends; the
+    # part reads the kernel's value clamped at 0 and needs no anchor
+    k = PwlKernel(((-1e300, 5e-324), (-1e-300, -1e300), (0.0, 0.0)))
+    p = PartKernel(k, "pos")
+    for r in (-2e300, -1e300, -1e-300, -1e-301, 0.0, 1e-300, 1.0):
+        assert repr(p(r)) == repr(max(k(r), 0.0))
+    assert p(1.0) == math.inf and p.nonneg_everywhere(0.0)
 
 
 def _end_case(rng, left_sign, left_slope, right_sign, right_slope):
@@ -145,34 +160,103 @@ def _end_case(rng, left_sign, left_slope, right_sign, right_slope):
 
 def test_parts_are_pointwise_maxima():
     """On 3000 seeded kernels, every sign of each end value and of each
-    extension's slope: both parts equal max(+-k, 0) exactly at k's
-    breakpoints, within 1e-12 at random probes and 1000 units out, and are
-    nonnegative everywhere at tol 0."""
+    extension's slope, and one kernel whose rebuilt positive part used to
+    read 2.998 at -2e15: both parts and the modulus equal max(+-k, 0) and
+    |k| by repr at k's breakpoints, at random probes and 1000 units out, and
+    are nonnegative everywhere at tol 0."""
     rng = random.Random(24)
     signs = (-1.0, 0.0, 1.0)
     combos = [(a, b, c, d) for a in signs for b in signs for c in signs for d in signs]
+    far = PwlKernel(((-1e15, 1.0), (-1.0, -1.0), (0.0, 0.0)))
+    assert PartKernel(far, "pos")(-2e15) == far(-2e15) == 3.000000000000002
+    cases = [(far, [-2e15, -1.5e15, 5.0])]
     for case in range(3000):
         k = _end_case(rng, *combos[case % len(combos)])
-        for part, sign in ((kernel_pos_part(k), 1.0), (kernel_neg_part(k), -1.0)):
-            for x, y in k.points:
-                assert part(x) == max(sign * y, 0.0), (k, sign, x)
-            probes = [rng.uniform(-6.0, 6.0) for _ in range(8)] + [-1e3, 1e3]
-            for r in probes:
-                want = max(sign * k(r), 0.0)
-                assert math.isclose(part(r), want, rel_tol=1e-12, abs_tol=1e-12), (k, sign, r)
-            assert part.nonneg_everywhere(0.0), (k, sign)
+        cases.append((k, [rng.uniform(-6.0, 6.0) for _ in range(8)] + [-1e3, 1e3]))
+    for k, probes in cases:
+        for kind, want in MAXIMA.items():
+            part = PartKernel(k, kind)
+            for r in [x for x, _ in k.points] + probes:
+                assert repr(part(r)) == repr(want(k(r))), (k, kind, r)
+            assert part.nonneg_everywhere(0.0), (k, kind)
+
+
+# -- part decisions against exact arithmetic ------------------------------------------
+
+NUDGES = (1e-12, 5e-10, 2e-9, 1e-6)
+
+
+def _seeded_pwl(rng, grid):
+    """0-4 breakpoints on each side of 0: on the half grid with integer
+    values, or uniform in (0.01, 5) with values uniform in (-3, 3)."""
+
+    def side():
+        count = rng.randint(0, 4)
+        if grid:
+            xs = sorted(rng.sample([j / 2.0 for j in range(1, 11)], count))
+            return [(x, float(rng.randint(-3, 3))) for x in xs]
+        xs = sorted(rng.uniform(0.01, 5.0) for _ in range(count))
+        return [(x, rng.uniform(-3.0, 3.0)) for x in xs]
+
+    return PwlKernel((*[(-x, y) for x, y in reversed(side())], (0.0, 0.0), *side()))
+
+
+def _through_part(k, kind, rng):
+    """The pwl kernel through k's part at k's breakpoints, its crossings
+    (0.0) and one unit past each end, one value nudged half the time."""
+    rule, pts = MAXIMA[kind], k.points
+    out = [(pts[0][0] - 1.0, rule(k(pts[0][0] - 1.0)))]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        out.append((x0, rule(y0)))
+        if (y0 > 0.0 > y1) or (y0 < 0.0 < y1):
+            xc = x0 - y0 * (x1 - x0) / (y1 - y0)
+            if x0 < xc < x1:
+                out.append((xc, 0.0))
+    out += [(pts[-1][0], rule(pts[-1][1])), (pts[-1][0] + 1.0, rule(k(pts[-1][0] + 1.0)))]
+    i = rng.randrange(len(out))
+    if rng.random() < 0.5 and out[i][0] != 0.0:
+        out[i] = (out[i][0], out[i][1] + rng.choice((-1.0, 1.0)) * rng.choice(NUDGES))
+    return PwlKernel(out)
+
+
+def test_part_decisions_match_exact_arithmetic():
+    """On 1500 seeded grid and off-grid pairs (h, k), with h drawn apart
+    from k, through k's part or zero: the order of h and each part both ways
+    at tol 0 and DEFAULT_TOL, and is_zero, equal the exact decisions of
+    `reference`.  Against a nonzero h a float decision can differ where the
+    exact one changes within 1e-12 of the tol, a tie that rounding decides;
+    there the order is not compared.  Against zero it always is: a part is
+    0.0 at its crossings, so its order with zero is exact."""
+    rng = random.Random(26)
+    compared = 0
+    for _ in range(1500):
+        grid = rng.random() < 0.5
+        k, kind = _seeded_pwl(rng, grid), rng.choice(("pos", "neg", "abs"))
+        pick = rng.randrange(4)
+        h = (_seeded_pwl(rng, grid), _through_part(k, kind, rng), ZERO_KERNEL)[min(pick, 2)]
+        part = PartKernel(k, kind)
+        assert part.is_zero() == ref.exact_is_zero(part), (k, kind)
+        for low, high in ((h, part), (part, h)):
+            margin = ref.order_margin(low, high)
+            for tol in (0.0, DEFAULT_TOL):
+                if h.is_zero() or abs(tol - margin) > 1e-12:
+                    compared += 1
+                    assert kernel_diff_nonneg(low, high, tol) == (tol >= margin), (low, high, tol)
+    assert compared > 4500
 
 
 def test_parts_of_a_callable_kernel_are_callable_maxima():
     f = FuncKernel(lambda r: r * r - r, label="q")
-    pos, neg = kernel_pos_part(f), kernel_neg_part(f)
+    pos, neg = PartKernel(f, "pos"), PartKernel(f, "neg")
     assert pos.to_pwl() is None and neg.to_pwl() is None
-    assert pos.label == "pos(q)"
-    assert neg.label == "pos(-1*(q))"
+    assert pos.breakpoint_args() == () and not pos.is_zero()
     for r in (-2.0, 0.0, 0.25, 0.5, 1.0, 3.0):
         assert pos(r) == max(f(r), 0.0)
         assert neg(r) == max(-f(r), 0.0)
+    # sampled, so a NaN sample is not positive
     assert pos.nonneg_everywhere(0.0) and neg.nonneg_everywhere(0.0)
+    nan = PartKernel(FuncKernel(lambda r: math.nan if r < -1.0 else r), "pos")
+    assert math.isnan(nan(-2.0)) and not nan.nonneg_everywhere()
 
 
 def test_nonneg_everywhere_sees_extensions():
@@ -265,5 +349,5 @@ def test_generic_kernel_helpers():
     assert s(2.0) == 4.0
     assert kernel_diff_nonneg(a, b)  # |r| - relu(r) >= 0 on samples
     signed = BuiltinKernel("id")
-    assert kernel_pos_part(signed)(-3.0) == 0.0
-    assert kernel_neg_part(signed)(-3.0) == 3.0
+    assert PartKernel(signed, "pos")(-3.0) == 0.0
+    assert PartKernel(signed, "neg")(-3.0) == 3.0

@@ -6,10 +6,12 @@ import math
 
 import pytest
 
+from strategies import mixed_operator, outcome
+from uryson.calculus import rk_eval_separable
 from uryson.errors import C0Violation, DimensionMismatch, NegativeU
 from uryson.instances import positive_operator, rng_for
 from uryson.kernels import BuiltinKernel, PwlKernel
-from uryson.lattice import fragments, vec
+from uryson.lattice import Vector, fragments, vec
 from uryson.operators import (
     IntegralKernelSpec,
     KernelOperator,
@@ -142,6 +144,19 @@ def test_lattice_parts_kernelwise():
     assert (p + n).isclose(a)
     assert operator_is_positive(positive_part(T))
     assert operator_is_positive(negative_part(T))
+
+
+def test_lattice_parts_equal_the_separable_form():
+    """On seeded operators of pwl, builtin and callable kernels, T+, T- and
+    |T| at a probe equal rk_eval_separable's value by repr, errors too."""
+    rng = rng_for(26, "parts")
+    for _ in range(400):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        T = mixed_operator(rng, m, n)
+        x = Vector(tuple(rng.choice((0.0, -0.0, 0.25, -1.5, 2.0, 1e3, rng.uniform(-5.0, 5.0)))
+                         for _ in range(n)))
+        for kind, part in (("pos", positive_part), ("neg", negative_part), ("abs", modulus)):
+            assert outcome(part(T), x) == outcome(rk_eval_separable, kind, T, x), (T, x, kind)
 
 
 def test_validate_report():
