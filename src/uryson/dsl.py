@@ -16,7 +16,10 @@ they are used.  The directives:
 
 ``EXPR`` is an arithmetic expression in the variables ``s``, ``t``, ``r``
 with ``+ - * / ^`` and the functions abs, min, max, exp, sin, cos, at most
-``_MAX_DEPTH`` deep.  The ``set`` keys are the fields of `Settings`.
+``_MAX_DEPTH`` deep.  One parse pass turns it into its canonical text (every
+operation parenthesized, numbers by repr), which `IntegralOpDef.expr` holds
+and ``render`` writes, and the evaluator of its kernel.  The ``set`` keys are
+the fields of `Settings`.
 
 The parser keeps the grammar, names and the checks that span lines; the
 library objects check the rest (`Settings` its values, the kernel classes
@@ -64,8 +67,6 @@ __all__ = [
     "parse_model",
     "render",
     "build_operator",
-    "eval_expr",
-    "render_expr",
 ]
 
 
@@ -206,33 +207,13 @@ class _Cursor:
 
 
 # --------------------------------------------------------------------------
-# expressions over s, t, r: a number, a variable, a negation, a binary
-# operation (op in + - * / ^) and a call of a function with a tuple of
-# argument expressions
+# expressions over s, t, r, parsed in one pass into nodes (text, fn, height):
+# the canonical text (every operation parenthesized, numbers by repr), the
+# evaluator fn(s, t, r), and the nodes on the longest path of the expression
 
-class Num(_Record):
-    __slots__ = _fields = ("value",)
+_Node = tuple[str, Callable[[float, float, float], float], int]
 
-
-class Var(_Record):
-    __slots__ = _fields = ("name",)
-
-
-class Neg(_Record):
-    __slots__ = _fields = ("arg",)
-
-
-class Bin(_Record):
-    __slots__ = _fields = ("op", "left", "right")
-
-
-class Call(_Record):
-    __slots__ = _fields = ("fn", "args")
-
-
-Expr = Union[Num, Var, Neg, Bin, Call]
-
-_EXPR_VARS = ("s", "t", "r")
+_EXPR_VARS = {"s": lambda s, t, r: s, "t": lambda s, t, r: t, "r": lambda s, t, r: r}
 # name: (arity, function)
 _EXPR_FUNCS = {
     "abs": (1, abs), "min": (2, min), "max": (2, max),
@@ -242,8 +223,10 @@ _BIN_OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow,
 }
 # the deepest expression accepted: parentheses and calls nested, and nodes on
-# a path of the tree (unary minus, '^', and + - * / chains), so that neither
-# parsing nor eval_expr nor render_expr recurses further
+# a path (unary minus, '^', and + - * / chains), so that neither parsing nor
+# an evaluator recurses further.  A node past it is ("", None, height): its
+# line is refused after its ')', and the text of a long chain would take time
+# quadratic in its length.
 _MAX_DEPTH = 64
 
 
@@ -251,45 +234,44 @@ def _too_deep(lineno: int) -> ModelSemanticError:
     return ModelSemanticError(f"expression nested or chained deeper than {_MAX_DEPTH}", lineno)
 
 
-def _height(e: Expr) -> int:
-    """Nodes on the longest root-to-leaf path of e, counted without recursion."""
-    height, stack = 0, [(e, 1)]
-    while stack:
-        node, h = stack.pop()
-        height = max(height, h)
-        if isinstance(node, Neg):
-            stack.append((node.arg, h + 1))
-        elif isinstance(node, Bin):
-            stack += [(node.left, h + 1), (node.right, h + 1)]
-        elif isinstance(node, Call):
-            stack += [(a, h + 1) for a in node.args]
-    return height
+def _node(f: Callable[..., float], args: list[_Node], head: str, sep: str) -> _Node:
+    """The node f(*args) of one or two arguments, written as head, the args'
+    texts joined by sep, and ')'."""
+    height = max(h for _, _, h in args) + 1
+    if height > _MAX_DEPTH:
+        return "", None, height
+    text = head + sep.join(text for text, _, _ in args) + ")"
+    if len(args) == 1:
+        a = args[0][1]
+        return text, lambda s, t, r: f(a(s, t, r)), height
+    a, b = args[0][1], args[1][1]
+    return text, lambda s, t, r: f(a(s, t, r), b(s, t, r)), height
 
 
-def _parse_expr(cur: _Cursor) -> Expr:
+def _parse_expr(cur: _Cursor) -> _Node:
     cur.depth += 1
     if cur.depth > _MAX_DEPTH:
         raise _too_deep(cur.lineno)
     node = _parse_term(cur)
     while cur.at_punct("+") or cur.at_punct("-"):
         op = cur.take().text
-        node = Bin(op, node, _parse_term(cur))
+        node = _node(_BIN_OPS[op], [node, _parse_term(cur)], "(", op)
     cur.depth -= 1
     return node
 
 
-def _parse_term(cur: _Cursor) -> Expr:
+def _parse_term(cur: _Cursor) -> _Node:
     node = _parse_factor(cur)
     while cur.at_punct("*") or cur.at_punct("/"):
         op = cur.take().text
-        node = Bin(op, node, _parse_factor(cur))
+        node = _node(_BIN_OPS[op], [node, _parse_factor(cur)], "(", op)
     return node
 
 
-def _parse_factor(cur: _Cursor) -> Expr:
+def _parse_factor(cur: _Cursor) -> _Node:
     """Unary minus and right-associative '^', which binds tighter than a
     minus before it, read in a loop and folded from the right."""
-    pending: list[Expr | None] = []  # None for a minus, else the base of a '^'
+    pending: list[_Node | None] = []  # None for a minus, else the base of a '^'
     while True:
         if cur.at_punct("-"):
             cur.take()
@@ -301,11 +283,14 @@ def _parse_factor(cur: _Cursor) -> Expr:
         cur.take()
         pending.append(node)
     for base in reversed(pending):
-        node = Neg(node) if base is None else Bin("^", base, node)
+        if base is None:
+            node = _node(operator.neg, [node], "(-", "")
+        else:
+            node = _node(_BIN_OPS["^"], [base, node], "(", "^")
     return node
 
 
-def _parse_atom(cur: _Cursor) -> Expr:
+def _parse_atom(cur: _Cursor) -> _Node:
     tok = cur.peek()
     if tok is None:
         raise cur.error("expected an expression")
@@ -314,7 +299,7 @@ def _parse_atom(cur: _Cursor) -> Expr:
         value = float(tok.text)
         if not math.isfinite(value):
             raise ModelSemanticError("expression numbers must be finite", cur.lineno)
-        return Num(value)
+        return _num_text(value), lambda s, t, r: value, 1
     if tok.kind == "NAME":
         cur.take()
         if cur.at_punct("("):
@@ -322,7 +307,7 @@ def _parse_atom(cur: _Cursor) -> Expr:
                 raise ModelSemanticError(
                     f"unknown function {tok.text!r}", cur.lineno, code="unknown_name"
                 )
-            arity = _EXPR_FUNCS[tok.text][0]
+            arity, f = _EXPR_FUNCS[tok.text]
             cur.take()
             args = [_parse_expr(cur)]
             while cur.at_punct(","):
@@ -331,14 +316,14 @@ def _parse_atom(cur: _Cursor) -> Expr:
             cur.expect_punct(")")
             if len(args) != arity:
                 raise ModelSemanticError(f"{tok.text} takes {arity} argument(s)", cur.lineno)
-            return Call(tok.text, tuple(args))
+            return _node(f, args, tok.text + "(", ",")
         if tok.text not in _EXPR_VARS:
             raise ModelSemanticError(
                 f"unknown variable {tok.text!r} (expected s, t, or r)",
                 cur.lineno,
                 code="unknown_name",
             )
-        return Var(tok.text)
+        return tok.text, _EXPR_VARS[tok.text], 1
     if cur.at_punct("("):
         cur.take()
         node = _parse_expr(cur)
@@ -347,39 +332,17 @@ def _parse_atom(cur: _Cursor) -> Expr:
     raise cur.error(f"unexpected token {tok.text!r} in expression")
 
 
-def eval_expr(e: Expr, s: float, t: float, r: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return {"s": s, "t": t, "r": r}[e.name]
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, s, t, r)
-    if isinstance(e, Bin):
-        return _BIN_OPS[e.op](eval_expr(e.left, s, t, r), eval_expr(e.right, s, t, r))
-    return _EXPR_FUNCS[e.fn][1](*[eval_expr(a, s, t, r) for a in e.args])
-
-
 def _num_text(x: float) -> str:
     """Exact round-trip rendering (repr is shortest-exact for doubles)."""
     return repr(float(x))
 
 
-def render_expr(e: Expr) -> str:
-    if isinstance(e, Num):
-        return _num_text(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{render_expr(e.arg)})"
-    if isinstance(e, Bin):
-        return f"({render_expr(e.left)}{e.op}{render_expr(e.right)})"
-    return f"{e.fn}({','.join(render_expr(a) for a in e.args)})"
+def _expr_fn(evaluate: Callable[..., float]) -> Callable[[float, float, float], float]:
+    """The evaluator's value as a float, or a KernelEvalError where it fails."""
 
-
-def _expr_fn(expr: Expr) -> Callable[[float, float, float], float]:
     def fn(s: float, t: float, r: float) -> float:
         try:
-            return float(eval_expr(expr, s, t, r))
+            return float(evaluate(s, t, r))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise KernelEvalError(
                 f"kernel expression failed to evaluate at "
@@ -441,7 +404,8 @@ class RankOneOpDef(_Record):
 
 
 class IntegralOpDef(_Record):
-    # expr: the kernel expression; s_grid, t_grid, weights: float tuples
+    # expr: the kernel expression's canonical text; s_grid, t_grid, weights:
+    # float tuples
     __slots__ = _fields = ("name", "expr", "s_grid", "t_grid", "weights")
 
 
@@ -589,6 +553,7 @@ def parse_model(text: str) -> Model:
             name = cur.expect_name("an operator name").text
             claim(name, lineno)
             tok = cur.peek()
+            evaluate = None  # an integral line's evaluator
             if tok is not None and tok.kind == "DIM":
                 cur.take()
                 m_str, n_str = tok.text.split("x")
@@ -649,9 +614,9 @@ def parse_model(text: str) -> Model:
             elif tok is not None and tok.kind == "NAME" and tok.text == "integral":
                 cur.take()
                 cur.expect_punct("(")
-                expr = _parse_expr(cur)
+                expr, evaluate, height = _parse_expr(cur)
                 cur.expect_punct(")")
-                if _height(expr) > _MAX_DEPTH:
+                if height > _MAX_DEPTH:
                     raise _too_deep(lineno)
                 s, t, w = [cur.keyed_vector(key) for key in "stw"]
                 cur.require_end()
@@ -659,7 +624,7 @@ def parse_model(text: str) -> Model:
             else:
                 raise cur.error("expected MxN, rank1, or integral")
             try:
-                built[name] = _build(d, kernels, built)
+                built[name] = _build(d, kernels, built, evaluate)
             except (UrysonError, ValueError) as exc:
                 raise ModelSemanticError(str(exc), lineno, code=getattr(exc, "code", None)) from exc
             operators.append(d)
@@ -699,13 +664,14 @@ def parse_model(text: str) -> Model:
     )
 
 
-def _build(d: OpDef, kernels: dict, built: dict) -> KernelOperator:
-    """The operator of d, whose kernels and functional are built already."""
+def _build(d: OpDef, kernels: dict, built: dict, evaluate: Callable | None) -> KernelOperator:
+    """The operator of d, whose kernels and functional are built already;
+    evaluate is the evaluator of an integral line's expression."""
     if isinstance(d, MatrixOpDef):
         return KernelOperator(tuple(tuple(kernels[k] for k in row) for row in d.rows))
     if isinstance(d, RankOneOpDef):
         return rank_one(built[d.phi], Vector(d.u))
-    return discretize_integral(IntegralKernelSpec(_expr_fn(d.expr), d.s_grid, d.t_grid, d.weights))
+    return discretize_integral(IntegralKernelSpec(_expr_fn(evaluate), d.s_grid, d.t_grid, d.weights))
 
 
 def _parse_scale_opt(cur: _Cursor) -> float:
@@ -787,7 +753,7 @@ def render(model: Model) -> str:
             lines.append(f"op {d.name} rank1 {d.phi} u={_render_vec(d.u)}")
         else:
             lines.append(
-                f"op {d.name} integral ({render_expr(d.expr)}) "
+                f"op {d.name} integral ({d.expr}) "
                 f"s={_render_vec(d.s_grid)} t={_render_vec(d.t_grid)} "
                 f"w={_render_vec(d.weights)}"
             )

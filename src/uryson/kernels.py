@@ -279,8 +279,10 @@ class PartKernel(ScalarKernel, _Record):
 
     def _form(self):
         """The base's points, its zero crossings inside segments and past its
-        ends (the part reads 0.0 there), and one point past each outermost
-        one: one unit out, or |x| out from 2^53 on, where a unit step rounds."""
+        ends (the part reads 0.0 there; a crossing past an end that rounds
+        onto the end is pinned one float out), and one point past each
+        outermost one: one unit out, or |x| out from 2^53 on, where a unit
+        step rounds."""
         form = self.base._form()
         if form is None:
             return None
@@ -293,8 +295,11 @@ class PartKernel(ScalarKernel, _Record):
         two = pts if len(pts) > 1 else pts * 2
         for (x, y), (xn, yn), out in ((two[0], two[1], -1.0), (two[-1], two[-2], 1.0)):
             s = (y - yn) / (x - xn) if x != xn else 0.0  # the end segment's slope
-            if s and math.isfinite(xc := x - y / s) and out * (xc - x) > 0.0:
-                zeros.add(xc)
+            if y and s and (y > 0.0) != (out * s > 0.0):  # the base crosses 0 outward
+                xc = x - y / s
+                xc = xc if xc != x else math.nextafter(x, out * math.inf)
+                if math.isfinite(xc):
+                    zeros.add(xc)
         xs = sorted({x for x, _ in pts} | zeros)
         for x, out in ((xs[0], -1.0), (xs[-1], 1.0)):
             x += out * (1.0 if abs(x) < 2.0**53 else abs(x))

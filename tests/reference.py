@@ -39,6 +39,7 @@ build operands and results, and calls no fragment enumeration, table,
 program, lattice part or entry point of the library.
 """
 
+import ast
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -47,8 +48,8 @@ from functools import partial
 from uryson import calculus
 from uryson.calculus import RK_KINDS, DisjointnessWitness, RKResult
 from uryson.errors import (
-    DimensionMismatch, NoStabilization, NotConverged, NotDisjoint, NotIncreasing, NotPositive,
-    SupportTooLarge,
+    DimensionMismatch, KernelEvalError, NoStabilization, NotConverged, NotDisjoint, NotIncreasing,
+    NotPositive, SupportTooLarge,
 )
 from uryson.kernels import _SAMPLE_GRID, DEFAULT_TOL, FuncKernel, PartKernel
 from uryson.lattice import (
@@ -552,3 +553,103 @@ def order_limit_witness(seq, x, eps, u, tol=TOL):
         tuple(seq.labels[k] for k in kept),
         tuple(Mask.from_indices(x.dim, [i for i, f in enumerate(first) if f == k]) for k in kept),
     )
+
+
+# -- model expressions --------------------------------------------------------------
+
+EXPR_DEPTH = 64
+_TOO_DEEP = f"expression nested or chained deeper than {EXPR_DEPTH}"
+# the grammar's operators as Python reads them once '^' is written '**'
+_EXPR_BIN = {
+    ast.Add: ("+", lambda a, b: a + b), ast.Sub: ("-", lambda a, b: a - b),
+    ast.Mult: ("*", lambda a, b: a * b), ast.Div: ("/", lambda a, b: a / b),
+    ast.Pow: ("^", math.pow),
+}
+_EXPR_CALLS = {
+    "abs": (1, abs), "min": (2, min), "max": (2, max),
+    "exp": (1, math.exp), "sin": (1, math.sin), "cos": (1, math.cos),
+}
+
+
+class Expression:
+    """An integral line's expression, read by Python's parser with '^'
+    written '**' (the grammar's precedences and associativity are Python's:
+    '^' binds right and tighter than a unary minus before it, which binds
+    tighter than * and /).  Only texts free of syntax errors are read.
+
+    faults: the messages the line may be refused with, empty where it is
+    accepted: a number that is not finite, an unknown name, a wrong arity,
+    and nesting too deep, that is, more than EXPR_DEPTH nodes on a path or
+    EXPR_DEPTH parentheses open at once (with the expression itself, one
+    level more).  tree is None where Python's parser refuses the nesting
+    (200 parentheses) or the recursion limit stops the reading (a path of
+    about a thousand nodes), both too deep for the grammar anyway.  Where
+    accepted: text, every operation parenthesized and numbers by repr;
+    height, the nodes on the longest path; and `kernel`."""
+
+    def __init__(self, src):
+        nest = deepest = 0
+        for ch in src:
+            nest += (ch == "(") - (ch == ")")
+            deepest = max(deepest, nest)
+        self.faults = {_TOO_DEEP} if deepest + 1 > EXPR_DEPTH else set()
+        py = src.replace("^", "**")
+        try:
+            self.tree = ast.parse(py, mode="eval").body
+            self.text, self.height = self._read(self.tree, py)
+        except (SyntaxError, RecursionError):
+            self.tree = self.text = self.height = None
+            self.faults.add(_TOO_DEEP)
+            return
+        if self.height > EXPR_DEPTH:
+            self.faults.add(_TOO_DEEP)
+
+    def _read(self, node, src):
+        """(text, height) of node; records faults, and each number's value."""
+        if isinstance(node, ast.Constant):
+            node.value = float(src[node.col_offset:node.end_col_offset])  # one ASCII line
+            if not math.isfinite(node.value):
+                self.faults.add("expression numbers must be finite")
+            return repr(node.value), 1
+        if isinstance(node, ast.Name):
+            if node.id not in ("s", "t", "r"):
+                self.faults.add(f"unknown variable {node.id!r} (expected s, t, or r)")
+            return node.id, 1
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            text, height = self._read(node.operand, src)
+            return f"(-{text})", height + 1
+        if isinstance(node, ast.BinOp):
+            (left, lh), (right, rh) = self._read(node.left, src), self._read(node.right, src)
+            return f"({left}{_EXPR_BIN[type(node.op)][0]}{right})", max(lh, rh) + 1
+        assert isinstance(node, ast.Call) and not node.keywords, ast.dump(node)
+        name = node.func.id
+        if name not in _EXPR_CALLS:
+            self.faults.add(f"unknown function {name!r}")
+        elif len(node.args) != _EXPR_CALLS[name][0]:
+            self.faults.add(f"{name} takes {_EXPR_CALLS[name][0]} argument(s)")
+        args = [self._read(a, src) for a in node.args]
+        return f"{name}({','.join(t for t, _ in args)})", max(h for _, h in args) + 1
+
+    def kernel(self, s, t, r):
+        """The value at (s, t, r) as a float, or the KernelEvalError an
+        integral kernel raises where an operation fails."""
+        assert not self.faults
+        try:
+            return float(_evaluate(self.tree, {"s": s, "t": t, "r": r}))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise KernelEvalError(
+                f"kernel expression failed to evaluate at (s={s:g}, t={t:g}, r={r:g}): {exc}"
+            ) from exc
+
+
+def _evaluate(node, env):
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, env)
+    if isinstance(node, ast.BinOp):
+        a, b = _evaluate(node.left, env), _evaluate(node.right, env)
+        return _EXPR_BIN[type(node.op)][1](a, b)
+    return _EXPR_CALLS[node.func.id][1](*[_evaluate(a, env) for a in node.args])

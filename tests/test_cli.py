@@ -296,6 +296,7 @@ def test_setting_flags_follow_model_rules(capsys, flag, value):
         (("project-functional", "phi", "psi", "x1"), "project-functional_phi_psi_x1.json"),
         (("oracle", "S", "T", "x1"), "oracle_S_T_x1.json"),
         (("suite",), "suite.json"),
+        (("eval", "U", "--all"), "eval_U_all.json"),
     ],
 )
 def test_demo_reports_match_golden_bytes(capsys, argv, golden):
@@ -638,6 +639,25 @@ def test_non_finite_integral_lines_are_refused(capsys, tmp_path, line, code, mes
     exit_code, rep = run_json(capsys, "run", str(model), "eval", "U", "x")
     assert exit_code == 2
     assert rep["error"] == {"code": code, "line": 2, "message": message}
+
+
+# the discretized entries of both lines read 1e-08 at 0: each is a c0_violation
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("op U integral (r+1e-10) s=(1) t=(1) w=(100)",
+         "line 2: weighted kernel does not vanish at 0 at node (s=1, t=1, w=100): 1e-08"),
+        ("op U integral (r+1e-8) s=(1) t=(1) w=(1)",
+         "line 2: kernel does not vanish at 0 at node (s=1, t=1): 1e-08"),
+    ],
+    ids=["weighted", "unweighted"],
+)
+def test_integral_kernels_that_do_not_vanish_at_0_are_c0_violations(capsys, tmp_path, line, message):
+    model = tmp_path / "bad.ury"
+    model.write_text(f"# refused\n{line}\nprobe x = (1)\n")
+    exit_code, rep = run_json(capsys, "run", str(model), "eval", "U", "x")
+    assert exit_code == 2
+    assert rep["error"] == {"code": "c0_violation", "line": 2, "message": message}
 
 
 PROBELESS_MODEL = "kernel k abs\nop S 1x1 [k]\nop T 1x1 [k]\n"

@@ -168,8 +168,8 @@ SEMANTIC_CASES = [
      "expression nested or chained deeper than 64"),
     ("op U integral ((1/(s-1))*r) s=(1) t=(1) w=(1)\n", "eval_error", 1,
      "kernel expression failed to evaluate at \\(s=1, t=1, r=0\\): float division by zero"),
-    ("op U integral (r+5e-10) s=(1) t=(1) w=(4)\n", "semantic_error", 1,
-     "kernel must vanish at 0 \\(got 2e-09\\)"),
+    ("op U integral (r+5e-10) s=(1) t=(1) w=(4)\n", "c0_violation", 1,
+     "weighted kernel does not vanish at 0 at node \\(s=1, t=1, w=4\\): 2e-09"),
     ("op U integral (s*t+1) s=(1) t=(2) w=(1)\n", "c0_violation", 1,
      "kernel does not vanish at 0 at node \\(s=1, t=2\\): 3.0"),
     ("space E 2.5\n", "semantic_error", 1, "space dimension must be an integer"),

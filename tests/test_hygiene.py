@@ -1,8 +1,10 @@
 """Source hygiene of the package: no unused module-level imports, no
-unreferenced private helpers, an explicit export list, and one home for the
-settings (`Settings`: its fields are the ``set`` keys, the CLI flags and the
-README's flag list, and it rejects what a ``set`` line rejects).  The
-README's library example runs and gives the values its comments state.
+unreferenced private helpers, an explicit export list (and in each
+submodule an `__all__` of bound names, which `import *` takes), and one
+home for the settings (`Settings`: its fields are the ``set`` keys, the CLI
+flags and the README's flag list, and it rejects what a ``set`` line
+rejects).  The README's library example runs and gives the values its
+comments state.
 
 The import scan reads each module of src/uryson and each file of tests with
 `ast`: a name bound by a module-level import must be read somewhere in the
@@ -19,6 +21,7 @@ either.
 
 import argparse
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -152,6 +155,24 @@ def test_all_is_explicit_and_matches_public_names():
     }
     assert set(exported) == public
     assert len(exported) == 67
+
+
+def stale_exports(module: types.ModuleType) -> list[str]:
+    """The names of module.__all__ that module does not bind."""
+    return [name for name in getattr(module, "__all__", ()) if name not in vars(module)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.name)
+def test_submodule_exports_are_bound(path):
+    module = importlib.import_module(f"uryson.{path.stem}")
+    assert stale_exports(module) == []
+    exec(f"from uryson.{path.stem} import *", {})
+
+
+def test_scan_finds_stale_exports():
+    module = types.ModuleType("m")
+    exec("__all__ = ['kept', 'gone']\nkept = 1\n", vars(module))
+    assert stale_exports(module) == ["gone"]
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:

@@ -219,21 +219,34 @@ def _through_part(k, kind, rng):
     return PwlKernel(out)
 
 
+# (k, kind, h): the base crosses 0 past an end, and the crossing rounds onto
+# the end, so the part must read 0.0 one float out
+PLANTED_PARTS = [
+    (PwlKernel(((-1.0, 1e-20), (-0.5, 1.0), (0.0, 0.0))), "pos", ZERO_KERNEL),
+    (PwlKernel(((0.0, 0.0), (0.5, 1.0), (1.0, 1e-20))), "pos", ZERO_KERNEL),
+    (PwlKernel(((-1.0, -1e-20), (-0.5, -1.0), (0.0, 0.0))), "neg", ZERO_KERNEL),
+    (PwlKernel(((-1e300, 1e-300), (-1.0, 2.0), (0.0, 0.0))), "abs", ZERO_KERNEL),
+]
+
+
 def test_part_decisions_match_exact_arithmetic():
-    """On 1500 seeded grid and off-grid pairs (h, k), with h drawn apart
-    from k, through k's part or zero: the order of h and each part both ways
-    at tol 0 and DEFAULT_TOL, and is_zero, equal the exact decisions of
-    `reference`.  Against a nonzero h a float decision can differ where the
+    """On the planted pairs and 1500 seeded grid and off-grid pairs (h, k),
+    with h drawn apart from k, through k's part or zero: the order of h and
+    each part both ways at tol 0 and DEFAULT_TOL, and is_zero, equal the
+    exact decisions of `reference`.  Against a nonzero h a float decision can differ where the
     exact one changes within 1e-12 of the tol, a tie that rounding decides;
     there the order is not compared.  Against zero it always is: a part is
     0.0 at its crossings, so its order with zero is exact."""
     rng = random.Random(26)
     compared = 0
+    drawn = []
     for _ in range(1500):
         grid = rng.random() < 0.5
         k, kind = _seeded_pwl(rng, grid), rng.choice(("pos", "neg", "abs"))
         pick = rng.randrange(4)
         h = (_seeded_pwl(rng, grid), _through_part(k, kind, rng), ZERO_KERNEL)[min(pick, 2)]
+        drawn.append((k, kind, h))
+    for k, kind, h in PLANTED_PARTS + drawn:
         part = PartKernel(k, kind)
         assert part.is_zero() == ref.exact_is_zero(part), (k, kind)
         for low, high in ((h, part), (part, h)):
@@ -242,7 +255,7 @@ def test_part_decisions_match_exact_arithmetic():
                 if h.is_zero() or abs(tol - margin) > 1e-12:
                     compared += 1
                     assert kernel_diff_nonneg(low, high, tol) == (tol >= margin), (low, high, tol)
-    assert compared > 4500
+    assert compared > 4500 + 4 * len(PLANTED_PARTS)
 
 
 def test_parts_of_a_callable_kernel_are_callable_maxima():

@@ -1,8 +1,9 @@
 """Operators are built once, at parse: `build_operator` is a lookup.
 
 `reference_operator` is the per-use build that `build_operator` ran before:
-a matrix line maps to its named kernels, an integral line goes to
-`discretize_integral` at the default tol, and a chain of rank-one lines is
+a matrix line maps to its named kernels, an integral line's expression,
+evaluated by `reference.Expression`, goes to `discretize_integral` at the
+default tol, and a chain of rank-one lines is
 resolved in a loop, innermost factor first.  Every built operator must have
 the reference's descriptor and, by repr, its values (or its error) at every
 probe of the model and at a few seeded off-grid probes.
@@ -19,6 +20,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import reference as ref
 import uryson.dsl as dsl
 from test_cli import DEMO
 from test_dsl import MINI
@@ -51,7 +53,7 @@ def reference_operator(model, name):
     if isinstance(d, MatrixOpDef):
         T = KernelOperator(tuple(tuple(model.kernel(k) for k in row) for row in d.rows))
     else:
-        spec = IntegralKernelSpec(dsl._expr_fn(d.expr), d.s_grid, d.t_grid, d.weights)
+        spec = IntegralKernelSpec(ref.Expression(d.expr).kernel, d.s_grid, d.t_grid, d.weights)
         T = discretize_integral(spec)
     for u in reversed(directions):
         T = rank_one(T, Vector(u))

@@ -6,18 +6,26 @@ an equal model, and every operator it built vanishes at 0 within the default
 tol.  It then runs one verb through `cli.main` in process, which must exit
 0-3 with one JSON document on stdout and nothing on stderr.  Dimensions stay at most 3 and schedules at most 8 steps, so one
 example takes milliseconds.
+
+Each drawn expression, and a few planted ones, is read by the library's parse
+pass and by `reference.Expression`: both refuse it (the library with one of
+the reference's reasons), or both give the same canonical text, height, and
+value or error by repr at every point of POINTS.
 """
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference as ref
+import uryson.dsl as dsl
 from uryson.cli import main
 from uryson.dsl import Model, Settings, parse_model, render
-from uryson.errors import ModelSemanticError, ModelSyntaxError
+from uryson.errors import KernelEvalError, ModelSemanticError, ModelSyntaxError
 from uryson.lattice import DEFAULT_TOL
 
 # numbers at the edges of the float range, and signed zeros
@@ -182,3 +190,82 @@ def test_generated_models_parse_or_fail_and_run_cleanly(tmp_path):
         assert err.getvalue() == ""
 
     check()
+
+
+# -- expressions against the reference ------------------------------------------
+
+POINTS = [
+    (s, t, r)
+    for s, t in ((1.0, 1.0), (0.5, 2.0), (-1.5, 0.0), (3.0, -0.25))
+    for r in (-3.0, -1e-300, 0.0, 0.7, 1e308)
+]
+
+
+def outcome(kernel, s, t, r):
+    try:
+        return "ok", repr(kernel(s, t, r))
+    except KernelEvalError as exc:
+        return "error", str(exc)
+
+
+def library_expression(src):
+    """(text, height, kernel) of src read as an integral line reads it, or
+    the ModelSemanticError it raises."""
+    cur = dsl._Cursor(dsl._tokenize_line(src, 1), 1, len(src))
+    text, evaluate, height = dsl._parse_expr(cur)
+    if height > dsl._MAX_DEPTH:
+        raise dsl._too_deep(1)
+    cur.require_end()
+    return text, height, dsl._expr_fn(evaluate)
+
+
+def compare_with_reference(src):
+    """The outcome at (1, 1, 3) after asserting that the library and the
+    reference agree on src, or the library's reason for refusing it."""
+    e = ref.Expression(src)
+    try:
+        text, height, kernel = library_expression(src)
+    except ModelSemanticError as exc:
+        assert exc.reason in e.faults or e.tree is None, (src[:200], exc.reason)
+        return "refused", exc.reason
+    assert not e.faults, (src[:200], e.faults)
+    assert (text, height) == (e.text, e.height)
+    for p in POINTS:
+        assert outcome(kernel, *p) == outcome(e.kernel, *p), (src[:200], p)
+    return outcome(kernel, 1.0, 1.0, 3.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expressions())
+def test_expressions_match_the_reference(src):
+    compare_with_reference(src)
+
+
+TOO_DEEP = ("refused", "expression nested or chained deeper than 64")
+
+
+@pytest.mark.parametrize("src,expected", [
+    ("(" * 63 + "r" + ")" * 63, ("ok", "3.0")),
+    ("(" * 64 + "r" + ")" * 64, TOO_DEEP),
+    ("abs(" * 63 + "r" + ")" * 63, ("ok", "3.0")),
+    ("abs(" * 64 + "r" + ")" * 64, TOO_DEEP),
+    ("-" * 63 + "r", ("ok", "-3.0")),
+    ("-" * 64 + "r", TOO_DEEP),
+    ("+".join(["r"] * 64), ("ok", "192.0")),
+    ("+".join(["r"] * 65), TOO_DEEP),
+    ("r*" + "^".join(["1"] * 63), ("ok", "3.0")),
+    ("r*" + "^".join(["1"] * 64), TOO_DEEP),
+    ("2^-2", ("ok", "0.25")),
+    ("-r^2", ("ok", "-9.0")),
+    ("r/0", ("error", "kernel expression failed to evaluate at (s=1, t=1, r=3): float division by zero")),
+    ("exp(1000)", ("error", "kernel expression failed to evaluate at (s=1, t=1, r=3): math range error")),
+    ("(-8)^(1/3)", ("error", "kernel expression failed to evaluate at (s=1, t=1, r=3): math domain error")),
+    ("min(r)", ("refused", "min takes 2 argument(s)")),
+    ("abs(r,s)", ("refused", "abs takes 1 argument(s)")),
+], ids=[
+    "nest-64", "nest-65", "calls-64", "calls-65", "minus-64", "minus-65", "sum-64", "sum-65",
+    "power-64", "power-65", "power-of-minus", "minus-of-power", "div-zero", "exp-overflow",
+    "pow-domain", "min-arity", "abs-arity",
+])
+def test_planted_expressions_match_the_reference(src, expected):
+    assert compare_with_reference(src) == expected

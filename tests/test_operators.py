@@ -216,3 +216,14 @@ def test_discretize_integral_c0_violation():
     nan_at_0 = IntegralKernelSpec(lambda s, t, r: math.inf * r, (1.0,), (2.0,), (1.0,))
     with pytest.raises(C0Violation, match="vanish.*nan"):
         discretize_integral(nan_at_0)
+
+
+def test_discretize_integral_checks_each_weighted_entry_at_0():
+    # K(1, t, 0) = 1e-10 lies within tol at both nodes, but the entry of
+    # weight 100 reads 1e-08 at 0
+    spec = IntegralKernelSpec(lambda s, t, r: r + 1e-10, (1.0,), (0.5, 1.0), (1.0, 100.0))
+    message = r"^weighted kernel does not vanish at 0 at node \(s=1, t=1, w=100\): 1e-08$"
+    with pytest.raises(C0Violation, match=message):
+        discretize_integral(spec)
+    ok = IntegralKernelSpec(lambda s, t, r: r + 1e-10, (1.0,), (0.5, 1.0), (1.0, 5.0))
+    assert discretize_integral(ok).kernels[0][1](0.0) == 5e-10
