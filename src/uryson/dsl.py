@@ -17,13 +17,16 @@ they are used.  The directives:
 ``EXPR`` is an arithmetic expression in the variables ``s``, ``t``, ``r``
 with ``+ - * / ^`` and the functions abs, min, max, exp, sin, cos, at most
 ``_MAX_DEPTH`` deep.  One parse pass turns it into its canonical text (every
-operation parenthesized, numbers by repr), which `IntegralOpDef.expr` holds
-and ``render`` writes, and the evaluator of its kernel.  The ``set`` keys are
-the fields of `Settings`.
+operation parenthesized, numbers by repr), which `IntegralOpDef.expr` holds,
+and the evaluator of its kernel.  The ``set`` keys are the fields of
+`Settings`.
 
-The parser keeps the grammar, names and the checks that span lines; the
-library objects check the rest (`Settings` its values, the kernel classes
-their forms, `discretize_integral` an integral line at the default tol, and
+An op line is read, built and written by its form's record (`MatrixOpDef`
+after an MxN, else the `_OP_FORMS` entry of its keyword): ``parse`` reads the
+line into the record and a closure that builds the operator, and ``text``
+writes the line back.  The parser keeps the grammar, names and the checks
+that span lines; the library objects check the rest (`Settings` its values,
+the kernel classes their forms, `discretize_integral` an integral line, and
 `rank_one` a rank-one line), as each operator is built, once, at its line.
 The `Model` keeps what was built, and `build_operator` looks it up.
 Tokenization failures and malformed lines raise ModelSyntaxError with
@@ -397,10 +400,68 @@ class MatrixOpDef(_Record):
     # shape: (m, n) = rows x columns; rows: tuples of kernel names
     __slots__ = _fields = ("name", "shape", "rows")
 
+    @classmethod
+    def parse(cls, name: str, cur: _Cursor, kernels: dict, built: dict):
+        shape = tuple(map(int, cur.take().text.split("x")))
+        if shape[0] < 1 or shape[1] < 1:
+            raise ModelSemanticError("operator dimensions must be >= 1", cur.lineno)
+        cur.expect_punct("[")
+        rows: list[list[str]] = [[]]
+        while not cur.at_punct("]"):
+            tok = cur.peek()
+            if tok is not None and tok.kind == "NAME":
+                if tok.text not in kernels:
+                    raise ModelSemanticError(
+                        f"unknown kernel {tok.text!r}", cur.lineno, code="unknown_name"
+                    )
+                rows[-1].append(tok.text)
+            elif cur.at_punct(";"):
+                rows.append([])
+            elif tok is None:
+                raise cur.error("expected ']'")
+            else:
+                raise cur.error(f"unexpected token {tok.text!r} in matrix")
+            cur.take()
+        cur.take()
+        cur.require_end()
+        if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+            raise ModelSemanticError(
+                f"matrix for {name!r} must have {shape[0]} row(s) of {shape[1]} kernel(s)",
+                cur.lineno,
+                code="dimension_mismatch",
+            )
+        matrix = tuple(tuple(kernels[k] for k in row) for row in rows)
+        return cls(name, shape, tuple(map(tuple, rows))), lambda: KernelOperator(matrix)
+
+    def text(self) -> str:
+        body = "; ".join(" ".join(row) for row in self.rows)
+        return f"{self.shape[0]}x{self.shape[1]} [{body}]"
+
 
 class RankOneOpDef(_Record):
     # phi: the functional's name; u: the direction's coordinates
     __slots__ = _fields = ("name", "phi", "u")
+
+    @classmethod
+    def parse(cls, name: str, cur: _Cursor, kernels: dict, built: dict):
+        cur.take()
+        phi = cur.expect_name("a functional name").text
+        if phi not in built:
+            raise ModelSemanticError(f"unknown operator {phi!r}", cur.lineno, code="unknown_name")
+        if built[phi].m != 1:
+            raise ModelSemanticError(
+                f"rank-one factor {phi!r} must be a functional (one row)", cur.lineno
+            )
+        u = cur.keyed_vector("u")
+        cur.require_end()
+        if any(c < 0.0 for c in u):
+            raise ModelSemanticError(
+                "rank-one direction u must be nonnegative", cur.lineno, code="negative_u"
+            )
+        return cls(name, phi, u), lambda: rank_one(built[phi], Vector(u))
+
+    def text(self) -> str:
+        return f"rank1 {self.phi} u={_render_vec(self.u)}"
 
 
 class IntegralOpDef(_Record):
@@ -408,8 +469,27 @@ class IntegralOpDef(_Record):
     # float tuples
     __slots__ = _fields = ("name", "expr", "s_grid", "t_grid", "weights")
 
+    @classmethod
+    def parse(cls, name: str, cur: _Cursor, kernels: dict, built: dict):
+        cur.take()
+        cur.expect_punct("(")
+        expr, evaluate, height = _parse_expr(cur)
+        cur.expect_punct(")")
+        if height > _MAX_DEPTH:
+            raise _too_deep(cur.lineno)
+        s, t, w = [cur.keyed_vector(key) for key in "stw"]
+        cur.require_end()
+        spec = (_expr_fn(evaluate), s, t, w)
+        return cls(name, expr, s, t, w), lambda: discretize_integral(IntegralKernelSpec(*spec))
+
+    def text(self) -> str:
+        s, t, w = (_render_vec(v) for v in (self.s_grid, self.t_grid, self.weights))
+        return f"integral ({self.expr}) s={s} t={t} w={w}"
+
 
 OpDef = Union[MatrixOpDef, RankOneOpDef, IntegralOpDef]
+# the op forms selected by a keyword; a DIM token selects MatrixOpDef
+_OP_FORMS = {"rank1": RankOneOpDef, "integral": IntegralOpDef}
 
 
 class Model(_Record):
@@ -553,78 +633,13 @@ def parse_model(text: str) -> Model:
             name = cur.expect_name("an operator name").text
             claim(name, lineno)
             tok = cur.peek()
-            evaluate = None  # an integral line's evaluator
-            if tok is not None and tok.kind == "DIM":
-                cur.take()
-                m_str, n_str = tok.text.split("x")
-                shape = (int(m_str), int(n_str))
-                if shape[0] < 1 or shape[1] < 1:
-                    raise ModelSemanticError("operator dimensions must be >= 1", lineno)
-                cur.expect_punct("[")
-                rows: list[tuple[str, ...]] = []
-                row: list[str] = []
-                while True:
-                    t2 = cur.peek()
-                    if t2 is None:
-                        raise cur.error("expected ']'")
-                    if t2.kind == "NAME":
-                        cur.take()
-                        if t2.text not in kernels:
-                            raise ModelSemanticError(
-                                f"unknown kernel {t2.text!r}", lineno, code="unknown_name"
-                            )
-                        row.append(t2.text)
-                    elif cur.at_punct(";"):
-                        cur.take()
-                        rows.append(tuple(row))
-                        row = []
-                    elif cur.at_punct("]"):
-                        cur.take()
-                        rows.append(tuple(row))
-                        break
-                    else:
-                        raise cur.error(f"unexpected token {t2.text!r} in matrix")
-                cur.require_end()
-                if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
-                    raise ModelSemanticError(
-                        f"matrix for {name!r} must have {shape[0]} row(s) of "
-                        f"{shape[1]} kernel(s)",
-                        lineno,
-                        code="dimension_mismatch",
-                    )
-                d: OpDef = MatrixOpDef(name, shape, tuple(rows))
-            elif tok is not None and tok.kind == "NAME" and tok.text == "rank1":
-                cur.take()
-                phi = cur.expect_name("a functional name").text
-                if phi not in built:
-                    raise ModelSemanticError(
-                        f"unknown operator {phi!r}", lineno, code="unknown_name"
-                    )
-                if built[phi].m != 1:
-                    raise ModelSemanticError(
-                        f"rank-one factor {phi!r} must be a functional (one row)", lineno
-                    )
-                u = cur.keyed_vector("u")
-                cur.require_end()
-                if any(c < 0.0 for c in u):
-                    raise ModelSemanticError(
-                        "rank-one direction u must be nonnegative", lineno, code="negative_u"
-                    )
-                d = RankOneOpDef(name, phi, u)
-            elif tok is not None and tok.kind == "NAME" and tok.text == "integral":
-                cur.take()
-                cur.expect_punct("(")
-                expr, evaluate, height = _parse_expr(cur)
-                cur.expect_punct(")")
-                if height > _MAX_DEPTH:
-                    raise _too_deep(lineno)
-                s, t, w = [cur.keyed_vector(key) for key in "stw"]
-                cur.require_end()
-                d = IntegralOpDef(name, expr, s, t, w)
-            else:
+            keyword = tok is not None and tok.kind == "NAME" and tok.text
+            form = MatrixOpDef if tok is not None and tok.kind == "DIM" else _OP_FORMS.get(keyword)
+            if form is None:
                 raise cur.error("expected MxN, rank1, or integral")
+            d, build = form.parse(name, cur, kernels, built)
             try:
-                built[name] = _build(d, kernels, built, evaluate)
+                built[name] = build()
             except (UrysonError, ValueError) as exc:
                 raise ModelSemanticError(str(exc), lineno, code=getattr(exc, "code", None)) from exc
             operators.append(d)
@@ -662,16 +677,6 @@ def parse_model(text: str) -> Model:
         settings=settings,
         built=built,
     )
-
-
-def _build(d: OpDef, kernels: dict, built: dict, evaluate: Callable | None) -> KernelOperator:
-    """The operator of d, whose kernels and functional are built already;
-    evaluate is the evaluator of an integral line's expression."""
-    if isinstance(d, MatrixOpDef):
-        return KernelOperator(tuple(tuple(kernels[k] for k in row) for row in d.rows))
-    if isinstance(d, RankOneOpDef):
-        return rank_one(built[d.phi], Vector(d.u))
-    return discretize_integral(IntegralKernelSpec(_expr_fn(evaluate), d.s_grid, d.t_grid, d.weights))
 
 
 def _parse_scale_opt(cur: _Cursor) -> float:
@@ -743,22 +748,9 @@ def _render_vec(vals) -> str:
 def render(model: Model) -> str:
     """Canonical text for a model; reparses to an equal Model."""
     lines = [f"space E {model.n}", f"space F {model.m}"]
-    for name, k in model.kernels:
-        lines.append(f"kernel {name} {_render_kernel(k)}")
-    for d in model.operators:
-        if isinstance(d, MatrixOpDef):
-            body = "; ".join(" ".join(row) for row in d.rows)
-            lines.append(f"op {d.name} {d.shape[0]}x{d.shape[1]} [{body}]")
-        elif isinstance(d, RankOneOpDef):
-            lines.append(f"op {d.name} rank1 {d.phi} u={_render_vec(d.u)}")
-        else:
-            lines.append(
-                f"op {d.name} integral ({d.expr}) "
-                f"s={_render_vec(d.s_grid)} t={_render_vec(d.t_grid)} "
-                f"w={_render_vec(d.weights)}"
-            )
-    for name, v in model.probes:
-        lines.append(f"probe {name} = {_render_vec(v.coords)}")
+    lines += [f"kernel {name} {_render_kernel(k)}" for name, k in model.kernels]
+    lines += [f"op {d.name} {d.text()}" for d in model.operators]
+    lines += [f"probe {name} = {_render_vec(v.coords)}" for name, v in model.probes]
     defaults = Settings()
     for key in Settings._fields:
         val = getattr(model.settings, key)

@@ -136,10 +136,6 @@ class PwlKernel(ScalarKernel, _Record):
     def to_pwl(self) -> "PwlKernel":
         return self
 
-    def add(self, other: "PwlKernel") -> "PwlKernel":
-        xs = sorted(set(self._xs) | set(other._xs))
-        return PwlKernel(tuple((x, self(x) + other(x)) for x in xs))
-
     def descriptor(self) -> dict:
         return {"form": "pwl", "points": [[x, y] for x, y in self.points]}
 
@@ -327,8 +323,8 @@ def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAU
     """high - low >= -tol everywhere; exact when both sides have a `_form`.
 
     The difference is checked at the union of both sides' points and by its
-    end slopes: for two pwl kernels, the floats hp.add(lp.scaled(-1.0))
-    would hold (negation is exact), unbuilt.  Otherwise it is sampled on
+    end slopes: the floats kernel_add(high, low.scaled(-1.0)) would hold
+    (negation is exact), unbuilt.  Otherwise it is sampled on
     _SAMPLE_GRID up to the first failing sample; equal samples pass, also
     where both are infinite.
     """
@@ -359,12 +355,15 @@ def _points_nonneg(pts: Sequence[tuple[float, float]], tol: float) -> bool:
 
 
 def kernel_add(a: ScalarKernel, b: ScalarKernel) -> ScalarKernel:
-    """a + b: the pwl kernel through the union of both breakpoint sets, or a
-    callable sum.  A pwl sum rounds each breakpoint value a(x) + b(x) once,
-    so it can lie an ulp below a at a breakpoint although b >= 0 there:
+    """a + b: the pwl kernel through the union of both sides' `_form` points,
+    valued as the forms read them, or a callable sum where a side has no
+    form.  A pwl sum rounds each breakpoint value a(x) + b(x) once, so it can
+    lie an ulp below a at a breakpoint although b >= 0 there:
     `kernel_diff_nonneg(a, a + b, 0.0)` can be False, and any tol above
     that rounding decides it True."""
-    ap, bp = a.to_pwl(), b.to_pwl()
-    if ap is not None and bp is not None:
-        return ap.add(bp)
-    return FuncKernel(lambda r: a(r) + b(r), label="sum")
+    af, bf = a._form(), b._form()
+    if af is None or bf is None:
+        return FuncKernel(lambda r: a(r) + b(r), label="sum")
+    (apts, a_at), (bpts, b_at) = af, bf
+    xs = sorted({x for x, _ in apts} | {x for x, _ in bpts})
+    return PwlKernel(tuple((x, a_at(x) + b_at(x)) for x in xs))

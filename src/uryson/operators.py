@@ -259,21 +259,21 @@ class IntegralKernelSpec(_Record):
             raise ValueError("quadrature weights must be strictly positive")
 
 
-def discretize_integral(spec: IntegralKernelSpec, tol: float = DEFAULT_TOL) -> KernelOperator:
+def discretize_integral(spec: IntegralKernelSpec) -> KernelOperator:
     """Kernel matrix with entries r -> w_j * K(s_i, t_j, r).
 
     Raises C0Violation if K(s_i, t_j, 0) or w_j * K(s_i, t_j, 0) != 0
-    (within tol) at any grid node.
+    (within DEFAULT_TOL) at any grid node.
     """
     K = spec.kernel_fn
     for s in spec.s_grid:
         for t, w in zip(spec.t_grid, spec.weights):
             v0 = float(K(s, t, 0.0))
-            if not abs(v0) <= tol:  # NaN fails too
+            if not abs(v0) <= DEFAULT_TOL:  # NaN fails too
                 raise C0Violation(
                     f"kernel does not vanish at 0 at node (s={s:g}, t={t:g}): {v0!r}"
                 )
-            if not abs(w * v0) <= tol:
+            if not abs(w * v0) <= DEFAULT_TOL:
                 raise C0Violation(
                     f"weighted kernel does not vanish at 0 at node "
                     f"(s={s:g}, t={t:g}, w={w:g}): {w * v0!r}"

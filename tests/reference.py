@@ -178,8 +178,12 @@ _EXACT_RULES = {"pos": lambda v: max(v, 0), "neg": lambda v: max(-v, 0), "abs": 
 def _exact(k):
     """(kinks, f): f is the pwl kernel k on Fractions (the exact lines
     through its breakpoints, extended by its end lines), or scale * rule(f)
-    of the base of a PartKernel k; f is linear between and past the sorted
-    kinks, which hold the base's kinks and its exact zero crossings."""
+    of the base of a PartKernel k, or the sum of a tuple k of such kernels;
+    f is linear between and past the sorted kinks, which hold the base's
+    kinks and its exact zero crossings (a sum's: all of its terms')."""
+    if isinstance(k, tuple):
+        terms = [_exact(term) for term in k]
+        return sorted({r for kinks, _ in terms for r in kinks}), lambda r: sum(f(r) for _, f in terms)
     if isinstance(k, PartKernel):
         kinks, f = _exact(k.base)
         crossings = [a - f(a) * (b - a) / (f(b) - f(a))
@@ -205,7 +209,8 @@ def _exact(k):
 
 def order_margin(low, high):
     """The least tol at which `kernel_diff_nonneg(low, high, tol)` holds, in
-    exact arithmetic, for pwl kernels and lattice parts of them: it holds
+    exact arithmetic, for pwl kernels, lattice parts of them and tuples of
+    such kernels, read as their sums: it holds
     iff high - low >= -tol at every kink of either side, the slope past the
     first kink is <= tol and the slope past the last is >= -tol."""
     (lk, lf), (hk, hf) = _exact(low), _exact(high)

@@ -177,6 +177,7 @@ SEMANTIC_CASES = [
     ("op T 0x1 []\n", "semantic_error", 1, "operator dimensions must be >= 1"),
     ("op U integral (min(r)) s=(1) t=(1) w=(1)\n", "semantic_error", 1,
      "min takes 2 argument\\(s\\)"),
+    ("op T 0x1 [k]\n", "semantic_error", 1, "operator dimensions must be >= 1"),
 ]
 
 
@@ -196,6 +197,15 @@ SYNTAX_CASES = [
     ("kernel k pwl\n", 1, 13, "expected at least one \\(x,y\\) breakpoint"),
     ("op U integral (\n", 1, 16, "expected an expression"),
     ("op U integral (*r) s=(1) t=(1) w=(1)\n", 1, 16, "unexpected token '\\*' in expression"),
+    # the op form is chosen by the token after the name: a DIM token, or one
+    # of the keywords rank1 and integral as a name
+    ("op T DIM [k]\n", 1, 6, "expected MxN, rank1, or integral"),
+    ("op T dim [k]\n", 1, 6, "expected MxN, rank1, or integral"),
+    ("op T\n", 1, 5, "expected MxN, rank1, or integral"),
+    ("op T (1)\n", 1, 6, "expected MxN, rank1, or integral"),
+    ("op T 2x2\n", 1, 9, "expected '\\['"),
+    ("op T rank1\n", 1, 11, "expected a functional name"),
+    ("op T integral\n", 1, 14, "expected '\\('"),
 ]
 
 

@@ -4,7 +4,8 @@ submodule an `__all__` of bound names, which `import *` takes), and one
 home for the settings (`Settings`: its fields are the ``set`` keys, the CLI
 flags and the README's flag list, and it rejects what a ``set`` line
 rejects).  The README's library example runs and gives the values its
-comments state.
+comments state.  Each op form of the model language is one record that
+reads, builds and writes its line, and the model fuzz draws every form.
 
 The import scan reads each module of src/uryson and each file of tests with
 `ast`: a name bound by a module-level import must be read somewhere in the
@@ -24,12 +25,15 @@ import ast
 import importlib
 import re
 import types
+import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import uryson
-from uryson import cli
+from test_model_fuzz import model_texts
+from uryson import cli, dsl
 from uryson.dsl import Settings, parse_model
 from uryson.errors import ModelSemanticError
 from uryson.operators import KernelOperator
@@ -458,3 +462,33 @@ def test_settings_reject_what_set_lines_reject_with_the_same_message():
             with pytest.raises(ValueError) as info:
                 Settings(**{key: float(value)})
             assert str(info.value) == problem
+
+
+# -- op forms: one record each ---------------------------------------------------
+
+OP_RECORDS = {dsl.MatrixOpDef, *dsl._OP_FORMS.values()}
+
+
+def test_each_op_form_is_one_record():
+    # the record of a form defines its own parse (read and build) and text
+    for record in OP_RECORDS:
+        assert {"parse", "text"} <= set(vars(record)), record
+    assert set(typing.get_args(dsl.OpDef)) == OP_RECORDS
+
+
+def test_model_fuzz_draws_every_op_form():
+    """`test_model_fuzz.model_texts` draws every op form, so a form added to
+    `dsl._OP_FORMS` fails here until the fuzz draws it."""
+    drawn = set()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(model_texts())
+    def collect(model):
+        for lineno, line in enumerate(model[0].splitlines(), 1):
+            toks = dsl._tokenize_line(line, lineno)
+            if len(toks) > 2 and toks[0].text == "op":
+                form = toks[2]
+                drawn.add(dsl.MatrixOpDef if form.kind == "DIM" else dsl._OP_FORMS.get(form.text))
+
+    collect()
+    assert drawn >= OP_RECORDS

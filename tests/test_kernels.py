@@ -44,8 +44,8 @@ def test_pwl_validation():
 
 def test_pwl_algebra_is_exact():
     other = PwlKernel(((-1.0, 0.5), (0.0, 0.0), (2.0, 1.0)))
-    s = HAT.add(other)
-    d = HAT.add(other.scaled(-1.0))
+    s = kernel_add(HAT, other)
+    d = kernel_add(HAT, other.scaled(-1.0))
     for r in (-3.0, -1.5, -1.0, -0.25, 0.0, 0.3, 1.0, 2.0, 2.5, 4.0):
         assert s(r) == HAT(r) + other(r)
         assert d(r) == HAT(r) - other(r)
@@ -256,6 +256,44 @@ def test_part_decisions_match_exact_arithmetic():
                     compared += 1
                     assert kernel_diff_nonneg(low, high, tol) == (tol >= margin), (low, high, tol)
     assert compared > 4500 + 4 * len(PLANTED_PARTS)
+
+
+def _reads(k, x):
+    """k(x), or 0.0 where k is a part and x a zero crossing of its base
+    between or past the base's breakpoints, which the part's decisions read
+    as 0.0."""
+    if isinstance(k, PartKernel) and x not in dict(k.base.points) and abs(k.base(x)) < 1e-12:
+        return 0.0
+    return k(x)
+
+
+def test_sums_with_parts_are_pwl_kernels_decided_exactly():
+    """A sum a + b of a lattice part a (pos, neg or abs, scaled or not) and a
+    pwl kernel or another part is a PwlKernel.  At each of its points it reads
+    a(r) + b(r) by repr (-0.0 read as 0.0), and its order with a drawn h, both ways at tol 1e-9,
+    is the exact decision of `reference` on h and a + b, except where that
+    changes within 1e-12 of the tol (a tie that rounding decides)."""
+    rng = random.Random(29)
+    tol, compared = 1e-9, 0
+    for case in range(800):
+        grid = rng.random() < 0.5
+
+        def part():
+            scale = rng.choice((1.0, 0.5, -2.0)) if case % 2 else 1.0
+            return PartKernel(_seeded_pwl(rng, grid), rng.choice(tuple(MAXIMA)), scale)
+
+        a, b = part(), (part() if rng.random() < 0.5 else _seeded_pwl(rng, grid))
+        total = kernel_add(a, b)
+        assert isinstance(total, PwlKernel), (a, b)
+        for x, y in total.points:
+            assert repr(y + 0.0) == repr(_reads(a, x) + _reads(b, x) + 0.0), (a, b, x)
+        h = _seeded_pwl(rng, grid)
+        for low, high in (((h, total), (h, (a, b))), ((total, h), ((a, b), h))):
+            margin = ref.order_margin(*high)
+            if abs(tol - margin) > 1e-12:
+                compared += 1
+                assert kernel_diff_nonneg(*low, tol) == (tol >= margin), (a, b, h)
+    assert compared > 1500
 
 
 def test_parts_of_a_callable_kernel_are_callable_maxima():

@@ -2,6 +2,7 @@
 discretization.  Evaluation is additive over disjoint fragments by
 construction, and the lattice parts act kernel by kernel."""
 
+import inspect
 import math
 
 import pytest
@@ -227,3 +228,13 @@ def test_discretize_integral_checks_each_weighted_entry_at_0():
         discretize_integral(spec)
     ok = IntegralKernelSpec(lambda s, t, r: r + 1e-10, (1.0,), (0.5, 1.0), (1.0, 5.0))
     assert discretize_integral(ok).kernels[0][1](0.0) == 5e-10
+
+
+def test_discretize_integral_checks_at_the_tol_of_its_entries():
+    # each entry is a FuncKernel that checks itself at DEFAULT_TOL, so the
+    # node checks take no tol of their own: a weighted entry the size of
+    # 1e-8 is a C0Violation, never the entry's plain ValueError
+    assert list(inspect.signature(discretize_integral).parameters) == ["spec"]
+    spec = IntegralKernelSpec(lambda s, t, r: r + 1e-9, (1.0,), (1.0,), (10.0,))
+    with pytest.raises(C0Violation, match=r"^weighted kernel .* \(s=1, t=1, w=10\): 1e-08$"):
+        discretize_integral(spec)
