@@ -250,6 +250,11 @@ class FuncKernel(ScalarKernel, _Record):
     def descriptor(self) -> dict:
         return {"form": "callable", "label": self.label}
 
+    def __repr__(self):
+        # fn by module and qualified name: its own repr holds a memory address
+        fn = f"{self.fn.__module__}.{getattr(self.fn, '__qualname__', type(self.fn).__qualname__)}"
+        return f"FuncKernel(fn={fn}, label={self.label!r}, factors={self.factors!r})"
+
 
 # the lattice part of each kind at a kernel value v: max(v, 0), max(-v, 0)
 # and |v|; each gives 0.0, not -0.0, at a zero and keeps NaN

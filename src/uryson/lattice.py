@@ -5,6 +5,8 @@ coordinatewise structure, and fragments of x are the vectors that agree with x
 on a support subset and vanish elsewhere (enumerated by index over the
 support columns, with a Vector built on demand).  Everything is immutable;
 all tolerance-based comparisons take an explicit ``tol`` (default 1e-9).
+Vector and mask arithmetic builds its results with the private `_vec` and
+`_mask`: no conversion or emptiness test, but `_vec` checks finiteness.
 The eps schedule of the projection programs lives here, beside the rules it
 checks, so that model settings can build one without the programs.
 """
@@ -180,45 +182,49 @@ class Vector(_Record):
         return Vector((1.0,) * dim)
 
     def _check_dim(self, other: "Vector") -> None:
-        if self.dim != other.dim:
+        if len(self.coords) != len(other.coords):
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check_dim(other)
-        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _vec(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check_dim(other)
-        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _vec(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.coords))
+        return _vec(tuple(-a for a in self.coords))
 
     def scale(self, a: float) -> "Vector":
         return Vector(tuple(a * c for c in self.coords))
 
     def join(self, other: "Vector") -> "Vector":
         self._check_dim(other)
-        return Vector(tuple(max(a, b) for a, b in zip(self.coords, other.coords)))
+        return _vec(tuple(max(a, b) for a, b in zip(self.coords, other.coords)))
 
     def meet(self, other: "Vector") -> "Vector":
         self._check_dim(other)
-        return Vector(tuple(min(a, b) for a, b in zip(self.coords, other.coords)))
+        return _vec(tuple(min(a, b) for a, b in zip(self.coords, other.coords)))
 
     def abs(self) -> "Vector":
-        return Vector(tuple(abs(c) for c in self.coords))
+        return _vec(tuple(abs(c) for c in self.coords))
 
     def pos_part(self) -> "Vector":
-        return Vector(tuple(c if c > 0.0 else 0.0 for c in self.coords))
+        return _vec(tuple(c if c > 0.0 else 0.0 for c in self.coords))
 
     def neg_part(self) -> "Vector":
-        return Vector(tuple(-c if c < 0.0 else 0.0 for c in self.coords))
+        return _vec(tuple(-c if c < 0.0 else 0.0 for c in self.coords))
 
     def leq(self, other: "Vector", tol: float = DEFAULT_TOL) -> bool:
+        if other is self and tol >= 0.0:
+            return True
         self._check_dim(other)
         return all(a <= b + tol for a, b in zip(self.coords, other.coords))
 
     def isclose(self, other: "Vector", tol: float = DEFAULT_TOL) -> bool:
+        if other is self and tol >= 0.0:
+            return True
         self._check_dim(other)
         return all(abs(a - b) <= tol for a, b in zip(self.coords, other.coords))
 
@@ -264,7 +270,7 @@ class Fragments(Sequence):
         for b, j in enumerate(self.supp):
             if k >> b & 1:
                 coords[j] = xs[j]
-        return Vector(tuple(coords))
+        return _vec(tuple(coords))
 
 
 def fragments(x: Vector, cap: int = DEFAULT_SUPPORT_CAP, tol: float = DEFAULT_TOL) -> Fragments:
@@ -331,24 +337,24 @@ class Mask(_Record):
         return Mask(tuple(bits))
 
     def _check_dim(self, other: "Mask") -> None:
-        if self.dim != other.dim:
+        if len(self.bits) != len(other.bits):
             raise DimensionMismatch(f"mask dim {self.dim} vs {other.dim}")
 
     def apply(self, v: Vector) -> Vector:
-        if self.dim != v.dim:
+        if len(self.bits) != len(v.coords):
             raise DimensionMismatch(f"mask dim {self.dim} vs vector dim {v.dim}")
-        return Vector(tuple(c if b else 0.0 for b, c in zip(self.bits, v.coords)))
+        return _vec(tuple(c if b else 0.0 for b, c in zip(self.bits, v.coords)))
 
     def __and__(self, other: "Mask") -> "Mask":
         self._check_dim(other)
-        return Mask(tuple(a and b for a, b in zip(self.bits, other.bits)))
+        return _mask(tuple(a and b for a, b in zip(self.bits, other.bits)))
 
     def __or__(self, other: "Mask") -> "Mask":
         self._check_dim(other)
-        return Mask(tuple(a or b for a, b in zip(self.bits, other.bits)))
+        return _mask(tuple(a or b for a, b in zip(self.bits, other.bits)))
 
     def complement(self) -> "Mask":
-        return Mask(tuple(not b for b in self.bits))
+        return _mask(tuple(not b for b in self.bits))
 
     def leq(self, other: "Mask") -> bool:
         # order of projections: rho <= rho' iff rho*rho' = rho, i.e. bits subset
@@ -370,6 +376,20 @@ class Mask(_Record):
         return sum(1 << i for i, b in enumerate(self.bits) if b)
 
 
+def _vec(coords: tuple[float, ...]) -> Vector:
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("vector coordinates must be finite")
+    v = object.__new__(Vector)
+    Vector.coords.__set__(v, coords)  # the slot itself, past _Record's guard
+    return v
+
+
+def _mask(bits: tuple[bool, ...]) -> Mask:
+    m = object.__new__(Mask)
+    Mask.bits.__set__(m, bits)
+    return m
+
+
 def all_masks(dim: int) -> list[Mask]:
     """All 2^dim masks, ascending by bitmask (bit i = coordinate i)."""
     return [
@@ -380,7 +400,7 @@ def all_masks(dim: int) -> list[Mask]:
 
 def principal_mask(f: Vector, tol: float = DEFAULT_TOL) -> Mask:
     """Mask of the band generated by f: coordinate i selected iff |f_i| > tol."""
-    return Mask(tuple(abs(c) > tol for c in f.coords))
+    return _mask(tuple(abs(c) > tol for c in f.coords))
 
 
 def principal_projection_sup_form(f: Vector, g: Vector) -> Vector:

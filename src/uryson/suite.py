@@ -10,6 +10,11 @@ reproducible and adding a check never reshuffles another's instances; it
 counts the yields as ``cases`` and formats a failure as "case N: message".
 An exception raised by a check becomes an error row with 0 cases in
 ``run_suite``, whose report lists checks sorted by id with aggregate counts.
+
+Memo rule.  A check computes each distinct (operator, probe) value of its
+cases once, in a local dict keyed by the ``id`` of objects its case list keeps
+alive, never by ``==`` (equal probes may differ in signed zeros).  Every case
+still makes its own predicate calls, so a failure lands on the same case.
 """
 
 from __future__ import annotations
@@ -102,6 +107,14 @@ def _away_from_crossings(rng, dim: int) -> Vector:
     """Grid probe with |x_j| >= 0.5: clear of every grid kernel's only zero."""
     levels = [0.25 * k for k in range(2, 13)]
     return Vector(tuple(rng.choice(levels) * rng.choice((-1.0, 1.0)) for _ in range(dim)))
+
+
+def _once(memo: dict, compute: Callable, *objs):
+    """compute(*objs), computed only at the first case with these objects."""
+    key = tuple(map(id, objs))
+    if key not in memo:
+        memo[key] = compute(*objs)
+    return memo[key]
 
 
 # --------------------------------------------------------------------------
@@ -337,16 +350,20 @@ def _rk_pairs(model: Model, rng, count: int):
     return pairs
 
 
+def _unary_values(T: KernelOperator, x: Vector) -> dict[str, Vector]:
+    return {kind: rk_eval(kind, T, x).value for kind in ("pos", "neg", "abs")}
+
+
 def _check_rk_identities(model: Model, seed: int, rng):
+    memo: dict = {}
     for S, T, x in _rk_pairs(model, rng, 14):
         yield
         join = rk_eval("join", T, x, S).value
         meet = rk_eval("meet", T, x, S).value
         if not (join + meet).isclose(T(x) + S(x), CHECK_TOL):
             return f"join+meet != T+S at x={x.coords}"
-        pos = rk_eval("pos", T, x).value
-        neg = rk_eval("neg", T, x).value
-        absv = rk_eval("abs", T, x).value
+        parts = _once(memo, _unary_values, T, x)
+        pos, neg, absv = parts["pos"], parts["neg"], parts["abs"]
         if not (pos - neg).isclose(T(x), CHECK_TOL):
             return f"pos-neg != T at x={x.coords}"
         if not absv.isclose(pos + neg, CHECK_TOL):
@@ -354,20 +371,25 @@ def _check_rk_identities(model: Model, seed: int, rng):
 
 
 def _check_rk_separable(model: Model, seed: int, rng):
+    memo: dict = {}
     for S, T, x in _rk_pairs(model, rng, 12):
         for kind in ("join", "meet", "pos", "neg", "abs"):
             yield
             second = S if kind in ("join", "meet") else None
-            enum = rk_eval(kind, T, x, second).value
+            if second is None:
+                enum = _once(memo, _unary_values, T, x)[kind]
+            else:
+                enum = rk_eval(kind, T, x, second).value
             closed = rk_eval_separable(kind, T, x, second)
             if not enum.isclose(closed, CHECK_TOL):
                 return f"{kind}: enumeration != closed form at x={x.coords}"
 
 
 def _check_modulus(model: Model, seed: int, rng):
+    memo: dict = {}
     for S, T, x in _rk_pairs(model, rng, 16):
         yield
-        if not check_modulus_bound(T, x):
+        if not _once(memo, check_modulus_bound, T, x):
             return f"|T(x)| > |T|(x) at x={x.coords}"
 
 
@@ -438,13 +460,14 @@ def _proj_pairs(model: Model, rng, count: int, include_model: bool = True):
 
 def _check_proj_decomposition(model: Model, seed: int, rng):
     sched = model.settings.schedule()
+    memo: dict = {}
     for S, T, x in _proj_pairs(model, rng, 8):
         yield
         band = project_band_set((S,), T, x, sched)
         comp = project_band_set_complement((S,), T, x, sched)
         if not (band.value + comp.value).isclose(T(x), PROJ_TOL):
             return f"band+complement != T(x) at x={x.coords}"
-        both = operator_add(S, T)
+        both = _once(memo, operator_add, S, T)
         band3 = project_band_set((S, T, both), T, x, sched)
         comp3 = project_band_set_complement((S, T, both), T, x, sched)
         if not (band3.value + comp3.value).isclose(T(x), PROJ_TOL):
@@ -453,9 +476,10 @@ def _check_proj_decomposition(model: Model, seed: int, rng):
 
 def _check_proj_idempotence(model: Model, seed: int, rng):
     sched = model.settings.schedule()
+    memo: dict = {}
     for S, T, x in _proj_pairs(model, rng, 8):
         yield
-        onto_self = project_band_set((T,), T, x, sched)
+        onto_self = _once(memo, lambda T, x: project_band_set((T,), T, x, sched), T, x)
         if not onto_self.value.isclose(T(x), PROJ_TOL):
             return f"projection onto own band moved T at x={x.coords}"
     for _ in range(6):

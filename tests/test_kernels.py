@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -384,6 +388,47 @@ def test_func_kernel_scaling_checks_the_scaled_origin():
     small = FuncKernel(lambda r: r + 2e-10)
     with pytest.raises(ValueError, match="vanish at 0 \\(got 2e-08\\)"):
         small.scaled(100.0)
+
+
+_PRINT_DEMO_REPRS = """
+import importlib.resources
+from uryson.dsl import parse_model
+model = parse_model((importlib.resources.files("uryson") / "demo.ury").read_text())
+for name, op in model.built.items():
+    print(name, repr(op))
+"""
+
+
+def test_func_kernel_repr_is_the_same_in_every_process():
+    """A callable kernel shows fn by module and qualified name, never by
+    address, so each operator of demo.ury has one repr across interpreters."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _PRINT_DEMO_REPRS],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert outs[0] == outs[1]
+    assert "FuncKernel(fn=uryson.operators.discretize_integral.<locals>.fn, label=" in outs[0]
+    assert "0x" not in outs[0]
+
+
+def test_func_kernels_compare_by_identity_of_fn():
+    def fn(r):
+        return r
+
+    def twin(r):
+        return r
+
+    assert FuncKernel(fn, "k") == FuncKernel(fn, "k")
+    assert hash(FuncKernel(fn, "k")) == hash(FuncKernel(fn, "k"))
+    assert FuncKernel(fn, "k") != FuncKernel(twin, "k")
+    assert repr(FuncKernel(fn, "k", (2.0,))) == (
+        f"FuncKernel(fn={__name__}.{fn.__qualname__}, label='k', factors=(2.0,))"
+    )
 
 
 def test_zero_kernel():

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given
@@ -85,6 +86,113 @@ def test_parts_decompose(v):
     assert (v.pos_part() + v.neg_part()).isclose(v.abs())
     assert is_disjoint(v.pos_part(), v.neg_part())
     assert Vector.zero(4).leq(v.abs())
+
+
+def _zipped(v, w):
+    """The coordinate pairs of two vectors or of two masks, dims checked first."""
+    if isinstance(v, Mask):
+        kind, a, b = "mask dim", v.bits, w.bits
+    else:
+        kind, a, b = "dim", v.coords, w.coords
+    if len(a) != len(b):
+        raise DimensionMismatch(f"{kind} {len(a)} vs {len(b)}")
+    return zip(a, b)
+
+
+def _apply(m, v):
+    if m.dim != v.dim:
+        raise DimensionMismatch(f"mask dim {m.dim} vs vector dim {v.dim}")
+    return Vector([c if b else 0.0 for b, c in zip(m.bits, v.coords)])
+
+
+# operation -> (the library's call, its definition through the public constructors)
+PRIMITIVES = {
+    "add": (operator.add, lambda v, w: Vector([a + b for a, b in _zipped(v, w)])),
+    "sub": (operator.sub, lambda v, w: Vector([a - b for a, b in _zipped(v, w)])),
+    "neg": (operator.neg, lambda v: Vector([-a for a in v.coords])),
+    "scale": (Vector.scale, lambda v, k: Vector([k * a for a in v.coords])),
+    "join": (Vector.join, lambda v, w: Vector([max(a, b) for a, b in _zipped(v, w)])),
+    "meet": (Vector.meet, lambda v, w: Vector([min(a, b) for a, b in _zipped(v, w)])),
+    "abs": (Vector.abs, lambda v: Vector([abs(a) for a in v.coords])),
+    "pos_part": (Vector.pos_part, lambda v: Vector([max(a, 0.0) + 0.0 for a in v.coords])),
+    "neg_part": (Vector.neg_part, lambda v: Vector([max(-a, 0.0) + 0.0 for a in v.coords])),
+    "leq": (Vector.leq, lambda v, w, tol: all(a <= b + tol for a, b in _zipped(v, w))),
+    "isclose": (Vector.isclose, lambda v, w, tol: all(abs(a - b) <= tol for a, b in _zipped(v, w))),
+    "and": (operator.and_, lambda m, q: Mask([a and b for a, b in _zipped(m, q)])),
+    "or": (operator.or_, lambda m, q: Mask([a or b for a, b in _zipped(m, q)])),
+    "complement": (Mask.complement, lambda m: Mask([not b for b in m.bits])),
+    "apply": (Mask.apply, _apply),
+    "principal_mask": (principal_mask, lambda f, tol: Mask([abs(a) > tol for a in f.coords])),
+}
+
+_V = vec(0.0, -0.0, 1.5, -2.5)
+_BIG = vec(1e308, -1e308)
+_M3, _Q3 = Mask((True, False, True)), Mask((False, False, True))
+PRIMITIVE_CASES = [
+    # overflow to +-inf through the internal and the public constructor alike
+    ("add", (vec(1e308), vec(1e308))),
+    ("add", (_BIG, _BIG)),
+    ("add", (vec(1e308, 1.0), vec(-1e308, 2.0))),
+    ("sub", (_BIG, -_BIG)),
+    ("sub", (vec(-1e308), vec(1e308))),
+    ("scale", (_BIG, 2.0)),
+    ("scale", (_BIG, -10.0)),
+    ("scale", (_V, -0.0)),
+    # signed zeros survive every result
+    ("add", (_V, -_V)),
+    ("sub", (_V, _V)),
+    ("neg", (_V,)),
+    ("neg", (_BIG,)),
+    ("join", (_V, -_V)),
+    ("meet", (_V, -_V)),
+    ("abs", (_V,)),
+    ("pos_part", (_V,)),
+    ("neg_part", (_V,)),
+    # dimension mismatches keep their text
+    ("add", (vec(1.0), vec(1.0, 2.0))),
+    ("sub", (vec(1.0, 2.0, 3.0), vec(1.0))),
+    ("join", (vec(1.0), _V)),
+    ("meet", (_V, vec(1.0))),
+    ("leq", (vec(1.0), _V, 0.0)),
+    ("isclose", (_V, vec(1.0), 0.0)),
+    ("and", (_M3, Mask((True,)))),
+    ("or", (Mask((True, False)), _M3)),
+    ("apply", (_M3, vec(1.0, 2.0))),
+    ("apply", (_M3, vec(-0.0, 2.0, -3.0))),
+    # comparisons with itself, with a negative or a NaN tolerance
+    ("leq", (_V, _V, 0.0)),
+    ("leq", (_V, _V, -1.0)),
+    ("leq", (_V, _V, math.nan)),
+    ("leq", (_BIG, _BIG, 1e308)),
+    ("isclose", (_V, _V, 0.0)),
+    ("isclose", (_V, _V, -1.0)),
+    ("isclose", (_V, _V, math.nan)),
+    ("isclose", (_V, vec(0.0, 0.0, 1.5, -2.5), 0.0)),
+    ("leq", (-_V, _V, 0.0)),
+    # masks
+    ("and", (_M3, _Q3)),
+    ("or", (_M3, _Q3)),
+    ("complement", (_M3,)),
+    ("principal_mask", (vec(0.0, 1e-10, -2.0), 1e-9)),
+    ("principal_mask", (vec(-0.0, 1e-10, 5e-324), 0.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "op,args", PRIMITIVE_CASES, ids=[f"{op}-{k}" for k, (op, _) in enumerate(PRIMITIVE_CASES)]
+)
+def test_primitives_match_their_definitions(op, args):
+    """Each lattice primitive equals its definition by repr, errors included."""
+    call, definition = PRIMITIVES[op]
+    assert outcome(call, *args) == outcome(definition, *args)
+
+
+def test_mask_results_equal_the_public_masks():
+    results = [_M3 & _Q3, _M3 | _Q3, _M3.complement(), principal_mask(vec(0.0, 2.0, -1e-12))]
+    for m in results:
+        public = Mask(m.bits)
+        assert m == public and hash(m) == hash(public)
+        assert all(type(b) is bool for b in m.bits)
 
 
 def test_fragments_enumeration_order():

@@ -10,7 +10,8 @@ trusted:
 
     PYTHONPATH=src python tests/test_suite_driver.py
 
-The seed goldens are `uryson run demo.ury suite --seed N` output.
+The seed goldens are `uryson run demo.ury suite --seed N` output.  The call
+counts pin the suite's work without a clock.
 """
 
 import contextlib
@@ -94,12 +95,33 @@ def failure_rows(model, isclose_every: int) -> str:
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 77, 12345])
 def test_suite_seed_reports_match_golden_bytes(capsys, seed):
     code = main(["run", DEMO, "suite", "--seed", str(seed)])
     assert code == 0
     golden = GOLDEN / f"suite_seed{seed}.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+# calls one run_suite(demo, 7) makes through these names: each check computes
+# a repeated (operator, probe) value once, so repeats would raise the counts
+SUITE_CALLS = {"rk_eval": 515, "check_modulus_bound": 34, "project_band_set": 313, "operator_add": 28}
+
+
+def test_suite_computes_each_repeated_model_case_once(demo_model, monkeypatch):
+    calls = dict.fromkeys(SUITE_CALLS, 0)
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in SUITE_CALLS:
+        monkeypatch.setattr(suite_mod, name, counted(name, getattr(suite_mod, name)))
+    assert run_suite(demo_model, FAILURE_SEED)["ok"]
+    assert calls == SUITE_CALLS
 
 
 @pytest.mark.parametrize("every", sorted(FAILURE_GOLDENS))
