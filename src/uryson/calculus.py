@@ -37,6 +37,7 @@ from .lattice import (
     Mask,
     Vector,
     _Record,
+    _vec,
     first_extremum,
     fragments,
     require_positive_finite,
@@ -118,8 +119,8 @@ def rk_eval(
         raise ValueError("vector coordinates must be finite")
     # 0.0, not -0.0, where T(y) peaks at 0
     best = [0.0 - v for v in table.best] if kind == "neg" else table.best
-    pairs = {k: (y, x - y) for k in set(table.first) for y in (table.frags[k],)}
-    return RKResult(value=Vector(tuple(best)), argwitness=tuple(pairs[k] for k in table.first))
+    pairs = {k: (y, x - y) for k in set(table.first) for y in (table.frags._at(k),)}
+    return RKResult(_vec(tuple(best)), tuple(pairs[k] for k in table.first))
 
 
 def rk_eval_separable(
@@ -197,7 +198,7 @@ def disjoint_witness(
     labels = tuple(str(k) for k, _ in groups)
     return DisjointnessWitness(
         masks=IndexedFamily(labels, tuple(Mask.from_indices(T.m, rows) for _, rows in groups)),
-        frags=IndexedFamily(labels, tuple(frags[k] for k, _ in groups)),
+        frags=IndexedFamily(labels, tuple(frags._at(k) for k, _ in groups)),
         eps=eps,
         u=u,
     )
@@ -279,7 +280,7 @@ def check_disjoint_iff(
             forward = {
                 "labels": [str(k) for k, _ in groups],
                 "masks": [[1 if i in rows else 0 for i in range(T.m)] for _, rows in groups],
-                "fragments": [list(frags[k].coords) for k, _ in groups],
+                "fragments": [list(frags._at(k).coords) for k, _ in groups],
                 "bounds_ok": two_sided,
             }
             ok = two_sided and all(c["witness_exists"] and c["bound_ok"] for c in converse)

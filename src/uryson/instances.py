@@ -30,6 +30,9 @@ __all__ = [
 GRID_STEP = 0.25
 GRID_SPAN = 3.0
 _GRID = [round(k * GRID_STEP, 2) for k in range(-12, 13)]
+_NEG_GRID = [x for x in _GRID if x < 0]
+_POS_GRID = [x for x in _GRID if x > 0]
+_LEVELS = [round(0.25 * k, 2) for k in range(1, 13)]  # of a positive_pwl kernel
 _MAX_BREAKPOINTS = 5  # of a random_pwl kernel, the origin included
 _OVERLAP_SCALE = 0.25  # of the bump perturbed_pair injects
 
@@ -66,15 +69,14 @@ def positive_pwl(rng: random.Random) -> PwlKernel:
     Values decrease toward 0 from the left and increase from the right, so
     both end extensions stay nonnegative.
     """
-    neg_xs = sorted(rng.sample([x for x in _GRID if x < 0], rng.randint(1, 3)))
-    pos_xs = sorted(rng.sample([x for x in _GRID if x > 0], rng.randint(1, 3)))
+    neg_xs = sorted(rng.sample(_NEG_GRID, rng.randint(1, 3)))
+    pos_xs = sorted(rng.sample(_POS_GRID, rng.randint(1, 3)))
     if neg_xs[0] != -GRID_SPAN:
         neg_xs.insert(0, -GRID_SPAN)
     if pos_xs[-1] != GRID_SPAN:
         pos_xs.append(GRID_SPAN)
-    levels = [round(0.25 * k, 2) for k in range(1, 13)]
-    neg_vals = sorted((rng.choice(levels) for _ in neg_xs), reverse=True)
-    pos_vals = sorted(rng.choice(levels) for _ in pos_xs)
+    neg_vals = sorted((rng.choice(_LEVELS) for _ in neg_xs), reverse=True)
+    pos_vals = sorted(rng.choice(_LEVELS) for _ in pos_xs)
     pts = (
         tuple(zip(neg_xs, neg_vals))
         + ((0.0, 0.0),)

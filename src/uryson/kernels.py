@@ -7,8 +7,11 @@ opaque callable form carries quadrature-discretized integral kernels, for
 which exact decisions degrade to sampling.
 
 Positivity and the kernel order are decided by direct checks at a given
-tol: exact at the breakpoints and end slopes of the pwl form, sampled on a
-fixed grid otherwise, stopping at the first failing sample.  Kernels are
+tol, stopping at the first failure.  On the pwl form every breakpoint value
+must be >= -tol, the first slope <= tol and the last >= -tol, so past its
+ends a kernel decided positive may still fall below -tol, by at most tol per
+unit: pwl (0,0) (1,-1e-10) is positive at 1e-9 yet reads -1e-4 at 1e6.
+Otherwise every sample of a fixed grid must be >= -tol.  Kernels are
 frozen, and a callable kernel's `fn` must be pure (the DSL and quadrature
 discretization build only pure ones): an operator keeps each decision.
 
@@ -62,8 +65,8 @@ class ScalarKernel:
         return tuple(x for x, _ in form[0]) if form is not None else ()
 
     def nonneg_everywhere(self, tol: float = DEFAULT_TOL) -> bool:
-        """k >= -tol on all of R: exact at the points of `_form`, sampled on
-        _SAMPLE_GRID up to the first failing sample otherwise."""
+        """k decided >= 0 at tol: the points of `_form` by the rule of
+        `_points_nonneg`, else every sample of _SAMPLE_GRID >= -tol."""
         form = self._form()
         if form is not None:
             return _points_nonneg(form[0], tol)
@@ -325,7 +328,8 @@ class PartKernel(ScalarKernel, _Record):
 
 
 def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAULT_TOL) -> bool:
-    """high - low >= -tol everywhere; exact when both sides have a `_form`.
+    """high - low decided >= 0 at tol, by the rule of `_points_nonneg`
+    when both sides have a `_form`.
 
     The difference is checked at the union of both sides' points and by its
     end slopes: the floats kernel_add(high, low.scaled(-1.0)) would hold
@@ -348,8 +352,9 @@ def kernel_diff_nonneg(low: ScalarKernel, high: ScalarKernel, tol: float = DEFAU
 
 
 def _points_nonneg(pts: Sequence[tuple[float, float]], tol: float) -> bool:
-    """The pwl kernel through the breakpoints pts is >= -tol on all of R:
-    every breakpoint value is, and neither end slope leads below it."""
+    """The pwl kernel through the breakpoints pts is decided >= 0 at tol:
+    every breakpoint value is >= -tol, the first slope <= tol and the last
+    >= -tol.  Past its ends it may fall below -tol, by tol per unit."""
     if any(y < -tol for _, y in pts):
         return False
     if len(pts) == 1:

@@ -5,8 +5,10 @@ coordinatewise structure, and fragments of x are the vectors that agree with x
 on a support subset and vanish elsewhere (enumerated by index over the
 support columns, with a Vector built on demand).  Everything is immutable;
 all tolerance-based comparisons take an explicit ``tol`` (default 1e-9).
-Vector and mask arithmetic builds its results with the private `_vec` and
-`_mask`: no conversion or emptiness test, but `_vec` checks finiteness.
+Vector and mask arithmetic, and the library's internal results (operator
+values, program values, witness fragments from `Fragments._at`), are built
+with the private `_vec` and `_mask`: no conversion, emptiness or index test,
+but `_vec` checks finiteness.
 The eps schedule of the projection programs lives here, beside the rules it
 checks, so that model settings can build one without the programs.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from operator import attrgetter
+from operator import and_, attrgetter, not_, or_
 from typing import Iterator, Union
 
 from .errors import DimensionMismatch, NotConverged, NotPositiveUnit, SupportTooLarge
@@ -263,8 +265,12 @@ class Fragments(Sequence):
 
     def __getitem__(self, k: int | slice) -> Vector | list[Vector]:
         if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        k = range(1 << len(self.supp))[k]  # IndexError past the end, as iteration needs
+            return [self._at(i) for i in range(len(self))[k]]
+        # IndexError past the end, as iteration needs
+        return self._at(range(1 << len(self.supp))[k])
+
+    def _at(self, k: int) -> Vector:
+        """Fragment k, for 0 <= k < len(self), without indexing's checks."""
         xs = self.x.coords
         coords = [0.0] * len(xs)
         for b, j in enumerate(self.supp):
@@ -347,14 +353,14 @@ class Mask(_Record):
 
     def __and__(self, other: "Mask") -> "Mask":
         self._check_dim(other)
-        return _mask(tuple(a and b for a, b in zip(self.bits, other.bits)))
+        return _mask(tuple(map(and_, self.bits, other.bits)))
 
     def __or__(self, other: "Mask") -> "Mask":
         self._check_dim(other)
-        return _mask(tuple(a or b for a, b in zip(self.bits, other.bits)))
+        return _mask(tuple(map(or_, self.bits, other.bits)))
 
     def complement(self) -> "Mask":
-        return _mask(tuple(not b for b in self.bits))
+        return _mask(tuple(map(not_, self.bits)))
 
     def leq(self, other: "Mask") -> bool:
         # order of projections: rho <= rho' iff rho*rho' = rho, i.e. bits subset

@@ -45,7 +45,7 @@ from .kernels import (
     kernel_add,
     kernel_diff_nonneg,
 )
-from .lattice import Fragments, Vector, _Record
+from .lattice import Fragments, Vector, _Record, _vec
 
 # `on_fragments` sums each fragment's row with one fsum when a row of the
 # table has at most this many addends (2^|supp x| * n), and doubles integer
@@ -90,7 +90,7 @@ class KernelOperator(_Record):
         return len(self.kernels[0])
 
     def __call__(self, x: Vector) -> Vector:
-        return Vector(tuple(map(math.fsum, self._values(x))))
+        return _vec(tuple(map(math.fsum, self._values(x))))
 
     def kernel_values(self, x: Vector) -> list[list[float]]:
         """The addend table kernels[i][j](x_j); row sums give the evaluation."""

@@ -39,7 +39,9 @@ constraint row phi(x - y) or phi(y) on every output row and masks the
 result by u afterwards.  An independent support-masking oracle cross-checks
 the principal case.  A generating set is any sequence of operators, decided
 by one check (`_checked_set`) positive and upward directed at the call's
-tol, like every other operator check.
+tol, like every other operator check: a member above every member (at most
+k^2 order decisions for k members), else an upper bound for every pair.  A
+one-member set's result is its member's.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .lattice import (
     Mask,
     Vector,
     _Record,
+    _vec,
     first_extremum,
     fragments,
     principal_mask,
@@ -94,11 +97,14 @@ def _checked_set(
     A: Sequence[KernelOperator], T: KernelOperator, x: Vector, tol: float
 ) -> tuple[KernelOperator, ...]:
     """A as a tuple, decided at tol to be a generating set: nonempty, its
-    members of one shape and positive, and upward directed (every pair has
-    an upper bound in A, decided kernelwise, exact for pwl kernels); then T
-    positive and all shapes matching.  Each operator keeps its positivity,
-    and each ordered pair its order, per tol from the first decision on, so
-    deciding a set again at that tol evaluates no kernel."""
+    members of one shape and positive, and upward directed; then T positive
+    and all shapes matching.  Directed is decided kernelwise (exact for pwl
+    kernels): first by a top member t, reading a <= t for each member a,
+    itself included, and stopping at t's first failure; only without one,
+    by an upper bound in A for every pair, as all refusals are.  Each
+    operator keeps its positivity, and each ordered pair its order, per tol
+    from the first decision on, so deciding a set again at that tol
+    evaluates no kernel."""
     ops = tuple(A)
     if not ops:
         raise ValueError("increasing set must be nonempty")
@@ -108,10 +114,11 @@ def _checked_set(
             raise DimensionMismatch("increasing set members must share shape")
         if not operator_is_positive(op, tol):
             raise NotPositive("increasing set members must be positive")
-    for a_idx, a in enumerate(ops):
-        for b in ops[a_idx + 1:]:
-            if not any(operator_leq(a, v, tol) and operator_leq(b, v, tol) for v in ops):
-                raise NotIncreasing("no internal upper bound for a pair of members")
+    if len(ops) > 1 and not any(all(operator_leq(a, t, tol) for a in ops) for t in ops):
+        for a_idx, a in enumerate(ops):
+            for b in ops[a_idx + 1:]:
+                if not any(operator_leq(a, v, tol) and operator_leq(b, v, tol) for v in ops):
+                    raise NotIncreasing("no internal upper bound for a pair of members")
     require_positive("T", T, tol)
     check_pair_dims(T, ops[0], x)
     return ops
@@ -171,15 +178,17 @@ class _MemberProgram:
         self.feasible_count = tuple(map(len, inside))
         self.limit = tuple(inside[i] for i in self.rows)
         # per given row: (i, largest constraint in the limit set, smallest
-        # outside it), None where that side is empty
-        self._edges = [
-            (
-                i,
-                max((cons[i][k] for k in ks), default=None),
-                min((c for c in cons[i] if not c <= tol), default=None),
-            )
-            for i, ks in zip(self.rows, self.limit)
-        ]
+        # outside it), None where that side is empty, from one scan
+        self._edges = []
+        for i in self.rows:
+            hi = lo = None
+            for c in cons[i]:
+                if c <= tol:
+                    if hi is None or c > hi:
+                        hi = c
+                elif lo is None or c < lo:
+                    lo = c
+            self._edges.append((i, hi, lo))
 
     def feasible(self, eps: float) -> tuple[tuple[int, ...], ...]:
         """Per given row, the ascending indices of the fragments whose row
@@ -221,9 +230,9 @@ class _MemberProgram:
         for eps in sched.values():
             if self.settled(eps):
                 vals, wit = self.value_on(self.limit)
-                frags = {k: self.frags[k] for k, _ in wit}
+                frags = {k: self.frags._at(k) for k, _ in wit}
                 return ProjectionResult(
-                    Vector(tuple(vals)), eps, self.feasible_count,
+                    _vec(tuple(vals)), eps, self.feasible_count,
                     tuple((frags[k], mask) for k, mask in wit),
                 )
         raise NoStabilization(
@@ -262,6 +271,8 @@ def _project_set(
     each coordinate the first member attaining the outer extremum wins."""
     ops = _checked_set(A, T, x, tol)
     runs = [p.run(sched) for p in _programs(sense, ops, T, x, cap_support, tol)]
+    if len(runs) == 1:
+        return runs[0]
     outer = max if sense == "band" else min
     pick = [outer(runs, key=lambda r: r.value.coords[i]) for i in range(T.m)]
     return ProjectionResult(

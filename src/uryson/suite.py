@@ -13,8 +13,9 @@ An exception raised by a check becomes an error row with 0 cases in
 
 Memo rule.  A check computes each distinct (operator, probe) value of its
 cases once, in a local dict keyed by the ``id`` of objects its case list keeps
-alive, never by ``==`` (equal probes may differ in signed zeros).  Every case
-still makes its own predicate calls, so a failure lands on the same case.
+alive, never by ``==`` (equal probes may differ in signed zeros), and
+compares each distinct value object with a result once.  Every case still
+makes its own predicate calls, so a failure lands on the same case.
 """
 
 from __future__ import annotations
@@ -521,8 +522,9 @@ def _check_proj_monotone(model: Model, seed: int, rng):
                 if sense == "band"
                 else project_band_set_complement((S,), T, x, sched)
             )
-            tail = [v for e, v in profile if e <= run.stabilized_at]
-            for v in tail:
+            # the profile repeats one value object from its settled eps on
+            tail = {id(v): v for e, v in profile if e <= run.stabilized_at}
+            for v in tail.values():
                 if not v.isclose(run.value, CHECK_TOL):
                     return f"{sense} profile moves after stabilization"
 

@@ -1,5 +1,7 @@
 """Seeded instance generators used by the self-check suite."""
 
+import hashlib
+
 from uryson.calculus import rk_eval
 from uryson.instances import (
     GRID_STEP,
@@ -98,3 +100,33 @@ def test_decreasing_to_ends_at_target():
     for earlier, later in zip(seq, seq[1:]):
         assert later.leq(earlier)
         assert x.leq(earlier)
+
+
+# sha256 (first 16 hex digits) of the repr of three draws per generator at
+# each (seed, tag) in _PINNED_PAIRS, recorded before any refactor of the
+# generators: a change that shifts the random stream shows up here.
+_PINNED_PAIRS = ((0, "pin"), (7, "suite"), (12345, "x"))
+_PINNED_DRAWS = {
+    "grid_vector": (lambda rng: grid_vector(rng, 3), "9dd39b96e8a89505"),
+    "nonneg_grid_vector": (lambda rng: nonneg_grid_vector(rng, 3), "8c80c72748a2d97e"),
+    "random_pwl": (random_pwl, "f8477bfabd1e3400"),
+    "positive_pwl": (positive_pwl, "9cbb03975db35c34"),
+    "random_operator": (lambda rng: random_operator(rng, 2, 3), "b7d9e04a381c19b6"),
+    "positive_operator": (lambda rng: positive_operator(rng, 2, 2), "bf5d3a7bb52a7d25"),
+    "disjoint_positive_pair": (
+        lambda rng: disjoint_positive_pair(rng, 2, 3),
+        "390ed28d99118de4",
+    ),
+    "perturbed_pair": (lambda rng: perturbed_pair(rng, 2, 2), "8fb27e3a1e199178"),
+    "decreasing_to": (
+        lambda rng: decreasing_to(grid_vector(rng, 2), steps=3),
+        "78ee7131f24d280c",
+    ),
+}
+
+
+def test_generator_draws_are_pinned():
+    for name, (draw, want) in _PINNED_DRAWS.items():
+        rngs = [rng_for(seed, tag) for seed, tag in _PINNED_PAIRS]
+        text = repr([[draw(rng) for _ in range(3)] for rng in rngs])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, name

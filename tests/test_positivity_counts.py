@@ -1,7 +1,8 @@
 """How often each entry point decides positivity and the operator order.
 
 Each entry point checks its operators once: T positive, every generator
-positive, and for a generating set every pair's internal upper bound.  The
+positive, and for a generating set a member above every member (failing
+that, every pair's internal upper bound).  The
 counts are pinned on one seeded instance (m = 4, |supp x| = 6), with no
 clock, so that routing an entry point through another one's checks (which
 would repeat them) fails here.
@@ -63,9 +64,12 @@ def test_order_checks_per_entry_point(count_checks):
 
     for band in (project_band_set, project_band_set_complement):
         assert count_checks(band, (S,), T, x) == (2, 0)
-        # two members and T positive; the pair's upper bound is sought among
-        # both members, two order checks each
+        # two members and T positive; the top member is sought among both
+        # members, two order checks each
         assert count_checks(band, (S, operator_add(S, S2)), T, x) == (3, 4)
+        # three members and T positive: S fails at its second check, T at
+        # its first, and S + T, the top, takes three
+        assert count_checks(band, (S, T, operator_add(S, T)), T, x) == (4, 6)
     assert count_checks(project_principal, S, T, x) == (2, 0)
     assert count_checks(project_rank_one, phi, u, T, x) == (2, 0)
     assert count_checks(project_functional, phi, psi, x) == (2, 0)

@@ -9,17 +9,21 @@ import math
 
 import pytest
 
+import reference as ref
+from strategies import outcome
 from uryson.errors import (
     DimensionMismatch,
     NoStabilization,
     NotIncreasing,
     NotPositive,
 )
+from uryson.instances import disjoint_positive_pair, positive_operator, random_operator, rng_for
 from uryson.kernels import BuiltinKernel, FuncKernel, PwlKernel, ZERO_KERNEL
 from uryson.lattice import Vector, vec
 from uryson.operators import KernelOperator, operator_add, rank_one
 from uryson.projections import (
     EpsSchedule,
+    _checked_set,
     band_set_profile,
     masking_oracle,
     project_band_set,
@@ -354,3 +358,56 @@ def test_increasing_set_decides_at_the_callers_tol():
     for call in calls:
         with pytest.raises(NotPositive):
             call(1e-9)
+
+def _scaled_abs_row(*scales):
+    return KernelOperator((tuple(BuiltinKernel("abs", scale=c) for c in scales),))
+
+
+# at tol 1.5 each of these is below the next, cyclically (slopes within tol),
+# and each fails to lie below one member: every pair has an upper bound in
+# the set, yet no member lies above all three
+CYCLE = (_scaled_abs_row(0.0, 1.0, 2.0), _scaled_abs_row(2.0, 0.0, 1.0), _scaled_abs_row(1.0, 2.0, 0.0))
+
+
+def _generating_set_cases():
+    """(A, T, x, tol) on seeded 2x2 operators: sets of 1 to 4 members with
+    duplicates, equal copies, a top member first, in the middle or last,
+    non-directed sets, non-positive members and a shape mismatch."""
+    x = vec(1.0, -0.5)
+    yield CYCLE, _scaled_abs_row(1.0, 1.0, 1.0), vec(1.0, -0.5, 2.0), 1.5
+    for seed in range(12):
+        rng = rng_for(seed, "generating-sets")
+        S, R = disjoint_positive_pair(rng, 2, 2)
+        top = operator_add(S, R)
+        copy = KernelOperator(S.kernels)  # == S, another object
+        bad, wide = random_operator(rng, 2, 2), positive_operator(rng, 2, 3)
+        T = positive_operator(rng, 2, 2)
+        fixed = [
+            (top,), (top, S, R), (S, top, R), (S, R, top), (S, R), (S, S), (S, copy),
+            (copy, R, top, S), (S, bad, top), (bad,), (S, wide), (wide, top),
+        ]
+        pool = (S, R, top, copy, bad, wide)
+        drawn = [tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))) for _ in range(6)]
+        for A in fixed + drawn:
+            for tol in (1e-9, 0.25):
+                yield A, T, x, tol
+        yield (S, top), bad, x, 1e-9
+        yield (S, top), T, vec(1.0), 1e-9
+
+
+def test_checked_set_matches_the_pairwise_reference():
+    # the top-member search and its pairwise fallback give the verdict of
+    # the pairwise search alone: the same tuple, or the same error
+    verdicts = set()
+    for A, T, x, tol in _generating_set_cases():
+        got = outcome(_checked_set, A, T, x, tol)
+        assert got == outcome(ref.checked_set, A, T, x, tol)
+        verdicts.add(got[0] if got[0] == "ok" else got[1])
+    assert verdicts == {"ok", "DimensionMismatch", "NotIncreasing", "NotPositive"}
+
+
+def test_a_directed_set_without_a_top_member_is_accepted():
+    T, x = _scaled_abs_row(1.0, 1.0, 1.0), vec(1.0, -0.5, 2.0)
+    assert _checked_set(CYCLE, T, x, 1.5) == CYCLE
+    with pytest.raises(NotIncreasing):
+        _checked_set(CYCLE, T, x, 0.5)

@@ -23,6 +23,7 @@ from unittest import mock
 
 import pytest
 
+import uryson.projections as projections_mod
 import uryson.suite as suite_mod
 from uryson.cli import main
 from uryson.lattice import Mask, Vector
@@ -122,6 +123,30 @@ def test_suite_computes_each_repeated_model_case_once(demo_model, monkeypatch):
         monkeypatch.setattr(suite_mod, name, counted(name, getattr(suite_mod, name)))
     assert run_suite(demo_model, FAILURE_SEED)["ok"]
     assert calls == SUITE_CALLS
+
+
+# upper bounds on what one run_suite(demo, 7) builds and decides: results
+# built inside the library skip Vector's public constructor, and a set with
+# a top member reads no pairwise search (1966 and 942 when pinned)
+SUITE_BOUNDS = {"Vector.__init__": 2000, "operator_leq": 960}
+
+
+def test_suite_builds_few_public_vectors_and_decides_few_orders(demo_model, monkeypatch):
+    counts = dict.fromkeys(SUITE_BOUNDS, 0)
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(Vector, "__init__", counted("Vector.__init__", Vector.__init__))
+    monkeypatch.setattr(
+        projections_mod, "operator_leq", counted("operator_leq", projections_mod.operator_leq)
+    )
+    assert run_suite(demo_model, FAILURE_SEED)["ok"]
+    assert all(counts[name] <= bound for name, bound in SUITE_BOUNDS.items()), counts
 
 
 @pytest.mark.parametrize("every", sorted(FAILURE_GOLDENS))
